@@ -76,11 +76,23 @@ class SharedAdapter:
             out.extend((self.pairs[key].down, self.pairs[key].up))
         return out
 
-    def up_values(self) -> dict[tuple[int, str], np.ndarray]:
-        return {k: self.pairs[k].up.value.copy() for k in self.pairs}
+    def frozen_copy(self) -> SharedAdapter:
+        """The adapter as it is now, with copied values that take no gradient.
+
+        The teacher prefix and inference both run on such a snapshot, so
+        neither sees later updates nor records a tape.
+        """
+
+        def frozen(p: ad.Parameter) -> ad.Parameter:
+            return ad.Parameter(p.name, p.value.copy(), trainable=False, tag=p.tag)
+
+        pairs = {k: LowRankPair(frozen(v.down), frozen(v.up)) for k, v in self.pairs.items()}
+        return SharedAdapter(
+            self.blocks, self.attach_set, self.rank, self.width, pairs, self.fixed_down
+        )
 
     def content_hash(self) -> str:
-        return hashlib.sha256(_shared_payload(self)).hexdigest()
+        return hashlib.sha256(_payload(self)).hexdigest()
 
 
 @dataclass
@@ -114,7 +126,7 @@ class SpecificAdapter:
             p.trainable = False
 
     def content_hash(self) -> str:
-        return hashlib.sha256(_specific_payload(self)).hexdigest()
+        return hashlib.sha256(_payload(self)).hexdigest()
 
 
 @dataclass
@@ -352,50 +364,28 @@ def count_trainable_params(
 #   sha256 of all preceding bytes (32 bytes)
 
 
-def _pairs_payload(pairs, blocks, attach) -> bytes:
-    out = bytearray()
-    for i in blocks:
-        for p in attach:
-            out += pairs[(i, p)].down.value.astype("<f8").tobytes()
-            out += pairs[(i, p)].up.value.astype("<f8").tobytes()
-    return bytes(out)
-
-
-def _header(kind, task_id, l, n, r, d, attach, blocks) -> bytes:
-    out = bytearray()
-    out += CHECKPOINT_MAGIC
-    out += struct.pack("<II", CHECKPOINT_VERSION, kind)
-    out += struct.pack("<qIIII", task_id, l, n, r, d)
-    out += struct.pack("<I", len(attach))
-    out += "".join(attach).encode("ascii")
-    out += struct.pack("<I", len(blocks))
-    out += struct.pack(f"<{len(blocks)}I", *blocks) if blocks else b""
-    return bytes(out)
-
-
-def _shared_payload(adapter: SharedAdapter, l: int = 0, n: int = 0) -> bytes:
-    body = _header(
-        0, -1, l, n, adapter.rank, adapter.width, adapter.attach_set, adapter.blocks
-    )
-    body += _pairs_payload(adapter.pairs, adapter.blocks, adapter.attach_set)
-    body += struct.pack("<BB", 0, 0 if not adapter.fixed_down else 1)
-    return body
-
-
-def _specific_payload(
-    adapter: SpecificAdapter, weights: BlockWeights | None = None, l: int = 0, n: int = 0
+def _payload(
+    adapter: SharedAdapter | SpecificAdapter,
+    weights: BlockWeights | None = None,
+    l: int = 0,
+    n: int = 0,
 ) -> bytes:
-    body = _header(
-        1, adapter.task_id, l, n, adapter.rank, adapter.width, adapter.attach_set, adapter.blocks
-    )
-    body += _pairs_payload(adapter.pairs, adapter.blocks, adapter.attach_set)
+    shared = isinstance(adapter, SharedAdapter)
+    out = bytearray(CHECKPOINT_MAGIC)
+    out += struct.pack("<II", CHECKPOINT_VERSION, 0 if shared else 1)
+    task_id = -1 if shared else adapter.task_id
+    out += struct.pack("<qIIII", task_id, l, n, adapter.rank, adapter.width)
+    out += struct.pack("<I", len(adapter.attach_set))
+    out += "".join(adapter.attach_set).encode("ascii")
+    out += struct.pack(f"<I{len(adapter.blocks)}I", len(adapter.blocks), *adapter.blocks)
+    for key in ((i, p) for i in adapter.blocks for p in adapter.attach_set):
+        out += adapter.pairs[key].down.value.astype("<f8").tobytes()
+        out += adapter.pairs[key].up.value.astype("<f8").tobytes()
+    out += struct.pack("<B", weights is not None)
     if weights is not None:
-        body += struct.pack("<B", 1)
-        body += weights.rho.value.astype("<f8").tobytes()
-    else:
-        body += struct.pack("<B", 0)
-    body += struct.pack("<B", 1 if adapter.frozen else 0)
-    return body
+        out += weights.rho.value.astype("<f8").tobytes()
+    out += struct.pack("<B", adapter.fixed_down if shared else adapter.frozen)
+    return bytes(out)
 
 
 def save_checkpoint(
@@ -407,10 +397,7 @@ def save_checkpoint(
     num_blocks: int = 0,
 ) -> str:
     """Write an adapter checkpoint; returns its content hash (hex)."""
-    if isinstance(adapter, SharedAdapter):
-        body = _shared_payload(adapter, position_l, num_blocks)
-    else:
-        body = _specific_payload(adapter, weights, position_l, num_blocks)
+    body = _payload(adapter, weights, position_l, num_blocks)
     digest = hashlib.sha256(body).digest()
     with open(path, "wb") as f:
         f.write(body + digest)
@@ -464,54 +451,38 @@ def load_checkpoint(path):
         "attach_set": attach,
         "blocks": blocks,
     }
+    if kind not in (0, 1):
+        raise FormatError(f"unknown checkpoint kind {kind} at offset 8")
+    shared = kind == 0
+    name, tag = ("shared", "shared") if shared else (f"task{task_id}", "specific")
 
-    def read_matrix(rows, cols):
-        data = np.frombuffer(r.take(rows * cols * 8), dtype="<f8").reshape(rows, cols)
-        return np.ascontiguousarray(data)
+    def read(rows, cols):
+        return np.frombuffer(r.take(rows * cols * 8), dtype="<f8").reshape(rows, cols).copy()
 
-    if kind == 0:
-        adapter = SharedAdapter(
-            blocks=blocks, attach_set=attach, rank=rank, width=d, fixed_down=True
-        )
-        for i in blocks:
-            for p in attach:
-                down = read_matrix(rank, d)
-                up = read_matrix(d, rank)
-                adapter.pairs[(i, p)] = LowRankPair(
-                    down=ad.Parameter(f"shared.b{i}.{p}.down", down, False, "shared-down"),
-                    up=ad.Parameter(f"shared.b{i}.{p}.up", up, True, "shared-up"),
-                )
-        (_, fixed) = r.unpack("<BB")
-        adapter.fixed_down = bool(fixed)
-        if not adapter.fixed_down:
-            for pair in adapter.pairs.values():
-                pair.down.trainable = True
-        return adapter, None, header
-    if kind == 1:
-        adapter = SpecificAdapter(
-            task_id=task_id, blocks=blocks, attach_set=attach, rank=rank, width=d
-        )
-        for i in blocks:
-            for p in attach:
-                down = read_matrix(rank, d)
-                up = read_matrix(d, rank)
-                adapter.pairs[(i, p)] = LowRankPair(
-                    down=ad.Parameter(f"task{task_id}.b{i}.{p}.down", down, True, "specific-down"),
-                    up=ad.Parameter(f"task{task_id}.b{i}.{p}.up", up, True, "specific-up"),
-                )
-        (has_bw,) = r.unpack("<B")
-        weights = None
-        if has_bw:
-            rho = np.frombuffer(r.take(len(blocks) * 8), dtype="<f8").copy()
-            weights = BlockWeights(
-                task_id=task_id,
-                blocks=blocks,
-                rho=ad.Parameter(f"task{task_id}.blockw", rho, True, "block-weight"),
+    pairs = {}
+    for i in blocks:
+        for p in attach:
+            down, up = read(rank, d), read(d, rank)
+            pairs[(i, p)] = LowRankPair(
+                down=ad.Parameter(f"{name}.b{i}.{p}.down", down, not shared, f"{tag}-down"),
+                up=ad.Parameter(f"{name}.b{i}.{p}.up", up, True, f"{tag}-up"),
             )
-        (frozen,) = r.unpack("<B")
-        if frozen:
-            adapter.freeze()
-            if weights is not None:
-                weights.freeze()
+    (has_bw,) = r.unpack("<B")
+    weights = None
+    if has_bw:
+        rho = read(1, len(blocks))[0]
+        weights = BlockWeights(
+            task_id, blocks, ad.Parameter(f"{name}.blockw", rho, True, "block-weight")
+        )
+    (flag,) = r.unpack("<B")  # shared: fixed down-projections; specific: frozen
+    if shared:
+        adapter = SharedAdapter(blocks, attach, rank, d, pairs, fixed_down=bool(flag))
+        for pair in pairs.values():
+            pair.down.trainable = not flag
         return adapter, weights, header
-    raise FormatError(f"unknown checkpoint kind {kind} at offset 8")
+    adapter = SpecificAdapter(task_id, blocks, attach, rank, d, pairs)
+    if flag:
+        adapter.freeze()
+        if weights is not None:
+            weights.freeze()
+    return adapter, weights, header

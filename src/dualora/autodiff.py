@@ -101,8 +101,11 @@ def _wrap(x) -> Tensor:
 
 
 def _node(value, parents, bwd) -> Tensor:
-    rg = any(p.requires_grad for p in parents)
-    return Tensor(value, parents=tuple(parents), bwd=bwd if rg else None, requires_grad=rg)
+    """A node keeps its parents and backward closure only when a gradient can
+    reach it, so a forward with nothing trainable records no tape."""
+    if any(p.requires_grad for p in parents):
+        return Tensor(value, parents=tuple(parents), bwd=bwd, requires_grad=True)
+    return Tensor(value)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 A class prototype is the mean final-block CLS feature of its training
 samples, extracted with the adapter combination in effect when its task
-finished. At query time the prefix blocks are evaluated once with the
-current shared adapter and only the suffix is re-run per task, so a query
-costs l + (N - l) * t adapter-bearing block applications instead of N * t.
+finished. Scoring is one batched path: the prefix blocks run once per batch
+with a frozen copy of the current shared adapter and only the suffix is
+re-run per task, so a query costs l + (N - l) * t adapter-bearing block
+applications instead of N * t. Prototypes, single predictions and
+evaluation all go through it.
 """
 
 from __future__ import annotations
@@ -56,26 +58,78 @@ def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b) / (na * nb)
 
 
+def _task_features(
+    model: mdl.ContinualModel, images: np.ndarray, tasks, counter=None, *, share_prefix=True
+):
+    """Yield each task's components with the CLS features of an image batch.
+
+    The shared prefix runs once for the whole batch, then each task's suffix
+    runs on it. ``share_prefix=False`` runs each task's full stack through
+    :func:`model.forward_features` instead, the reference that prefix sharing
+    must match bitwise. Both use a frozen copy of the shared adapter, so no
+    tape is recorded.
+    """
+    shared = model.shared.frozen_copy() if model.shared is not None else None
+    if not share_prefix:
+        for components in tasks:
+            result = mdl.forward_features(model, images, components, counter=counter, shared=shared)
+            yield components, result.cls_final.value
+        return
+    k, n = model.shared_prefix, model.num_blocks
+    state0 = bb.patch_embed(images, model.backbone)
+    prefix = mdl.run_blocks(model, state0, range(1, k + 1), shared=shared, counter=counter)
+    for components in tasks:
+        state = mdl.run_blocks(
+            model, prefix, range(k + 1, n + 1), task=components, shared=shared, counter=counter
+        )
+        yield components, bb.extract_cls(model.backbone, state).value
+
+
 def compute_prototypes(model: mdl.ContinualModel, store: PrototypeStore, task) -> None:
     """Mean per-class CLS features of the task's training data, using the
     shared adapter as of now plus the task's own (frozen) components."""
     components = model.components_for(task.task_id)
+    ((_, feats),) = _task_features(model, task.train_images, [components])
     for class_id in task.classes:
         mask = task.train_labels == class_id
         if not mask.any():
             raise DataError(f"class {class_id} of task {task.task_id} has no samples")
-        feats = [
-            mdl.forward_features(model, img, components).cls_final.value
-            for img in task.train_images[mask]
-        ]
-        store.add(task.task_id, int(class_id), np.mean(feats, axis=0))
+        store.add(task.task_id, int(class_id), feats[mask].mean(axis=0))
 
 
 @dataclass
 class Prediction:
     class_id: int
     scores: dict[int, float]  # global class id -> cosine score
-    counter: mdl.PassCounter
+    counter: mdl.PassCounter  # shared by a batch; one application covers every query
+
+
+def predict_batch(
+    model: mdl.ContinualModel,
+    store: PrototypeStore,
+    images: np.ndarray,
+    *,
+    share_prefix: bool = True,
+) -> list[Prediction]:
+    """Score every seen class for each image of a batch and pick the best,
+    ties going to the lowest (task, class) pair."""
+    if not model.tasks:
+        raise ProtocolError("no tasks trained yet")
+    if len(store) == 0:
+        raise ProtocolError("prototype store is empty")
+    counter = mdl.PassCounter()
+    preds = [Prediction(-1, {}, counter) for _ in range(images.shape[0])]
+    best = [-np.inf] * len(preds)
+    features = _task_features(model, images, model.tasks, counter, share_prefix=share_prefix)
+    for components, feats in features:
+        items = store.task_items(components.task_id)
+        for q, (pred, feat) in enumerate(zip(preds, feats)):
+            for class_id, proto in items:
+                score = cosine_score(proto, feat)
+                pred.scores[class_id] = score
+                if score > best[q]:
+                    pred.class_id, best[q] = class_id, score
+    return preds
 
 
 def predict(
@@ -85,48 +139,13 @@ def predict(
     *,
     share_prefix: bool = True,
 ) -> Prediction:
-    """Score every seen class and return the best, ties going to the lowest
-    (task, class) pair.
+    """:func:`predict_batch` for one image.
 
     ``share_prefix=False`` recomputes the full stack per task; it exists to
     demonstrate the shared-prefix path is an exact optimization, not an
     approximation.
     """
-    if not model.tasks:
-        raise ProtocolError("no tasks trained yet")
-    if len(store) == 0:
-        raise ProtocolError("prototype store is empty")
-    counter = mdl.PassCounter()
-    l, n = model.position_l, model.num_blocks
-    scores: dict[int, float] = {}
-    best_class, best_score = -1, -np.inf
-
-    share_prefix = share_prefix and not model.flip_positions
-    prefix_state = None
-    if share_prefix:
-        state0 = bb.patch_embed(image, model.backbone)
-        prefix_state = mdl.run_blocks(model, state0, range(1, l + 1), task=None, counter=counter)
-
-    for components in model.tasks:
-        if share_prefix:
-            state = mdl.run_blocks(
-                model,
-                prefix_state,
-                range(l + 1, n + 1),
-                task=components,
-                counter=counter,
-            )
-            feat = bb.extract_cls(model.backbone, state).value
-        else:
-            # flipped layouts put per-task adapters first, so nothing is shareable
-            result = mdl.forward_features(model, image, components, counter=counter)
-            feat = result.cls_final.value
-        for class_id, proto in store.task_items(components.task_id):
-            score = cosine_score(proto, feat)
-            scores[class_id] = score
-            if score > best_score:
-                best_class, best_score = class_id, score
-    return Prediction(class_id=best_class, scores=scores, counter=counter)
+    return predict_batch(model, store, np.asarray(image)[None], share_prefix=share_prefix)[0]
 
 
 def adapter_pass_count(position_l: int, num_blocks: int, num_tasks: int) -> int:
@@ -146,7 +165,5 @@ def evaluate(
     """Fraction of samples whose predicted global class matches the label."""
     if images.shape[0] == 0:
         raise DataError("cannot evaluate on an empty sample set")
-    hits = sum(
-        predict(model, store, img).class_id == int(y) for img, y in zip(images, labels)
-    )
-    return hits / images.shape[0]
+    preds = predict_batch(model, store, images)
+    return sum(p.class_id == int(y) for p, y in zip(preds, labels)) / images.shape[0]

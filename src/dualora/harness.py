@@ -245,25 +245,16 @@ def _spawn_generators(seed: int, num_tasks: int):
     return gen(s_data), gen(s_backbone), gen(s_model), [gen(s) for s in task_seqs]
 
 
-def run_experiment(
-    config: Mapping | None,
-    seed: int,
-    out_dir=None,
-    *,
-    preset: str = "desk",
-) -> RunReport:
-    """Train the full task sequence and evaluate after every task.
+def build_run(cfg: Mapping, seed: int):
+    """The training config, data stream, model and per-task generators of a
+    resolved config and seed.
 
-    Accuracy after task t is measured over the union of test sets of tasks
-    1..t. Writes the report JSON and the per-epoch loss log (JSON lines)
-    into ``out_dir`` when given.
+    Every seeded run starts here, so a config key means the same thing to
+    :func:`run_experiment` and :func:`gradcheck`.
     """
-    cfg = resolve_config(config, preset)
     bcfg, tcfg, scfg = split_config(cfg)
-    started = time.perf_counter()
-
     rng_data, rng_backbone, rng_model, task_rngs = _spawn_generators(seed, scfg["num_tasks"])
-    if scfg.get("dataset_path"):
+    if scfg["dataset_path"]:
         dataset = streams.load_dataset(scfg["dataset_path"])
     else:
         dataset = streams.gen_synthetic(
@@ -278,12 +269,10 @@ def run_experiment(
     stream = streams.split_tasks(
         dataset,
         int(scfg["num_tasks"]),
-        class_order_rng=rng_data if scfg.get("class_shuffle") else None,
+        class_order_rng=rng_data if scfg["class_shuffle"] else None,
     )
-
-    backbone = bb.init_backbone(bcfg, rng_backbone)
     model = mdl.build_model(
-        backbone,
+        bb.init_backbone(bcfg, rng_backbone),
         tcfg.position_l,
         tcfg.rank,
         rng_model,
@@ -291,6 +280,25 @@ def run_experiment(
         fixed_down=tcfg.fix_b,
         shared_down_init=tcfg.shared_down_init,
     )
+    return tcfg, stream, model, task_rngs
+
+
+def run_experiment(
+    config: Mapping | None,
+    seed: int,
+    out_dir=None,
+    *,
+    preset: str = "desk",
+) -> RunReport:
+    """Train the full task sequence and evaluate after every task.
+
+    Accuracy after task t is measured over the union of test sets of tasks
+    1..t. Writes the report JSON and the per-epoch loss log (JSON lines)
+    into ``out_dir`` when given.
+    """
+    cfg = resolve_config(config, preset)
+    started = time.perf_counter()
+    tcfg, stream, model, task_rngs = build_run(cfg, seed)
     store = clf.PrototypeStore()
 
     per_task_acc: list[float] = []
@@ -306,24 +314,19 @@ def run_experiment(
         per_task_acc.append(clf.evaluate(model, store, images, labels))
 
     accuracy = AccuracyRecord(per_task=per_task_acc)
+    num_tasks = len(stream.tasks)
     counts = adp.count_trainable_params(
-        bcfg.num_blocks,
-        bcfg.width,
-        len(bcfg.attach_set),
+        model.num_blocks,
+        model.width,
+        len(model.backbone.cfg.attach_set),
         tcfg.rank,
         tcfg.position_l,
-        scfg["num_tasks"],
+        num_tasks,
         block_weights=tcfg.bw,
         fixed_down=tcfg.fix_b,
         flip_positions=tcfg.flip_positions,
-        backbone_params=backbone.param_count(),
+        backbone_params=model.backbone.param_count(),
     )
-    if model.flip_positions:
-        pass_count = bcfg.num_blocks * scfg["num_tasks"]
-    else:
-        pass_count = clf.adapter_pass_count(
-            tcfg.position_l, bcfg.num_blocks, scfg["num_tasks"]
-        )
     report = RunReport(
         config=cfg,
         seed=seed,
@@ -336,7 +339,9 @@ def run_experiment(
             "backbone": counts.backbone,
             "backbone_ratio": counts.backbone_ratio,
         },
-        adapter_pass_count=pass_count,
+        adapter_pass_count=clf.adapter_pass_count(
+            model.shared_prefix, model.num_blocks, num_tasks
+        ),
         epoch_log=epoch_log,
         timings={
             "total_s": time.perf_counter() - started,
@@ -474,7 +479,7 @@ def gradcheck(
     config: Mapping | None,
     seed: int,
     *,
-    step: float = 1e-5,
+    step: float = 3e-4,
     settle_steps: int = 5,
     preset: str = "desk",
 ) -> dict:
@@ -489,28 +494,7 @@ def gradcheck(
     overrides = dict(GRADCHECK_PRESET)
     overrides.update(config or {})
     cfg = resolve_config(overrides, preset)
-    bcfg, tcfg, scfg = split_config(cfg)
-    rng_data, rng_backbone, rng_model, task_rngs = _spawn_generators(seed, scfg["num_tasks"])
-    dataset = streams.gen_synthetic(
-        int(scfg["num_classes"]),
-        int(scfg["train_per_class"]),
-        int(scfg["test_per_class"]),
-        bcfg.image_side,
-        bcfg.channels,
-        float(scfg["noise_std"]),
-        rng_data,
-    )
-    stream = streams.split_tasks(dataset, int(scfg["num_tasks"]))
-    backbone = bb.init_backbone(bcfg, rng_backbone)
-    model = mdl.build_model(
-        backbone,
-        tcfg.position_l,
-        tcfg.rank,
-        rng_model,
-        flip_positions=tcfg.flip_positions,
-        fixed_down=tcfg.fix_b,
-        shared_down_init=tcfg.shared_down_init,
-    )
+    tcfg, stream, model, task_rngs = build_run(cfg, seed)
     store = clf.PrototypeStore()
     check_task_idx = 1 if len(stream.tasks) > 1 else 0
     for task, rng_task in zip(stream.tasks[:check_task_idx], task_rngs[:check_task_idx]):

@@ -5,10 +5,11 @@ adapter and blocks l+1..N carry the current task's specific adapter. The
 ``flip_positions`` ablation swaps the two roles while keeping the transition
 point (and therefore the early-exit readout) at block ``l``.
 
-Forward passes run on the autodiff tape; inference paths simply never call
-backward. A pass counter, when supplied, increments once per block that is
-executed with an adapter attached, which is what makes the shared prefix
-measurably cheaper at evaluation time.
+Forward passes run on the autodiff tape. The teacher prefix and inference
+pass a frozen copy of the shared adapter, so with every task's components
+frozen they record no tape at all. A pass counter, when supplied, increments
+once per block that is executed with an adapter attached, which is what makes
+the shared prefix measurably cheaper at evaluation time.
 """
 
 from __future__ import annotations
@@ -72,6 +73,12 @@ class ContinualModel:
         rng_ = range(1, l + 1) if self.flip_positions else range(l + 1, n + 1)
         return tuple(rng_)
 
+    @property
+    def shared_prefix(self) -> int:
+        """Blocks 1..k a query runs once for every task. A flipped layout puts
+        per-task adapters first, so nothing is shareable and k is 0."""
+        return 0 if self.flip_positions else self.position_l
+
     def is_shared_block(self, i: int) -> bool:
         return (i <= self.position_l) != self.flip_positions
 
@@ -113,19 +120,8 @@ def build_model(
     return model
 
 
-def _shared_deltas(model, block, up_values=None):
-    out = {}
-    for p in model.backbone.cfg.attach_set:
-        pair = model.shared.pair(block, p)
-        if up_values is None:
-            out[p] = lambda h, pair=pair: pair.delta(h)
-        else:
-            up = up_values[(block, p)]
-            out[p] = lambda h, pair=pair, up=up: ad.matmul(
-                ad.matmul(h, ad.swap_last2(ad.leaf(pair.down))),
-                ad.swap_last2(ad.constant(up)),
-            )
-    return out
+def _shared_deltas(model, block, shared: adp.SharedAdapter):
+    return {p: shared.pair(block, p).delta for p in model.backbone.cfg.attach_set}
 
 
 def _specific_deltas(model, block, task: TaskComponents, mu: ad.Tensor | None):
@@ -143,17 +139,18 @@ def run_blocks(
     blocks,
     *,
     task: TaskComponents | None = None,
-    shared_up_values: dict | None = None,
+    shared: adp.SharedAdapter | None = None,
     counter: PassCounter | None = None,
 ) -> bb.TokenState:
     """Apply a contiguous run of blocks with their routed adapter deltas.
 
     ``task`` supplies the specific adapter for specific-role blocks (pass
     None to run those blocks bare, e.g. to show a fresh adapter changes
-    nothing). ``shared_up_values`` substitutes frozen up-projection values on
-    the shared-role blocks, which is how the teacher prefix is evaluated
-    without gradients.
+    nothing). ``shared`` replaces the model's live shared adapter on the
+    shared-role blocks; a :meth:`~adapters.SharedAdapter.frozen_copy` there is
+    how the teacher prefix and inference run without gradients.
     """
+    shared = shared if shared is not None else model.shared
     blocks = tuple(blocks)
     mu = None
     if (
@@ -165,8 +162,8 @@ def run_blocks(
     for i in blocks:
         deltas = {}
         if model.is_shared_block(i):
-            if model.shared is not None:
-                deltas = _shared_deltas(model, i, shared_up_values)
+            if shared is not None:
+                deltas = _shared_deltas(model, i, shared)
         elif task is not None and task.specific is not None:
             deltas = _specific_deltas(model, i, task, mu)
         state = bb.block_forward(model.backbone, state, i, deltas)
@@ -179,8 +176,6 @@ def run_blocks(
 class ForwardResult:
     cls_final: ad.Tensor
     cls_at_l: ad.Tensor | None
-    state_at_l: bb.TokenState
-    final_state: bb.TokenState
 
 
 def forward_features(
@@ -190,7 +185,7 @@ def forward_features(
     *,
     collect_transition_cls: bool = False,
     counter: PassCounter | None = None,
-    shared_up_values: dict | None = None,
+    shared: adp.SharedAdapter | None = None,
 ) -> ForwardResult:
     """Full forward: embed, prefix blocks 1..l, suffix blocks l+1..N, CLS."""
     l, n = model.position_l, model.num_blocks
@@ -200,7 +195,7 @@ def forward_features(
         state,
         range(1, l + 1),
         task=task,
-        shared_up_values=shared_up_values,
+        shared=shared,
         counter=counter,
     )
     cls_at_l = None
@@ -208,20 +203,17 @@ def forward_features(
         if l < 1:
             raise InvalidInputError("no transition readout exists at position 0")
         cls_at_l = bb.extract_cls(model.backbone, state)
-    state_at_l = state
     state = run_blocks(
         model,
         state,
         range(l + 1, n + 1),
         task=task,
-        shared_up_values=shared_up_values,
+        shared=shared,
         counter=counter,
     )
     return ForwardResult(
         cls_final=bb.extract_cls(model.backbone, state),
         cls_at_l=cls_at_l,
-        state_at_l=state_at_l,
-        final_state=state,
     )
 
 
@@ -229,14 +221,14 @@ def transition_cls_with(
     model: ContinualModel,
     images: np.ndarray,
     *,
-    shared_up_values: dict | None = None,
+    shared: adp.SharedAdapter | None = None,
     prefix_task: TaskComponents | None = None,
 ) -> np.ndarray:
     """CLS readout at the transition point, as plain values (no gradients).
 
-    The teacher pass uses this with the previous task's snapshot: substituted
-    up-projection values when the prefix is shared, or the previous task's
-    frozen components when positions are flipped.
+    The teacher pass uses this with the previous task's snapshot: a frozen
+    copy of the shared adapter when the prefix is shared, or the previous
+    task's frozen components when positions are flipped.
     """
     l = model.position_l
     if l < 1:
@@ -247,6 +239,6 @@ def transition_cls_with(
         state,
         range(1, l + 1),
         task=prefix_task,
-        shared_up_values=shared_up_values,
+        shared=shared,
     )
     return bb.extract_cls(model.backbone, state).value

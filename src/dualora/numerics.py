@@ -71,21 +71,22 @@ def sample_orthogonal_rows(r: int, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def softmax_temperature(logits, tau: float) -> np.ndarray:
-    """Temperature-scaled softmax of a 1-D logit vector.
+    """Temperature-scaled softmax over the last axis of a 1-D logit vector or
+    a 2-D batch of them (one row each).
 
     Computed with max-subtraction so arbitrarily large logits cannot overflow.
     """
     if tau <= 0:
         raise InvalidInputError(f"temperature must be positive, got {tau}")
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ShapeError(f"logits must be 1-D, got shape {z.shape}")
+    if z.ndim not in (1, 2):
+        raise ShapeError(f"logits must be 1-D or 2-D, got shape {z.shape}")
     if not np.isfinite(z).all():
         raise InvalidInputError("logits contain non-finite entries")
     z = z / tau
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def row_l2_norms(m) -> np.ndarray:

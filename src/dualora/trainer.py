@@ -75,7 +75,7 @@ class TeacherSnapshot:
     """End-of-previous-task state the distillation target is computed from."""
 
     task_id: int  # the task being trained, not the teacher
-    shared_up_values: dict | None  # frozen copies of shared up-projections
+    shared: adp.SharedAdapter | None  # frozen copy of the shared adapter
     row_norms: dict[str, np.ndarray]  # per shared up-projection parameter
     prefix_task: mdl.TaskComponents | None  # teacher prefix when positions are flipped
 
@@ -138,10 +138,7 @@ def kd_target(head: Head, teacher_cls: np.ndarray, tau: float) -> np.ndarray:
     This is the distillation target; it is recomputed every step because the
     head keeps training, but no gradient ever flows through it.
     """
-    teacher_logits = head.logits_value(np.atleast_2d(teacher_cls)) / tau
-    shifted = teacher_logits - teacher_logits.max(axis=-1, keepdims=True)
-    target = np.exp(shifted)
-    return target / target.sum(axis=-1, keepdims=True)
+    return numerics.softmax_temperature(head.logits_value(np.atleast_2d(teacher_cls)), tau)
 
 
 def kd_loss(
@@ -315,9 +312,7 @@ class TaskSession:
         if self.kd_active:
             self.snapshot = TeacherSnapshot(
                 task_id=self.t,
-                shared_up_values=(
-                    model.shared.up_values() if not model.flip_positions else None
-                ),
+                shared=model.shared.frozen_copy() if model.shared is not None else None,
                 row_norms=(
                     {
                         pair.up.name: numerics.row_l2_norms(pair.up.value)
@@ -370,7 +365,7 @@ class TaskSession:
         return mdl.transition_cls_with(
             self.model,
             images,
-            shared_up_values=self.snapshot.shared_up_values,
+            shared=self.snapshot.shared,
             prefix_task=self.snapshot.prefix_task,
         )
 

@@ -1,9 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dualora import backbone as bb
 from dualora import classifier as clf
+from dualora import harness
 from dualora import model as mdl
 from dualora import numerics as nm
 from dualora import trainer as tr
@@ -250,3 +253,87 @@ class TestStalePrototypesProtocol:
         tr.train_task(model, store, stream.tasks[2], tcfg, nm.make_rng(2))
         for key, vec in first.items():
             assert np.array_equal(store.vectors[key], vec)
+
+
+LAYOUTS = {
+    "normal": {},
+    "flipped": {"flip_positions": True},
+    "l=0": {"position_l": 0},
+    "l=N": {"position_l": 2},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(LAYOUTS))
+def trained_layout(request):
+    stream, _, model, tcfg = build_micro(train_overrides=LAYOUTS[request.param])
+    store = clf.PrototypeStore()
+    for task in stream.tasks:
+        tr.train_task(model, store, task, tcfg, nm.make_rng(task.task_id))
+    images = np.concatenate([t.test_images for t in stream.tasks])
+    labels = np.concatenate([t.test_labels for t in stream.tasks])
+    return model, store, images, labels
+
+
+class TestBatchedPath:
+    def test_evaluate_matches_per_image_predict(self, trained_layout):
+        model, store, images, labels = trained_layout
+        singles = [clf.predict(model, store, img) for img in images]
+        hits = [p.class_id == int(y) for p, y in zip(singles, labels)]
+        assert clf.evaluate(model, store, images, labels) == sum(hits) / len(hits)
+
+    def test_batched_scores_equal_per_image_scores_bitwise(self, trained_layout):
+        model, store, images, _ = trained_layout
+        batch = clf.predict_batch(model, store, images)
+        assert len(batch) == images.shape[0]
+        for img, pred in zip(images, batch):
+            one = clf.predict(model, store, img)
+            assert pred.class_id == one.class_id
+            assert list(pred.scores) == list(one.scores)
+            for key in one.scores:
+                assert pred.scores[key] == one.scores[key], key
+
+    def test_batch_counter_reports_the_per_query_formula(self, trained_layout):
+        model, store, images, _ = trained_layout
+        counter = clf.predict_batch(model, store, images)[0].counter
+        expected = clf.adapter_pass_count(model.shared_prefix, model.num_blocks, len(model.tasks))
+        assert counter.applications == expected
+
+
+class TestInferenceRecordsNoTape:
+    def test_features_come_from_parentless_nodes(self, trained_micro, monkeypatch):
+        model, stream = trained_micro["model"], trained_micro["stream"]
+        features = []
+        extract = bb.extract_cls
+
+        def recording(backbone, state):
+            features.append(extract(backbone, state))
+            return features[-1]
+
+        monkeypatch.setattr(bb, "extract_cls", recording)
+        img = stream.tasks[0].test_images[0]
+        for share_prefix in (True, False):
+            clf.predict(model, trained_micro["store"], img, share_prefix=share_prefix)
+        clf.compute_prototypes(model, clf.PrototypeStore(), stream.tasks[0])
+        assert len(features) == 2 * len(model.tasks) + 1
+        for node in features:
+            assert not node.requires_grad
+            assert node.parents == () and node.bwd is None
+
+    def test_desk_evaluate_peak_memory(self):
+        # a tape over a 100-query batch holds about 65 MB; without one, about 6 MB
+        tcfg, stream, model, task_rngs = harness.build_run(
+            harness.resolve_config({"epochs": 1}), seed=0
+        )
+        store = clf.PrototypeStore()
+        for task, rng in zip(stream.tasks, task_rngs):
+            tr.train_task(model, store, task, tcfg, rng)
+        images = np.concatenate([t.test_images for t in stream.tasks])
+        labels = np.concatenate([t.test_labels for t in stream.tasks])
+        assert images.shape[0] == 100
+        tracemalloc.start()
+        try:
+            clf.evaluate(model, store, images, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"

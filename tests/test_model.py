@@ -87,7 +87,7 @@ class TestTeacherPrefix:
         tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
         img = stream.tasks[0].train_images[:3]
         live = mdl.transition_cls_with(model, img)
-        snap = mdl.transition_cls_with(model, img, shared_up_values=model.shared.up_values())
+        snap = mdl.transition_cls_with(model, img, shared=model.shared.frozen_copy())
         assert np.array_equal(live, snap)
 
     def test_snapshot_unaffected_by_live_updates(self, micro):
@@ -95,11 +95,11 @@ class TestTeacherPrefix:
         store = clf.PrototypeStore()
         tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
         img = stream.tasks[0].train_images[:3]
-        snapshot = model.shared.up_values()
-        before = mdl.transition_cls_with(model, img, shared_up_values=snapshot)
+        snapshot = model.shared.frozen_copy()
+        before = mdl.transition_cls_with(model, img, shared=snapshot)
         for pair in model.shared.pairs.values():
             pair.up.value += 0.25
-        after = mdl.transition_cls_with(model, img, shared_up_values=snapshot)
+        after = mdl.transition_cls_with(model, img, shared=snapshot)
         live = mdl.transition_cls_with(model, img)
         assert np.array_equal(before, after)
         assert not np.array_equal(live, after)

@@ -91,6 +91,16 @@ class TestSoftmaxTemperature:
         with pytest.raises(InvalidInputError):
             nm.softmax_temperature([1.0, 2.0], 0.0)
 
+    def test_rows_of_a_batch_match_single_vectors(self):
+        z = nm.make_rng(4).normal(size=(5, 3)) * 4
+        batch = nm.softmax_temperature(z, 2.0)
+        for row, out in zip(z, batch):
+            assert np.array_equal(out, nm.softmax_temperature(row, 2.0))
+
+    def test_three_dimensional_logits_rejected(self):
+        with pytest.raises(ShapeError):
+            nm.softmax_temperature(np.zeros((2, 2, 2)), 1.0)
+
 
 class TestRowL2Norms:
     def test_zero_matrix(self):

@@ -183,7 +183,7 @@ class TestTotalStepGradient:
         bundle, params = self._bundle_and_params()
         snapshot = tr.TeacherSnapshot(
             task_id=2,
-            shared_up_values=None,
+            shared=None,
             row_norms={"a_s": np.full(4, 1.7)},
             prefix_task=None,
         )
@@ -307,6 +307,24 @@ class TestTrainTask:
             session.step(probe, labels, optimizer)
         after = session.teacher_readout(probe)
         assert np.array_equal(before, after)
+
+    def test_teacher_constant_within_task_when_down_projections_train(self):
+        # the teacher is the previous task's whole shared adapter, so updates to
+        # trainable down-projections must not reach it either
+        stream, _, model, tcfg = build_micro(train_overrides={"fix_b": False})
+        store = clf.PrototypeStore()
+        tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
+        session = tr.TaskSession(model, stream.tasks[1], tcfg, nm.make_rng(1))
+        probe = stream.tasks[1].train_images[:2]
+        before = session.teacher_readout(probe)
+        optimizer = tr.make_optimizer(tcfg)
+        labels = stream.tasks[1].train_labels_local[:2]
+        for _ in range(4):
+            session.step(probe, labels, optimizer)
+        assert np.array_equal(before, session.teacher_readout(probe))
+        assert not np.array_equal(
+            session.snapshot.shared.pair(1, "q").down.value, model.shared.pair(1, "q").down.value
+        )
 
     def test_shared_updates_respect_mean_preserving_rescale(self):
         # the applied row scalings must be exactly sigma(prev norms)
