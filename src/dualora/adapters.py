@@ -38,17 +38,75 @@ def _ordered(attach_set) -> tuple[str, ...]:
     return tuple(p for p in _PROJ_ORDER if p in attach_set)
 
 
+@dataclass(frozen=True)
+class Attachment:
+    """One low-rank pair on one projection, entered on the tape.
+
+    Its delta for normalized tokens ``h`` is ``(h @ down.T) @ up.T``, scaled
+    by ``mu[index]`` when the block-weight vector ``mu`` is given. The fused
+    attention sublayer reads it through :meth:`forward` and :meth:`backward`.
+    """
+
+    down: ad.Tensor  # (rank, width)
+    up: ad.Tensor  # (width, rank)
+    mu: ad.Tensor | None = None
+    index: int = 0
+
+    @property
+    def tensors(self) -> tuple[ad.Tensor, ...]:
+        return (self.down, self.up) if self.mu is None else (self.down, self.up, self.mu)
+
+    def forward(self, h: np.ndarray):
+        """The delta for ``h``, plus what :meth:`backward` needs."""
+        low = h @ self.down.value.T
+        out = low @ self.up.value.T
+        if self.mu is None:
+            return out, (low, out)
+        return self.mu.value[self.index] * out, (low, out)
+
+    def backward(self, g: np.ndarray, h: np.ndarray, saved, need_h: bool):
+        """Given the gradient ``g`` of the delta, the gradient of ``h`` (None
+        unless ``need_h``) and one gradient per entry of :attr:`tensors` (None
+        where that tensor takes none)."""
+        low, out = saved
+        down, up, mu = self.down, self.up, self.mu
+        g_mu = None
+        if mu is not None:
+            if mu.requires_grad:
+                s = g * out
+                g_mu = np.zeros_like(mu.value)
+                g_mu[self.index] = s.sum(axis=tuple(range(s.ndim)))
+            g = g * mu.value[self.index]
+        g_up = None
+        if up.requires_grad:
+            g_up = (low.reshape(-1, low.shape[-1]).T @ g.reshape(-1, g.shape[-1])).T
+        g_h = g_down = None
+        if need_h or down.requires_grad:
+            g_low = g @ up.value
+            if need_h:
+                g_h = g_low @ down.value
+            if down.requires_grad:
+                g_down = (h.reshape(-1, h.shape[-1]).T @ g_low.reshape(-1, g_low.shape[-1])).T
+        return g_h, ((g_down, g_up) if mu is None else (g_down, g_up, g_mu))
+
+    def delta(self, x: ad.Tensor) -> ad.Tensor:
+        """The delta for tokens ``x`` as a node of its own."""
+        out, saved = self.forward(x.value)
+
+        def bwd(g, needs):
+            g_x, grads = self.backward(g, x.value, saved, needs[0])
+            return (g_x,) + grads
+
+        return ad.node(out, (x,) + self.tensors, bwd)
+
+
 @dataclass
 class LowRankPair:
     down: ad.Parameter  # (rank, width)
     up: ad.Parameter  # (width, rank)
 
-    def delta(self, x: ad.Tensor, mu: ad.Tensor | None = None) -> ad.Tensor:
-        low = ad.matmul(x, ad.swap_last2(ad.leaf(self.down)))
-        out = ad.matmul(low, ad.swap_last2(ad.leaf(self.up)))
-        if mu is not None:
-            out = ad.mul(mu, out)
-        return out
+    def attach(self, mu: ad.Tensor | None = None, index: int = 0) -> Attachment:
+        return Attachment(ad.leaf(self.down), ad.leaf(self.up), mu, index)
 
 
 @dataclass
@@ -142,9 +200,6 @@ class BlockWeights:
 
     def mu_values(self) -> np.ndarray:
         return np.logaddexp(0.0, self.rho.value)
-
-    def mu_for_block(self, mu: ad.Tensor, block: int) -> ad.Tensor:
-        return ad.take_index(mu, self.blocks.index(block))
 
     def freeze(self) -> None:
         self.rho.trainable = False
@@ -256,7 +311,7 @@ def init_specific(
 
 def shared_delta(adapter: SharedAdapter, x: ad.Tensor, block: int, proj: str) -> ad.Tensor:
     """Delta of the shared adapter at (block, projection): ``(x B.T) A.T``."""
-    return adapter.pair(block, proj).delta(x)
+    return adapter.pair(block, proj).attach().delta(x)
 
 
 def specific_delta(
@@ -270,14 +325,14 @@ def specific_delta(
     """Delta of a task adapter, scaled by that block's factor when present.
 
     ``mu`` may carry the precomputed softplus tensor for the whole block
-    vector so one forward shares a single node; otherwise it is derived here.
+    vector; otherwise it is derived here.
     """
     pair = adapter.pair(block, proj)
     if weights is None:
-        return pair.delta(x)
+        return pair.attach().delta(x)
     if mu is None:
         mu = weights.mu_tensor()
-    return pair.delta(x, mu=weights.mu_for_block(mu, block))
+    return pair.attach(mu, weights.blocks.index(block)).delta(x)
 
 
 @dataclass

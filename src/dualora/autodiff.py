@@ -13,6 +13,11 @@ trigger computation of) a stored gradient.
 Shapes follow the convention ``(..., tokens, features)`` with optional
 leading batch axes; weight matrices are stored ``(in, out)`` and applied on
 the right.
+
+The op set here is what the loss terms, the classifier head and the CLS
+readout need. Larger pieces of the model (a transformer block's attention
+and MLP sublayers) are single nodes made with :func:`node` and a hand-written
+backward, so a block costs two nodes however many array operations it runs.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DeterminismError, GraphError, InvalidInputError
 
@@ -100,9 +104,15 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(value, parents, bwd) -> Tensor:
-    """A node keeps its parents and backward closure only when a gradient can
-    reach it, so a forward with nothing trainable records no tape."""
+def node(value, parents: Sequence[Tensor], bwd) -> Tensor:
+    """A tape node with a hand-written backward.
+
+    ``bwd(g, needs)`` receives the gradient of the node's value and one flag
+    per parent telling whether that parent takes a gradient; it returns one
+    gradient (or None) per parent. The node keeps its parents and ``bwd`` only
+    when a gradient can reach it, so a forward with nothing trainable records
+    no tape.
+    """
     if any(p.requires_grad for p in parents):
         return Tensor(value, parents=tuple(parents), bwd=bwd, requires_grad=True)
     return Tensor(value)
@@ -134,20 +144,7 @@ def add(a, b) -> Tensor:
             _unbroadcast(g, vb.shape) if needs[1] else None,
         )
 
-    return _node(va + vb, (a, b), bwd)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    va, vb = a.value, b.value
-
-    def bwd(g, needs):
-        return (
-            _unbroadcast(g, va.shape) if needs[0] else None,
-            -_unbroadcast(g, vb.shape) if needs[1] else None,
-        )
-
-    return _node(va - vb, (a, b), bwd)
+    return node(va + vb, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
@@ -160,7 +157,7 @@ def mul(a, b) -> Tensor:
             _unbroadcast(g * va, vb.shape) if needs[1] else None,
         )
 
-    return _node(va * vb, (a, b), bwd)
+    return node(va * vb, (a, b), bwd)
 
 
 def scale(a, c: float) -> Tensor:
@@ -170,7 +167,7 @@ def scale(a, c: float) -> Tensor:
     def bwd(g, needs):
         return (g * c if needs[0] else None,)
 
-    return _node(a.value * c, (a,), bwd)
+    return node(a.value * c, (a,), bwd)
 
 
 def neg(a) -> Tensor:
@@ -178,55 +175,22 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; right operand is either a 2-D weight or a batched mate.
-
-    Supports ``(..., n, m) @ (m, p)`` (weight application) and
-    ``(..., n, m) @ (..., m, p)`` with identical leading axes (attention).
-    """
+    """Weight application ``(..., n, m) @ (m, p)``."""
     a, b = _wrap(a), _wrap(b)
     va, vb = a.value, b.value
-    if va.ndim < 2 or vb.ndim < 2:
-        raise GraphError(f"matmul needs 2-D operands, got {va.shape} @ {vb.shape}")
-    if va.shape[-1] != vb.shape[-2]:
+    if va.ndim < 2 or vb.ndim != 2:
+        raise GraphError(f"matmul needs (..., n, m) @ (m, p), got {va.shape} @ {vb.shape}")
+    if va.shape[-1] != vb.shape[0]:
         raise GraphError(f"matmul shape mismatch: {va.shape} @ {vb.shape}")
-    if vb.ndim > 2 and va.shape[:-2] != vb.shape[:-2]:
-        raise GraphError(f"matmul leading axes differ: {va.shape} @ {vb.shape}")
-
-    if vb.ndim == 2:
-
-        def bwd(g, needs):
-            ga = g @ vb.T if needs[0] else None
-            gb = None
-            if needs[1]:
-                gb = va.reshape(-1, va.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            return (ga, gb)
-
-    else:
-
-        def bwd(g, needs):
-            ga = g @ np.swapaxes(vb, -1, -2) if needs[0] else None
-            gb = np.swapaxes(va, -1, -2) @ g if needs[1] else None
-            return (ga, gb)
-
-    return _node(va @ vb, (a, b), bwd)
-
-
-def swap_last2(a) -> Tensor:
-    a = _wrap(a)
 
     def bwd(g, needs):
-        return (np.swapaxes(g, -1, -2) if needs[0] else None,)
+        ga = g @ vb.T if needs[0] else None
+        gb = None
+        if needs[1]:
+            gb = va.reshape(-1, va.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return (ga, gb)
 
-    return _node(np.swapaxes(a.value, -1, -2), (a,), bwd)
-
-
-def moveaxis(a, src: int, dst: int) -> Tensor:
-    a = _wrap(a)
-
-    def bwd(g, needs):
-        return (np.moveaxis(g, dst, src) if needs[0] else None,)
-
-    return _node(np.moveaxis(a.value, src, dst), (a,), bwd)
+    return node(va @ vb, (a, b), bwd)
 
 
 def reshape(a, shape) -> Tensor:
@@ -236,7 +200,7 @@ def reshape(a, shape) -> Tensor:
     def bwd(g, needs):
         return (g.reshape(old) if needs[0] else None,)
 
-    return _node(a.value.reshape(shape), (a,), bwd)
+    return node(a.value.reshape(shape), (a,), bwd)
 
 
 def take_row(a, idx: int) -> Tensor:
@@ -250,23 +214,7 @@ def take_row(a, idx: int) -> Tensor:
         out[..., idx, :] = g
         return (out,)
 
-    return _node(a.value[..., idx, :], (a,), bwd)
-
-
-def take_index(a, idx: int) -> Tensor:
-    """Select one scalar from a 1-D vector."""
-    a = _wrap(a)
-    if a.value.ndim != 1:
-        raise GraphError(f"take_index expects 1-D, got shape {a.shape}")
-
-    def bwd(g, needs):
-        if not needs[0]:
-            return (None,)
-        out = np.zeros_like(a.value)
-        out[idx] = g
-        return (out,)
-
-    return _node(a.value[idx], (a,), bwd)
+    return node(a.value[..., idx, :], (a,), bwd)
 
 
 def gather_labels(a, labels: np.ndarray) -> Tensor:
@@ -283,7 +231,7 @@ def gather_labels(a, labels: np.ndarray) -> Tensor:
         out[rows, labels] = g
         return (out,)
 
-    return _node(a.value[rows, labels], (a,), bwd)
+    return node(a.value[rows, labels], (a,), bwd)
 
 
 def sum_all(a) -> Tensor:
@@ -293,7 +241,7 @@ def sum_all(a) -> Tensor:
     def bwd(g, needs):
         return (np.broadcast_to(g, shape).copy() if needs[0] else None,)
 
-    return _node(a.value.sum(), (a,), bwd)
+    return node(a.value.sum(), (a,), bwd)
 
 
 def mean_all(a) -> Tensor:
@@ -310,7 +258,7 @@ def sum_last(a) -> Tensor:
             return (None,)
         return (np.broadcast_to(g[..., None], a.value.shape).copy(),)
 
-    return _node(a.value.sum(axis=-1), (a,), bwd)
+    return node(a.value.sum(axis=-1), (a,), bwd)
 
 
 def abs_(a) -> Tensor:
@@ -320,7 +268,7 @@ def abs_(a) -> Tensor:
     def bwd(g, needs):
         return (g * s if needs[0] else None,)
 
-    return _node(np.abs(a.value), (a,), bwd)
+    return node(np.abs(a.value), (a,), bwd)
 
 
 def softplus(a) -> Tensor:
@@ -332,62 +280,43 @@ def softplus(a) -> Tensor:
     def bwd(g, needs):
         return (g * sig if needs[0] else None,)
 
-    return _node(out, (a,), bwd)
+    return node(out, (a,), bwd)
 
 
-def gelu(a) -> Tensor:
-    """Exact Gaussian-error linear unit: x * Phi(x)."""
-    a = _wrap(a)
-    v = a.value
-    phi = 0.5 * (1.0 + erf(v / np.sqrt(2.0)))
-    pdf = np.exp(-0.5 * v * v) / np.sqrt(2.0 * np.pi)
+def layer_norm_values(v: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-6):
+    """Layer norm over the last axis on plain arrays.
 
-    def bwd(g, needs):
-        return (g * (phi + v * pdf) if needs[0] else None,)
-
-    return _node(v * phi, (a,), bwd)
-
-
-def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
-    """Normalize over the last axis, then apply elementwise gain and bias."""
-    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    v = x.value
+    Returns the output and the normalized input and inverse deviation that
+    :func:`layer_norm_input_grad` needs.
+    """
     mu = v.mean(axis=-1, keepdims=True)
     xc = v - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    gv = gain.value
+    return xhat * gain + bias, xhat, inv
+
+
+def layer_norm_input_grad(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray, inv: np.ndarray):
+    """Gradient of a layer norm's input, given the gradient ``g`` of its output."""
+    gl = g * gain
+    return inv * (
+        gl - gl.mean(axis=-1, keepdims=True) - xhat * (gl * xhat).mean(axis=-1, keepdims=True)
+    )
+
+
+def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
+    """Normalize over the last axis, then apply elementwise gain and bias."""
+    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
+    out, xhat, inv = layer_norm_values(x.value, gain.value, bias.value, eps)
 
     def bwd(g, needs):
-        gx = None
-        if needs[0]:
-            gl = g * gv
-            gx = inv * (
-                gl
-                - gl.mean(axis=-1, keepdims=True)
-                - xhat * (gl * xhat).mean(axis=-1, keepdims=True)
-            )
+        gx = layer_norm_input_grad(g, gain.value, xhat, inv) if needs[0] else None
         ggain = _unbroadcast(g * xhat, gain.value.shape) if needs[1] else None
         gbias = _unbroadcast(g, bias.value.shape) if needs[2] else None
         return (gx, ggain, gbias)
 
-    return _node(xhat * gv + bias.value, (x, gain, bias), bwd)
-
-
-def softmax_last(x) -> Tensor:
-    x = _wrap(x)
-    v = x.value
-    z = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g, needs):
-        if not needs[0]:
-            return (None,)
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
-
-    return _node(y, (x,), bwd)
+    return node(out, (x, gain, bias), bwd)
 
 
 def log_softmax_last(x) -> Tensor:
@@ -402,7 +331,7 @@ def log_softmax_last(x) -> Tensor:
             return (None,)
         return (g - y * g.sum(axis=-1, keepdims=True),)
 
-    return _node(ls, (x,), bwd)
+    return node(ls, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +467,8 @@ def finite_difference_check(
     relative error uses denominator max(|analytic|, |numeric|, 1e-8). Frozen
     parameters are skipped and excluded from the reported count. The closure
     is evaluated twice up front; any discrepancy raises
-    :class:`DeterminismError`.
+    :class:`DeterminismError`. A perturbed scalar is put back even when the
+    closure raises.
     """
     if step <= 0:
         raise InvalidInputError(f"step must be positive, got {step}")
@@ -563,11 +493,13 @@ def finite_difference_check(
         p_worst = 0.0
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
-            f_plus = float(forward().value)
-            flat[i] = orig - step
-            f_minus = float(forward().value)
-            flat[i] = orig
+            try:
+                flat[i] = orig + step
+                f_plus = float(forward().value)
+                flat[i] = orig - step
+                f_minus = float(forward().value)
+            finally:
+                flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * step)
             denom = max(abs(gflat[i]), abs(numeric), 1e-8)
             p_worst = max(p_worst, abs(gflat[i] - numeric) / denom)

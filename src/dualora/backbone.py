@@ -15,18 +15,21 @@ where low-rank adapters attach.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
+from scipy.special import erf
 
 from . import autodiff as ad
 from .errors import ConfigError, ShapeError
 
+if TYPE_CHECKING:
+    from .adapters import Attachment
+
 PROJECTIONS = ("q", "k", "v")
 
-# delta functions per attached projection, each mapping the normalized token
-# tensor to an additive adjustment of the projection output
-DeltaMap = Mapping[str, Callable[[ad.Tensor], ad.Tensor]]
+# the adapter attached to each projection that carries one
+DeltaMap = Mapping[str, "Attachment"]
 
 
 @dataclass(frozen=True)
@@ -194,41 +197,125 @@ def patch_embed(image: np.ndarray, backbone: Backbone) -> TokenState:
     return TokenState(tokens=ad.constant(tokens), block_index=0)
 
 
-def _attention(backbone: Backbone, i: int, h: ad.Tensor, deltas: DeltaMap) -> ad.Tensor:
-    cfg = backbone.cfg
-    d, nh = cfg.width, cfg.heads
-    dh = d // nh
+_ATTENTION_WEIGHTS = ("ln1.g", "ln1.b", "Wq", "bq", "Wk", "bk", "Wv", "bv", "Wo", "bo")
+_MLP_WEIGHTS = ("ln2.g", "ln2.b", "W1", "b1", "W2", "b2")
 
-    def project(p: str) -> ad.Tensor:
-        out = ad.add(
-            ad.matmul(h, ad.leaf(backbone.param(f"block{i}.W{p}"))),
-            ad.leaf(backbone.param(f"block{i}.b{p}")),
-        )
-        if p in deltas:
-            delta = deltas[p](h)
+
+def _weights(backbone: Backbone, i: int, names) -> dict[str, np.ndarray]:
+    return {n: backbone.params[f"block{i}.{n}"].value for n in names}
+
+
+def attention_sublayer(backbone: Backbone, i: int, x: ad.Tensor, deltas: DeltaMap) -> ad.Tensor:
+    """``x + attention(LN1(x)) @ Wo + bo`` of block ``i``, as one tape node.
+
+    Each projection named in ``deltas`` adds its adapter's delta, computed from
+    the same normalized tokens the frozen projection reads. The node's parents
+    are ``x`` and the adapter tensors that take a gradient; the backbone
+    weights are read as plain arrays. When no parent takes a gradient nothing
+    is kept for a backward pass.
+    """
+    d, nh = backbone.cfg.width, backbone.cfg.heads
+    dh = d // nh
+    w = _weights(backbone, i, _ATTENTION_WEIGHTS)
+    tensors: list[ad.Tensor] = []
+    for att in deltas.values():
+        tensors.extend(t for t in att.tensors if t.requires_grad and t not in tensors)
+    need_h = x.requires_grad
+
+    h, xhat, inv = ad.layer_norm_values(x.value, w["ln1.g"], w["ln1.b"])
+    proj, saved, need = {}, {}, {}
+    for p in PROJECTIONS:
+        out = h @ w[f"W{p}"] + w[f"b{p}"]
+        att = deltas.get(p)
+        if att is not None:
+            delta, saved[p] = att.forward(h)
             if delta.shape != out.shape:
                 raise ShapeError(
                     f"adapter delta for {p!r} has shape {delta.shape}, expected {out.shape}"
                 )
-            out = ad.add(out, delta)
-        return out
+            out = out + delta
+        proj[p] = out
+        need[p] = need_h or (att is not None and any(t.requires_grad for t in att.tensors))
 
-    def split(x: ad.Tensor) -> ad.Tensor:
-        x = ad.reshape(x, x.shape[:-1] + (nh, dh))
-        return ad.moveaxis(x, -2, -3)  # (..., heads, tokens, dh)
+    def split(a):  # (..., tokens, d) -> (..., heads, tokens, dh)
+        return a.reshape(a.shape[:-1] + (nh, dh)).swapaxes(-2, -3)
 
-    q = split(project("q"))
-    k = split(project("k"))
-    v = split(project("v"))
-    att = ad.scale(ad.matmul(q, ad.swap_last2(k)), 1.0 / np.sqrt(dh))
-    att = ad.softmax_last(att)
-    mixed = ad.moveaxis(ad.matmul(att, v), -3, -2)  # (..., tokens, heads, dh)
-    mixed = ad.reshape(mixed, mixed.shape[:-2] + (d,))
-    out = ad.add(
-        ad.matmul(mixed, ad.leaf(backbone.param(f"block{i}.Wo"))),
-        ad.leaf(backbone.param(f"block{i}.bo")),
-    )
-    return out
+    q, k, v = split(proj["q"]), split(proj["k"]), split(proj["v"])
+    c = float(1.0 / np.sqrt(dh))
+    scores = (q @ k.swapaxes(-1, -2)) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att_w = e / e.sum(axis=-1, keepdims=True)
+    mixed = (att_w @ v).swapaxes(-3, -2)  # (..., tokens, heads, dh)
+    heads_shape = mixed.shape
+    mixed = mixed.reshape(heads_shape[:-2] + (d,))
+    out = x.value + (mixed @ w["Wo"] + w["bo"])
+    if not (need_h or tensors):
+        return ad.constant(out)
+
+    def merge(a):  # (..., heads, tokens, dh) -> (..., tokens, d)
+        return a.swapaxes(-3, -2).reshape(h.shape)
+
+    def bwd(g, needs):
+        g_av = (g @ w["Wo"].T).reshape(heads_shape).swapaxes(-2, -3)
+        g_proj = {}
+        if need["v"]:
+            g_proj["v"] = merge(att_w.swapaxes(-1, -2) @ g_av)
+        if need["q"] or need["k"]:
+            g_att = g_av @ v.swapaxes(-1, -2)
+            g_scores = att_w * (g_att - (g_att * att_w).sum(axis=-1, keepdims=True)) * c
+            if need["q"]:
+                g_proj["q"] = merge(g_scores @ k)
+            if need["k"]:
+                g_proj["k"] = merge((q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2))
+        # Float addition is not associative, so the terms of h's gradient are
+        # summed in one fixed order: q, k, v, each frozen projection before
+        # its adapter. It is the order of the op-by-op tape this node
+        # replaced, which kept every run's losses bit for bit.
+        g_h = None
+        grads = {id(t): None for t in tensors}
+        for p in PROJECTIONS:
+            if p not in g_proj:
+                continue
+            gp = g_proj[p]
+            if need_h:
+                term = gp @ w[f"W{p}"].T
+                g_h = term if g_h is None else g_h + term
+            att = deltas.get(p)
+            if att is None:
+                continue
+            g_hd, t_grads = att.backward(gp, h, saved[p], need_h)
+            if need_h:
+                g_h = g_h + g_hd
+            for t, gt in zip(att.tensors, t_grads):
+                if gt is not None:
+                    prev = grads[id(t)]
+                    grads[id(t)] = gt if prev is None else prev + gt
+        g_x = g + ad.layer_norm_input_grad(g_h, w["ln1.g"], xhat, inv) if need_h else None
+        return (g_x, *(grads[id(t)] for t in tensors))
+
+    return ad.node(out, (x, *tensors), bwd)
+
+
+def mlp_sublayer(backbone: Backbone, i: int, x: ad.Tensor) -> ad.Tensor:
+    """``x + GELU(LN2(x) @ W1 + b1) @ W2 + b2`` of block ``i``, as one tape
+    node whose only parent is ``x``; GELU is the exact ``m * Phi(m)``."""
+    w = _weights(backbone, i, _MLP_WEIGHTS)
+    h, xhat, inv = ad.layer_norm_values(x.value, w["ln2.g"], w["ln2.b"])
+    m = h @ w["W1"] + w["b1"]
+    phi = 0.5 * (1.0 + erf(m / np.sqrt(2.0)))
+    out = x.value + ((m * phi) @ w["W2"] + w["b2"])
+    if not x.requires_grad:
+        return ad.constant(out)
+    slope = None  # GELU's derivative, worked out by the first backward pass that needs it
+
+    def bwd(g, needs):
+        nonlocal slope
+        if slope is None:
+            slope = phi + m * (np.exp(-0.5 * m * m) / np.sqrt(2.0 * np.pi))
+        g_h = ((g @ w["W2"].T) * slope) @ w["W1"].T
+        return (g + ad.layer_norm_input_grad(g_h, w["ln2.g"], xhat, inv),)
+
+    return ad.node(out, (x,), bwd)
 
 
 def block_forward(
@@ -236,9 +323,9 @@ def block_forward(
 ) -> TokenState:
     """Apply block ``i`` (1-based) to the token state.
 
-    Each projection named in the config's attach set may receive an additive
-    delta; the delta sees the same layer-normalized input the frozen
-    projection sees. With no deltas supplied this is the pure frozen block.
+    Each projection named in the config's attach set may carry an adapter
+    (see :func:`attention_sublayer`). With no deltas supplied this is the pure
+    frozen block.
     """
     if i < 1 or i > backbone.cfg.num_blocks:
         raise ConfigError(f"block index {i} out of range 1..{backbone.cfg.num_blocks}")
@@ -250,23 +337,14 @@ def block_forward(
     unknown = set(deltas) - set(backbone.cfg.attach_set)
     if unknown:
         raise ConfigError(f"deltas supplied for unattached projections: {sorted(unknown)}")
-    x = state.tokens
-    h = ad.layer_norm(
-        x, ad.leaf(backbone.param(f"block{i}.ln1.g")), ad.leaf(backbone.param(f"block{i}.ln1.b"))
-    )
-    x = ad.add(x, _attention(backbone, i, h, deltas))
-    h2 = ad.layer_norm(
-        x, ad.leaf(backbone.param(f"block{i}.ln2.g")), ad.leaf(backbone.param(f"block{i}.ln2.b"))
-    )
-    m = ad.add(ad.matmul(h2, ad.leaf(backbone.param(f"block{i}.W1"))), ad.leaf(backbone.param(f"block{i}.b1")))
-    m = ad.add(ad.matmul(ad.gelu(m), ad.leaf(backbone.param(f"block{i}.W2"))), ad.leaf(backbone.param(f"block{i}.b2")))
-    x = ad.add(x, m)
+    x = attention_sublayer(backbone, i, state.tokens, deltas)
+    x = mlp_sublayer(backbone, i, x)
     return TokenState(tokens=x, block_index=i)
 
 
 def extract_cls(backbone: Backbone, state: TokenState) -> ad.Tensor:
     """Final layer norm, then the CLS row: ``(..., d)``."""
     normed = ad.layer_norm(
-        state.tokens, ad.leaf(backbone.param("lnf.g")), ad.leaf(backbone.param("lnf.b"))
+        state.tokens, backbone.param("lnf.g").value, backbone.param("lnf.b").value
     )
     return ad.take_row(normed, 0)

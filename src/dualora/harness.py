@@ -502,17 +502,16 @@ def gradcheck(
 
     task = stream.tasks[check_task_idx]
     session = tr.TaskSession(model, task, tcfg, task_rngs[check_task_idx])
-    images = task.train_images[: tcfg.batch_size]
-    labels = task.train_labels_local[: tcfg.batch_size]
+    rows = np.arange(min(tcfg.batch_size, task.num_train))
+    images = task.train_images[rows]
+    labels = task.train_labels_local[rows]
     optimizer = tr.make_optimizer(tcfg)
     for _ in range(settle_steps):
-        session.step(images, labels, optimizer)
+        session.step(images, labels, optimizer, rows=rows)
 
     pinned = None
     if session.kd_active:
-        pinned = tr.kd_target(
-            session.head, session.teacher_readout(images), tcfg.temperature
-        )
+        pinned = tr.kd_target(session.head, session.teacher_cls[rows], tcfg.temperature)
 
     tag_of = {p.name: p.tag for p in session.params}
     terms: dict[str, dict] = {}

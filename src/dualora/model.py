@@ -121,16 +121,14 @@ def build_model(
 
 
 def _shared_deltas(model, block, shared: adp.SharedAdapter):
-    return {p: shared.pair(block, p).delta for p in model.backbone.cfg.attach_set}
+    return {p: shared.pair(block, p).attach() for p in model.backbone.cfg.attach_set}
 
 
 def _specific_deltas(model, block, task: TaskComponents, mu: ad.Tensor | None):
-    out = {}
-    for p in model.backbone.cfg.attach_set:
-        out[p] = lambda h, p=p: adp.specific_delta(
-            task.specific, task.block_weights, h, block, p, mu=mu
-        )
-    return out
+    index = task.block_weights.blocks.index(block) if mu is not None else 0
+    return {
+        p: task.specific.pair(block, p).attach(mu, index) for p in model.backbone.cfg.attach_set
+    }
 
 
 def run_blocks(

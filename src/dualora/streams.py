@@ -198,12 +198,15 @@ def load_dataset(path) -> Dataset:
     pix = ch * h * w
     off = header_size
 
+    starts: dict[str, int] = {}
+
     def take(count, dtype, what):
         nonlocal off
         nbytes = count * np.dtype(dtype).itemsize
         if off + nbytes > len(raw):
             raise FormatError(f"truncated {what}: needed {nbytes} bytes at offset {off}")
         out = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
+        starts[what] = off
         off += nbytes
         return out
 
@@ -214,6 +217,17 @@ def load_dataset(path) -> Dataset:
     test_labels = take(n_test, "<u4", "test labels")
     if off != len(raw):
         raise FormatError(f"{len(raw) - off} trailing bytes at offset {off}")
+    # a bad sample would otherwise drop out of split_tasks without a word
+    for what, bad, problem in (
+        ("train samples", ~np.isfinite(train), "non-finite pixel"),
+        ("test samples", ~np.isfinite(test), "non-finite pixel"),
+        ("train labels", train_labels >= c_num, f"label outside [0, {c_num})"),
+        ("test labels", test_labels >= c_num, f"label outside [0, {c_num})"),
+    ):
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            at = starts[what] + 4 * int(hits[0])  # pixels and labels are 4 bytes each
+            raise FormatError(f"{problem} in {what} at offset {at}")
     return Dataset(
         num_classes=c_num,
         train_per_class=n_tr,

@@ -357,6 +357,9 @@ class TaskSession:
         if weights is not None:
             self.params.append(weights.rho)
         self.params.extend(self.head.parameters())
+        # the teacher is frozen for the whole task, so its readout of the
+        # task's training images is taken once; steps index into it
+        self.teacher_cls = self.teacher_readout(task.train_images) if self.kd_active else None
 
     def teacher_readout(self, images) -> np.ndarray:
         """Transition CLS values under the snapshot; constant within the task."""
@@ -370,13 +373,21 @@ class TaskSession:
         )
 
     def losses(
-        self, images, labels_local, *, pinned_kd_target: np.ndarray | None = None
+        self,
+        images,
+        labels_local,
+        *,
+        rows: np.ndarray | None = None,
+        pinned_kd_target: np.ndarray | None = None,
     ) -> dict[str, ad.Tensor | None]:
         """The three loss terms for one batch, on a single shared tape.
 
-        ``pinned_kd_target`` holds the distillation target fixed across calls;
-        gradient verification needs that, since the analytic gradient treats
-        the target as a constant by design.
+        ``rows`` gives the batch's indices into the task's training images, so
+        the teacher readout is read from :attr:`teacher_cls`; without it the
+        teacher reads ``images`` afresh. ``pinned_kd_target`` holds the
+        distillation target fixed across calls; gradient verification needs
+        that, since the analytic gradient treats the target as a constant by
+        design.
         """
         result = mdl.forward_features(
             self.model, images, self.components, collect_transition_cls=self.kd_active
@@ -385,7 +396,11 @@ class TaskSession:
         kd = None
         if self.kd_active:
             target = pinned_kd_target
-            teacher_cls = None if target is not None else self.teacher_readout(images)
+            teacher_cls = None
+            if target is None:
+                teacher_cls = (
+                    self.teacher_cls[rows] if rows is not None else self.teacher_readout(images)
+                )
             kd = kd_loss(
                 result.cls_at_l, teacher_cls, self.head, self.cfg.temperature, target=target
             )
@@ -394,8 +409,8 @@ class TaskSession:
             orth = orth_loss(self.components.block_weights.mu_tensor(), self.previous_mu)
         return {"ce": ce, "kd": kd, "orth": orth}
 
-    def step(self, images, labels_local, optimizer) -> dict:
-        losses = self.losses(images, labels_local)
+    def step(self, images, labels_local, optimizer, rows: np.ndarray | None = None) -> dict:
+        losses = self.losses(images, labels_local, rows=rows)
         bundle = ad.backward_per_term(losses, self.params)
         grads = total_step_gradient(bundle, self.params, self.cfg, self.snapshot)
         optimizer.step({p.name: p for p in self.params}, grads)
@@ -441,7 +456,7 @@ def train_task(
         steps = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            rec = session.step(images[idx], labels_local[idx], optimizer)
+            rec = session.step(images[idx], labels_local[idx], optimizer, rows=idx)
             step_records.append(rec)
             for k in sums:
                 sums[k] += rec[k]

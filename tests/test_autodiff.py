@@ -82,14 +82,6 @@ class TestOpGradients:
         x = rng.standard_normal((2, 5, 4))
         self._check(lambda: ad.sum_all(ad.mul(t := ad.matmul(ad.constant(x), ad.leaf(w)), t)), [w])
 
-    def test_batched_matmul(self):
-        rng = nm.make_rng(1)
-        w = _param("w", rng.standard_normal((2, 3, 4)))
-        y = rng.standard_normal((2, 4, 3))
-        self._check(
-            lambda: ad.sum_all(ad.mul(t := ad.matmul(ad.leaf(w), ad.constant(y)), t)), [w]
-        )
-
     def test_layer_norm(self):
         rng = nm.make_rng(2)
         x = _param("x", rng.standard_normal((3, 6)))
@@ -103,21 +95,17 @@ class TestOpGradients:
             tol=1e-5,
         )
 
-    def test_softmax_and_log_softmax(self):
+    def test_log_softmax(self):
         rng = nm.make_rng(3)
         x = _param("x", rng.standard_normal((4, 5)))
         c = rng.uniform(0.2, 1.0, (4, 5))
         self._check(
-            lambda: ad.sum_all(ad.mul(ad.constant(c), ad.softmax_last(ad.leaf(x)))), [x]
-        )
-        self._check(
             lambda: ad.sum_all(ad.mul(ad.constant(c), ad.log_softmax_last(ad.leaf(x)))), [x]
         )
 
-    def test_gelu_softplus_abs(self):
+    def test_softplus_abs(self):
         rng = nm.make_rng(4)
         x = _param("x", rng.standard_normal(12) * 2)
-        self._check(lambda: ad.sum_all(ad.gelu(ad.leaf(x))), [x])
         self._check(lambda: ad.sum_all(ad.softplus(ad.leaf(x))), [x])
         self._check(lambda: ad.sum_all(ad.abs_(ad.leaf(x))), [x])
 
@@ -126,21 +114,14 @@ class TestOpGradients:
         x = _param("x", rng.standard_normal((2, 6, 4)))
         c = rng.standard_normal((2, 4, 6))
 
-        def build():
-            t = ad.moveaxis(ad.reshape(ad.leaf(x), (2, 3, 2, 4)), -2, -3)
-            t = ad.reshape(t, (2, 2, 3, 4))
-            t = ad.swap_last2(t)
-            t = ad.reshape(t, (2, 4, 6))
-            return ad.sum_all(ad.mul(ad.constant(c), t))
+        self._check(
+            lambda: ad.sum_all(ad.mul(ad.constant(c), ad.reshape(ad.leaf(x), (2, 4, 6)))), [x]
+        )
 
-        self._check(build, [x])
-
-    def test_row_and_index_selection(self):
+    def test_row_selection(self):
         rng = nm.make_rng(6)
         x = _param("x", rng.standard_normal((3, 5, 4)))
-        v = _param("v", rng.standard_normal(6))
         self._check(lambda: ad.sum_all(ad.take_row(ad.leaf(x), 0)), [x])
-        self._check(lambda: ad.sum_all(ad.take_index(ad.leaf(v), 3)), [v])
 
     def test_gather_labels(self):
         rng = nm.make_rng(7)
@@ -166,7 +147,7 @@ class TestAttribution:
         self_w2 = _param("w2", rng.standard_normal((3, 2)), tag="specific-up")
         self_mu = _param("mu", rng.uniform(0.5, 1.5, 2), tag="block-weight")
         x = ad.constant(rng.standard_normal((4, 3)))
-        h1 = ad.gelu(ad.matmul(x, ad.leaf(self_w1)))
+        h1 = ad.softplus(ad.matmul(x, ad.leaf(self_w1)))
         logits = ad.matmul(h1, ad.leaf(self_w2))
         ce = ad.neg(ad.mean_all(ad.gather_labels(ad.log_softmax_last(logits), np.array([0, 1, 0, 1]))))
         kd = ad.mean_all(ad.mul(h1, h1))  # touches w1 only
@@ -257,6 +238,21 @@ class TestFiniteDifferenceCheck:
         w = _param("w", rng.standard_normal((3, 3)))
         before = w.byte_hash()
         ad.finite_difference_check(
-            lambda: ad.sum_all(ad.gelu(ad.mul(ad.leaf(w), ad.leaf(w)))), [w], step=1e-5
+            lambda: ad.sum_all(ad.softplus(ad.mul(ad.leaf(w), ad.leaf(w)))), [w], step=1e-5
         )
         assert w.byte_hash() == before
+
+    def test_parameter_restored_when_closure_raises(self):
+        w = _param("w", [1.0, 2.0])
+        calls = []
+
+        def closure():
+            calls.append(w.value.copy())
+            if len(calls) > 2:  # the two determinism calls pass, the first perturbed one fails
+                raise RuntimeError("forward failed")
+            return ad.sum_all(ad.leaf(w))
+
+        with pytest.raises(RuntimeError):
+            ad.finite_difference_check(closure, [w], step=1e-3)
+        assert np.array_equal(calls[-1], [1.001, 2.0])  # it did run perturbed
+        assert np.array_equal(w.value, [1.0, 2.0])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dualora import adapters as adp
 from dualora import autodiff as ad
 from dualora import backbone as bb
 from dualora import numerics as nm
@@ -100,10 +101,8 @@ class TestBlockForward:
         backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
         img = nm.make_rng(1).uniform(0, 1, (1, 8, 8))
         plain = bb.block_forward(backbone, bb.patch_embed(img, backbone), 1)
-        zeros = {
-            "q": lambda h: ad.matmul(h, ad.constant(np.zeros((16, 16)))),
-            "v": lambda h: ad.matmul(h, ad.constant(np.zeros((16, 16)))),
-        }
+        shared = adp.init_shared((1,), ("q", "v"), 2, 16, nm.make_rng(3))  # up starts at zero
+        zeros = {p: shared.pair(1, p).attach() for p in ("q", "v")}
         with_delta = bb.block_forward(backbone, bb.patch_embed(img, backbone), 1, zeros)
         assert np.array_equal(plain.tokens.value, with_delta.tokens.value)
 
@@ -207,3 +206,148 @@ class TestExtractCls:
             return bb.extract_cls(backbone, state).value
 
         assert np.allclose(run(base), run(perm), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# fused sublayers
+# ---------------------------------------------------------------------------
+
+
+def _reference_ln(v, g, b, eps=1e-6):
+    mu = v.mean(axis=-1, keepdims=True)
+    xc = v - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    return xc * (1.0 / np.sqrt(var + eps)) * g + b
+
+
+def _reference_attention(backbone, i, x, deltas):
+    """Plain-numpy attention sublayer; ``deltas`` maps a projection to
+    (down, up, scale or None)."""
+    w = lambda name: backbone.param(f"block{i}.{name}").value
+    d, nh = backbone.cfg.width, backbone.cfg.heads
+    dh = d // nh
+    h = _reference_ln(x, w("ln1.g"), w("ln1.b"))
+    heads = []
+    for p in ("q", "k", "v"):
+        out = h @ w(f"W{p}") + w(f"b{p}")
+        if p in deltas:
+            down, up, s = deltas[p]
+            delta = (h @ down.T) @ up.T
+            out = out + (delta if s is None else s * delta)
+        heads.append(np.moveaxis(out.reshape(out.shape[:-1] + (nh, dh)), -2, -3))
+    q, k, v = heads
+    scores = (q @ np.swapaxes(k, -1, -2)) * float(1.0 / np.sqrt(dh))
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    mixed = np.moveaxis((e / e.sum(axis=-1, keepdims=True)) @ v, -3, -2)
+    mixed = mixed.reshape(mixed.shape[:-2] + (d,))
+    return x + (mixed @ w("Wo") + w("bo"))
+
+
+def _reference_mlp(backbone, i, x):
+    from scipy.special import erf
+
+    w = lambda name: backbone.param(f"block{i}.{name}").value
+    m = _reference_ln(x, w("ln2.g"), w("ln2.b")) @ w("W1") + w("b1")
+    return x + ((m * (0.5 * (1.0 + erf(m / np.sqrt(2.0))))) @ w("W2") + w("b2"))
+
+
+def _sublayer_setup(attach, block_weights, seed=0):
+    """One block with non-trivial norms and biases and a non-zero task adapter.
+    Head width 6 makes the attention scale 1/sqrt(6) inexact."""
+    rng = nm.make_rng(seed)
+    cfg = bb.BackboneConfig(
+        num_blocks=1, width=12, heads=2, image_side=4, patch_side=2, attach_set=attach
+    )
+    backbone = bb.init_backbone(cfg, rng)
+    for name, p in backbone.params.items():
+        if name.startswith("block1.") and p.value.ndim == 1:
+            p.value[:] = rng.uniform(0.5, 1.5, p.value.shape) if ".g" in name else (
+                0.1 * rng.standard_normal(p.value.shape)
+            )
+    specific, weights = adp.init_specific(
+        1, (1,), cfg.attach_set, 2, 12, rng, block_weights=block_weights
+    )
+    for pair in specific.pairs.values():
+        pair.up.value[:] = 0.5 * rng.standard_normal(pair.up.value.shape)
+    return backbone, specific, weights
+
+
+def _attachments(specific, weights):
+    mu = weights.mu_tensor() if weights is not None else None
+    return {p: specific.pair(1, p).attach(mu, 0) for p in specific.attach_set}
+
+
+TOKEN_SHAPES = {"batched": (3, 5, 12), "single": (5, 12)}
+
+
+class TestFusedSublayers:
+    @pytest.mark.parametrize("tokens", sorted(TOKEN_SHAPES))
+    @pytest.mark.parametrize("attach", [("q", "v"), ("q", "k", "v")])
+    @pytest.mark.parametrize("block_weights", [True, False])
+    def test_attention_matches_finite_differences(self, tokens, attach, block_weights):
+        backbone, specific, weights = _sublayer_setup(attach, block_weights)
+        rng = nm.make_rng(1)
+        x = ad.Parameter("x", rng.standard_normal(TOKEN_SHAPES[tokens]), True, "head")
+        c = rng.standard_normal(TOKEN_SHAPES[tokens])
+        params = [x] + specific.parameters() + ([weights.rho] if block_weights else [])
+
+        def closure():
+            out = bb.attention_sublayer(
+                backbone, 1, ad.leaf(x), _attachments(specific, weights)
+            )
+            return ad.sum_all(ad.mul(ad.constant(c), out))
+
+        rep = ad.finite_difference_check(closure, params, step=1e-5)
+        assert rep.num_checked == sum(p.size for p in params)
+        assert rep.max_rel_error <= 1e-5, rep.per_param
+
+    @pytest.mark.parametrize("tokens", sorted(TOKEN_SHAPES))
+    def test_mlp_matches_finite_differences(self, tokens):
+        backbone, _, _ = _sublayer_setup(("q", "v"), False)
+        rng = nm.make_rng(2)
+        x = ad.Parameter("x", rng.standard_normal(TOKEN_SHAPES[tokens]), True, "head")
+        c = rng.standard_normal(TOKEN_SHAPES[tokens])
+
+        def closure():
+            return ad.sum_all(ad.mul(ad.constant(c), bb.mlp_sublayer(backbone, 1, ad.leaf(x))))
+
+        rep = ad.finite_difference_check(closure, [x], step=1e-5)
+        assert rep.max_rel_error <= 1e-5, rep.per_param
+
+    @pytest.mark.parametrize("tokens", sorted(TOKEN_SHAPES))
+    @pytest.mark.parametrize("attach", [("q", "v"), ("q", "k", "v")])
+    @pytest.mark.parametrize("block_weights", [True, False])
+    def test_forward_bitwise_equals_plain_numpy(self, tokens, attach, block_weights):
+        backbone, specific, weights = _sublayer_setup(attach, block_weights)
+        x = nm.make_rng(3).standard_normal(TOKEN_SHAPES[tokens])
+        scale = weights.mu_values()[0] if block_weights else None
+        plain = {
+            p: (pair.down.value, pair.up.value, scale)
+            for (_, p), pair in specific.pairs.items()
+        }
+        attn = bb.attention_sublayer(
+            backbone, 1, ad.constant(x), _attachments(specific, weights)
+        ).value
+        assert np.array_equal(attn, _reference_attention(backbone, 1, x, plain))
+        mlp = bb.mlp_sublayer(backbone, 1, ad.constant(attn)).value
+        assert np.array_equal(mlp, _reference_mlp(backbone, 1, attn))
+
+    def test_one_node_per_sublayer_with_adapter_parents_only(self):
+        backbone, specific, weights = _sublayer_setup(("q", "v"), True)
+        specific.pairs[(1, "v")].down.trainable = False  # a frozen tensor is no parent
+        x = ad.leaf(ad.Parameter("x", np.ones((5, 12)), True, "head"))
+        deltas = _attachments(specific, weights)
+        state = bb.block_forward(backbone, bb.TokenState(x, 0), 1, deltas)
+        mlp = state.tokens
+        (attn,) = mlp.parents
+        expected = [x, deltas["q"].down, deltas["q"].up, deltas["q"].mu, deltas["v"].up]
+        assert len(attn.parents) == len(expected)
+        assert all(a is b for a, b in zip(attn.parents, expected))
+
+    def test_frozen_pass_keeps_no_backward_context(self):
+        backbone, specific, weights = _sublayer_setup(("q", "v"), True)
+        specific.freeze()
+        weights.freeze()
+        state = bb.TokenState(ad.constant(np.ones((2, 5, 12))), 0)
+        out = bb.block_forward(backbone, state, 1, _attachments(specific, weights)).tokens
+        assert out.parents == () and out.bwd is None and not out.requires_grad

@@ -156,6 +156,31 @@ class TestDatasetFile:
         with pytest.raises(FormatError, match="trailing"):
             st.load_dataset(path)
 
+    # magic plus seven u32 fields; every pixel and label after it is 4 bytes
+    HEADER = 4 + 7 * 4
+
+    def test_out_of_range_label_rejected(self, tmp_path):
+        ds = small_dataset()
+        ds.train_labels = ds.train_labels.copy()
+        ds.train_labels[7] = 99
+        path = tmp_path / "data.clld"
+        st.save_dataset(path, ds)
+        pixels = ds.train_images.size + ds.test_images.size
+        offset = self.HEADER + 4 * (pixels + 7)
+        with pytest.raises(FormatError, match=f"label outside \\[0, 4\\).* offset {offset}$"):
+            st.load_dataset(path)
+
+    def test_non_finite_pixel_rejected(self, tmp_path):
+        for bad in (np.nan, np.inf):
+            ds = small_dataset()
+            ds.test_images = ds.test_images.copy()
+            ds.test_images[2, 0, 3, 5] = bad
+            path = tmp_path / "data.clld"
+            st.save_dataset(path, ds)
+            offset = self.HEADER + 4 * (ds.train_images.size + 2 * 64 + 3 * 8 + 5)
+            with pytest.raises(FormatError, match=f"non-finite pixel.* offset {offset}$"):
+                st.load_dataset(path)
+
 
 class TestTaskStreamInvariants:
     def test_overlapping_classes_rejected(self):

@@ -326,6 +326,33 @@ class TestTrainTask:
             session.snapshot.shared.pair(1, "q").down.value, model.shared.pair(1, "q").down.value
         )
 
+    def test_teacher_readout_runs_once_per_task(self, monkeypatch):
+        stream, _, model, tcfg = build_micro(num_classes=6, num_tasks=3)
+        calls = []
+        readout = tr.TaskSession.teacher_readout
+
+        def counted(session, images):
+            calls.append((session.t, images))
+            return readout(session, images)
+
+        monkeypatch.setattr(tr.TaskSession, "teacher_readout", counted)
+        store = clf.PrototypeStore()
+        for task in stream.tasks:
+            tr.train_task(model, store, task, tcfg, nm.make_rng(task.task_id))
+        assert [t for t, _ in calls] == [2, 3]  # the first task has no teacher
+        for (t, images), task in zip(calls, stream.tasks[1:]):
+            assert images is task.train_images
+
+    def test_cached_teacher_rows_equal_a_fresh_batch_readout(self):
+        stream, _, model, tcfg = build_micro()
+        store = clf.PrototypeStore()
+        tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
+        task = stream.tasks[1]
+        session = tr.TaskSession(model, task, tcfg, nm.make_rng(1))
+        rows = np.array([5, 0, 3, 2])
+        fresh = session.teacher_readout(task.train_images[rows])
+        assert np.array_equal(session.teacher_cls[rows], fresh)
+
     def test_shared_updates_respect_mean_preserving_rescale(self):
         # the applied row scalings must be exactly sigma(prev norms)
         stream, _, model, tcfg = build_micro()
@@ -448,3 +475,36 @@ class TestOptimizers:
         # bias-corrected first step moves by ~lr in the gradient sign direction
         assert np.allclose(np.abs(p.value), 0.1, atol=1e-6)
         assert np.sign(p.value[0]) == -1 and np.sign(p.value[1]) == 1
+
+
+class TestTapeSize:
+    def test_desk_step_node_count_per_task(self, monkeypatch):
+        # Desk architecture, one 8-image step per task. Each block records one
+        # attention and one MLP node; the attention node's parents are the
+        # tokens and the adapter tensors that train. From task 2 on, the
+        # distillation and overlap terms join, and the overlap term grows by
+        # five nodes per earlier task's block-weight vector.
+        from dualora import harness
+
+        sizes, backbone_on_tape = [], []
+        per_term = ad.backward_per_term
+
+        def walk(losses, params):
+            seen, stack = {}, [t for t in losses.values() if t is not None]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen[id(node)] = node
+                    stack.extend(node.parents)
+            sizes.append(len(seen))
+            backbone_on_tape.extend(
+                n for n in seen.values() if n.param is not None and n.param.tag == "backbone"
+            )
+            return per_term(losses, params)
+
+        monkeypatch.setattr(ad, "backward_per_term", walk)
+        harness.run_experiment(
+            {"train_per_class": 4, "test_per_class": 1, "epochs": 1, "batch_size": 8}, 0
+        )
+        assert sizes == [36, 60, 65, 70, 75]
+        assert backbone_on_tape == []
