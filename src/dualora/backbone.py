@@ -83,9 +83,9 @@ class TokenState:
     """Token matrix flowing through the blocks.
 
     ``tokens`` is ``(num_tokens, width)`` for a single sample or
-    ``(batch, num_tokens, width)`` for a batch; row 0 along the token axis is
-    the classification token. ``block_index`` is the number of blocks already
-    applied.
+    ``(batch, num_tokens, width)`` for a batch, or ``(batch, 1, width)`` after
+    a readout-only block; row 0 along the token axis is the classification
+    token. ``block_index`` is the number of blocks already applied.
     """
 
     tokens: ad.Tensor
@@ -296,14 +296,20 @@ def attention_sublayer(backbone: Backbone, i: int, x: ad.Tensor, deltas: DeltaMa
     return ad.node(out, (x, *tensors), bwd)
 
 
-def mlp_sublayer(backbone: Backbone, i: int, x: ad.Tensor) -> ad.Tensor:
+def mlp_sublayer(backbone: Backbone, i: int, x: ad.Tensor, cls_only: bool = False) -> ad.Tensor:
     """``x + GELU(LN2(x) @ W1 + b1) @ W2 + b2`` of block ``i``, as one tape
-    node whose only parent is ``x``; GELU is the exact ``m * Phi(m)``."""
+    node whose only parent is ``x``; GELU is the exact ``m * Phi(m)``. With
+    ``cls_only`` a batch of two or more runs on its CLS rows alone, as 2-D
+    products, and yields ``(batch, 1, d)``."""
     w = _weights(backbone, i, _MLP_WEIGHTS)
-    h, xhat, inv = ad.layer_norm_values(x.value, w["ln2.g"], w["ln2.b"])
+    readout = cls_only and x.value.ndim == 3 and x.value.shape[0] > 1
+    v = x.value[:, 0, :] if readout else x.value
+    h, xhat, inv = ad.layer_norm_values(v, w["ln2.g"], w["ln2.b"])
     m = h @ w["W1"] + w["b1"]
     phi = 0.5 * (1.0 + erf(m / np.sqrt(2.0)))
-    out = x.value + ((m * phi) @ w["W2"] + w["b2"])
+    out = v + ((m * phi) @ w["W2"] + w["b2"])
+    if readout:
+        out = out[:, None, :]
     if not x.requires_grad:
         return ad.constant(out)
     slope = None  # GELU's derivative, worked out by the first backward pass that needs it
@@ -312,20 +318,30 @@ def mlp_sublayer(backbone: Backbone, i: int, x: ad.Tensor) -> ad.Tensor:
         nonlocal slope
         if slope is None:
             slope = phi + m * (np.exp(-0.5 * m * m) / np.sqrt(2.0 * np.pi))
-        g_h = ((g @ w["W2"].T) * slope) @ w["W1"].T
-        return (g + ad.layer_norm_input_grad(g_h, w["ln2.g"], xhat, inv),)
+        if not readout:
+            g_h = ((g @ w["W2"].T) * slope) @ w["W1"].T
+            return (g + ad.layer_norm_input_grad(g_h, w["ln2.g"], xhat, inv),)
+        # the rows of a product with a transposed operand depend on the row
+        # count, so these keep the full-token shapes to match that path bitwise
+        g_x = np.zeros_like(x.value)
+        g_x[:, 0] = g[:, 0]
+        s = np.zeros(x.value.shape[:2] + slope.shape[-1:])
+        s[:, 0] = slope
+        g_h = (((g_x @ w["W2"].T) * s) @ w["W1"].T)[:, 0]
+        g_x[:, 0] += ad.layer_norm_input_grad(g_h, w["ln2.g"], xhat, inv)
+        return (g_x,)
 
     return ad.node(out, (x,), bwd)
 
 
 def block_forward(
-    backbone: Backbone, state: TokenState, i: int, deltas: DeltaMap | None = None
+    backbone: Backbone, state: TokenState, i: int, deltas: DeltaMap | None = None, *, cls_only=False
 ) -> TokenState:
     """Apply block ``i`` (1-based) to the token state.
 
     Each projection named in the config's attach set may carry an adapter
     (see :func:`attention_sublayer`). With no deltas supplied this is the pure
-    frozen block.
+    frozen block. Set ``cls_only`` when only the result's CLS row is read.
     """
     if i < 1 or i > backbone.cfg.num_blocks:
         raise ConfigError(f"block index {i} out of range 1..{backbone.cfg.num_blocks}")
@@ -333,12 +349,14 @@ def block_forward(
         raise ShapeError(
             f"state is after block {state.block_index}, cannot apply block {i}"
         )
+    if state.tokens.value.ndim == 3 and state.tokens.value.shape[1] == 1:
+        raise ShapeError(f"block {state.block_index} ran readout-only; no block can follow it")
     deltas = deltas or {}
     unknown = set(deltas) - set(backbone.cfg.attach_set)
     if unknown:
         raise ConfigError(f"deltas supplied for unattached projections: {sorted(unknown)}")
     x = attention_sublayer(backbone, i, state.tokens, deltas)
-    x = mlp_sublayer(backbone, i, x)
+    x = mlp_sublayer(backbone, i, x, cls_only)
     return TokenState(tokens=x, block_index=i)
 
 

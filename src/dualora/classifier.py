@@ -11,6 +11,7 @@ evaluation all go through it.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -52,7 +53,11 @@ class PrototypeStore:
 def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity, with any zero vector scored -1 so a degenerate
     prototype can never win."""
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    return _cosine(a, b, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+
+
+def _cosine(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
+    """:func:`cosine_score` given the two norms."""
     if na == 0.0 or nb == 0.0:
         return -1.0
     return float(a @ b) / (na * nb)
@@ -76,12 +81,10 @@ def _task_features(
             yield components, result.cls_final.value
         return
     k, n = model.shared_prefix, model.num_blocks
-    state0 = bb.patch_embed(images, model.backbone)
-    prefix = mdl.run_blocks(model, state0, range(1, k + 1), shared=shared, counter=counter)
+    run = functools.partial(mdl.run_blocks, model, shared=shared, counter=counter)
+    prefix = run(bb.patch_embed(images, model.backbone), range(1, k + 1), cls_only=k == n)
     for components in tasks:
-        state = mdl.run_blocks(
-            model, prefix, range(k + 1, n + 1), task=components, shared=shared, counter=counter
-        )
+        state = run(prefix, range(k + 1, n + 1), task=components, cls_only=True)
         yield components, bb.extract_cls(model.backbone, state).value
 
 
@@ -122,10 +125,11 @@ def predict_batch(
     best = [-np.inf] * len(preds)
     features = _task_features(model, images, model.tasks, counter, share_prefix=share_prefix)
     for components, feats in features:
-        items = store.task_items(components.task_id)
+        items = [(c, v, float(np.linalg.norm(v))) for c, v in store.task_items(components.task_id)]
         for q, (pred, feat) in enumerate(zip(preds, feats)):
-            for class_id, proto in items:
-                score = cosine_score(proto, feat)
+            n_feat = float(np.linalg.norm(feat))
+            for class_id, proto, n_proto in items:
+                score = _cosine(proto, feat, n_proto, n_feat)
                 pred.scores[class_id] = score
                 if score > best[q]:
                     pred.class_id, best[q] = class_id, score
@@ -165,5 +169,7 @@ def evaluate(
     """Fraction of samples whose predicted global class matches the label."""
     if images.shape[0] == 0:
         raise DataError("cannot evaluate on an empty sample set")
+    if len(labels) != images.shape[0]:
+        raise DataError(f"{len(labels)} labels for {images.shape[0]} images")
     preds = predict_batch(model, store, images)
     return sum(p.class_id == int(y) for p, y in zip(preds, labels)) / images.shape[0]

@@ -139,6 +139,7 @@ def run_blocks(
     task: TaskComponents | None = None,
     shared: adp.SharedAdapter | None = None,
     counter: PassCounter | None = None,
+    cls_only: bool = False,
 ) -> bb.TokenState:
     """Apply a contiguous run of blocks with their routed adapter deltas.
 
@@ -146,7 +147,8 @@ def run_blocks(
     None to run those blocks bare, e.g. to show a fresh adapter changes
     nothing). ``shared`` replaces the model's live shared adapter on the
     shared-role blocks; a :meth:`~adapters.SharedAdapter.frozen_copy` there is
-    how the teacher prefix and inference run without gradients.
+    how the teacher prefix and inference run without gradients. ``cls_only``
+    runs the last block readout-only, for a caller that reads only the CLS row.
     """
     shared = shared if shared is not None else model.shared
     blocks = tuple(blocks)
@@ -164,7 +166,9 @@ def run_blocks(
                 deltas = _shared_deltas(model, i, shared)
         elif task is not None and task.specific is not None:
             deltas = _specific_deltas(model, i, task, mu)
-        state = bb.block_forward(model.backbone, state, i, deltas)
+        state = bb.block_forward(
+            model.backbone, state, i, deltas, cls_only=cls_only and i == blocks[-1]
+        )
         if deltas and counter is not None:
             counter.bump()
     return state
@@ -195,6 +199,7 @@ def forward_features(
         task=task,
         shared=shared,
         counter=counter,
+        cls_only=l == n,
     )
     cls_at_l = None
     if collect_transition_cls:
@@ -208,6 +213,7 @@ def forward_features(
         task=task,
         shared=shared,
         counter=counter,
+        cls_only=True,
     )
     return ForwardResult(
         cls_final=bb.extract_cls(model.backbone, state),
@@ -238,5 +244,6 @@ def transition_cls_with(
         range(1, l + 1),
         task=prefix_task,
         shared=shared,
+        cls_only=True,
     )
     return bb.extract_cls(model.backbone, state).value

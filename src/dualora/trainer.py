@@ -387,8 +387,10 @@ class TaskSession:
         teacher reads ``images`` afresh. ``pinned_kd_target`` holds the
         distillation target fixed across calls; gradient verification needs
         that, since the analytic gradient treats the target as a constant by
-        design.
+        design. One image ``(channels, H, W)`` is taken as a batch of one.
         """
+        if np.ndim(images) == 3:
+            images = np.asarray(images)[None]
         result = mdl.forward_features(
             self.model, images, self.components, collect_transition_cls=self.kd_active
         )

@@ -351,3 +351,70 @@ class TestFusedSublayers:
         state = bb.TokenState(ad.constant(np.ones((2, 5, 12))), 0)
         out = bb.block_forward(backbone, state, 1, _attachments(specific, weights)).tokens
         assert out.parents == () and out.bwd is None and not out.requires_grad
+
+
+READOUT_BATCHES = (2, 3, 4, 16, 19, 32, 100)
+
+
+class TestReadoutOnlyBlock:
+    @pytest.mark.parametrize("batch", READOUT_BATCHES)
+    @pytest.mark.parametrize("attach", [("q", "v"), ("q", "k", "v")])
+    def test_cls_row_bitwise_equals_full_block(self, batch, attach):
+        backbone, specific, weights = _sublayer_setup(attach, True)
+        state = bb.TokenState(ad.constant(nm.make_rng(4).standard_normal((batch, 5, 12))), 0)
+        deltas = _attachments(specific, weights)
+        full = bb.block_forward(backbone, state, 1, deltas).tokens.value
+        cls = bb.block_forward(backbone, state, 1, deltas, cls_only=True).tokens.value
+        assert cls.shape == (batch, 1, 12)
+        assert np.array_equal(cls[:, 0], full[:, 0])
+
+    @pytest.mark.parametrize("shape", [(1, 5, 12), (5, 12)])
+    def test_one_image_keeps_every_token(self, shape):
+        backbone, specific, weights = _sublayer_setup(("q", "v"), True)
+        state = bb.TokenState(ad.constant(nm.make_rng(5).standard_normal(shape)), 0)
+        deltas = _attachments(specific, weights)
+        full = bb.block_forward(backbone, state, 1, deltas).tokens.value
+        cls = bb.block_forward(backbone, state, 1, deltas, cls_only=True).tokens.value
+        assert cls.shape == shape
+        assert np.array_equal(cls, full)
+
+    def test_mlp_matches_finite_differences(self):
+        backbone, _, _ = _sublayer_setup(("q", "v"), False)
+        rng = nm.make_rng(6)
+        x = ad.Parameter("x", rng.standard_normal((3, 5, 12)), True, "head")
+        c = rng.standard_normal((3, 1, 12))
+
+        def closure():
+            out = bb.mlp_sublayer(backbone, 1, ad.leaf(x), cls_only=True)
+            return ad.sum_all(ad.mul(ad.constant(c), out))
+
+        rep = ad.finite_difference_check(closure, [x], step=1e-5)
+        assert rep.num_checked == x.size
+        assert rep.max_rel_error <= 1e-5, rep.per_param
+
+    @pytest.mark.parametrize("batch", READOUT_BATCHES)
+    def test_input_gradient_bitwise_equals_full_node(self, batch):
+        # at the desk width 64, 2-D products with a transposed operand give
+        # rows that differ from the full-token ones for most of these batches
+        cfg = bb.BackboneConfig(num_blocks=1, width=64, heads=4, image_side=4, patch_side=2)
+        backbone = bb.init_backbone(cfg, nm.make_rng(0))
+        rng = nm.make_rng(7)
+        x = ad.leaf(ad.Parameter("x", rng.standard_normal((batch, 5, 64)), True, "head"))
+        g_cls = rng.standard_normal((batch, 1, 64))
+        g_full = np.zeros((batch, 5, 64))
+        g_full[:, :1] = g_cls
+        full = bb.mlp_sublayer(backbone, 1, x)
+        cls = bb.mlp_sublayer(backbone, 1, x, cls_only=True)
+        assert np.array_equal(cls.value[:, 0], full.value[:, 0])
+        (want,) = full.bwd(g_full, (True,))
+        (got,) = cls.bwd(g_cls, (True,))
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_block_rejects_a_readout_only_state(self):
+        backbone = bb.init_backbone(small_cfg(), nm.make_rng(8))
+        img = nm.make_rng(9).uniform(0, 1, (2, 1, 8, 8))
+        state = bb.block_forward(backbone, bb.patch_embed(img, backbone), 1, cls_only=True)
+        assert state.tokens.value.shape == (2, 1, 16)
+        with pytest.raises(ShapeError):
+            bb.block_forward(backbone, state, 2)

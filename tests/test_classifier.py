@@ -242,6 +242,14 @@ class TestEvaluate:
         with pytest.raises(DataError):
             clf.evaluate(model, store, np.zeros((0, 1, 8, 8)), np.zeros(0))
 
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_label_count_mismatch_rejected(self, trained_micro, offset):
+        model, store = trained_micro["model"], trained_micro["store"]
+        task = trained_micro["stream"].tasks[-1]
+        labels = np.resize(task.train_labels, task.num_train + offset)
+        with pytest.raises(DataError):
+            clf.evaluate(model, store, task.train_images, labels)
+
 
 class TestStalePrototypesProtocol:
     def test_prototypes_not_recomputed_by_later_tasks(self):
@@ -291,6 +299,17 @@ class TestBatchedPath:
             assert list(pred.scores) == list(one.scores)
             for key in one.scores:
                 assert pred.scores[key] == one.scores[key], key
+
+    def test_scores_equal_cosine_score_of_every_pair_bitwise(self, trained_layout):
+        model, store, images, _ = trained_layout
+        batch = clf.predict_batch(model, store, images)
+        checked = 0
+        for components, feats in clf._task_features(model, images, model.tasks):
+            for pred, feat in zip(batch, feats):
+                for class_id, proto in store.task_items(components.task_id):
+                    assert pred.scores[class_id] == clf.cosine_score(proto, feat)
+                    checked += 1
+        assert checked == len(images) * len(store)
 
     def test_batch_counter_reports_the_per_query_formula(self, trained_layout):
         model, store, images, _ = trained_layout

@@ -353,6 +353,19 @@ class TestTrainTask:
         fresh = session.teacher_readout(task.train_images[rows])
         assert np.array_equal(session.teacher_cls[rows], fresh)
 
+    def test_single_image_losses_equal_a_batch_of_one(self):
+        stream, _, model, tcfg = build_micro()
+        store = clf.PrototypeStore()
+        tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
+        task = stream.tasks[1]
+        session = tr.TaskSession(model, task, tcfg, nm.make_rng(1))
+        labels = task.train_labels_local[:1]
+        one = session.losses(task.train_images[0], labels)
+        batch = session.losses(task.train_images[:1], labels)
+        assert all(one[k] is not None for k in ("ce", "kd", "orth"))
+        for k in ("ce", "kd", "orth"):
+            assert float(one[k].value) == float(batch[k].value), k
+
     def test_shared_updates_respect_mean_preserving_rescale(self):
         # the applied row scalings must be exactly sigma(prev norms)
         stream, _, model, tcfg = build_micro()
