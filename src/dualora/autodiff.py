@@ -457,53 +457,88 @@ class FiniteDifferenceReport:
 
 
 def finite_difference_check(
-    forward: Callable[[], Tensor],
+    forward: Callable[[], Tensor | Mapping[str, Tensor | None]],
     params: Iterable[Parameter],
     step: float = 1e-5,
-) -> FiniteDifferenceReport:
-    """Compare analytic gradients of a scalar closure to central differences.
+) -> FiniteDifferenceReport | dict[str, FiniteDifferenceReport]:
+    """Compare analytic gradients of a closure's loss terms to central differences.
 
-    Every scalar of every trainable parameter is perturbed by +-step; the
-    relative error uses denominator max(|analytic|, |numeric|, 1e-8). Frozen
-    parameters are skipped and excluded from the reported count. The closure
-    is evaluated twice up front; any discrepancy raises
-    :class:`DeterminismError`. A perturbed scalar is put back even when the
-    closure raises.
+    The closure returns one scalar :class:`Tensor`, or a mapping from term
+    name to a scalar tensor or ``None`` (a term not computed). Every scalar of
+    every trainable parameter is perturbed by +-step once, and every term is
+    read from the same two forwards, so the closure runs ``2 + 2 * n`` times
+    for ``n`` checked scalars however many terms it returns. Each term's value
+    becomes a float right after its forward, so one tape is alive at a time.
+    The relative error uses denominator max(|analytic|, |numeric|, 1e-8).
+    Frozen parameters are skipped and excluded from the reported count. The
+    closure is evaluated twice up front; a different value or a different set
+    of present terms raises :class:`DeterminismError`. A perturbed scalar is
+    put back even when the closure raises.
+
+    Returns one :class:`FiniteDifferenceReport` for a scalar closure, and a
+    dict of reports keyed by the terms that are not ``None`` for a mapping.
     """
     if step <= 0:
         raise InvalidInputError(f"step must be positive, got {step}")
     first = forward()
-    second = forward()
-    if first.value.shape != () or second.value.shape != ():
-        raise GraphError("finite_difference_check needs a scalar closure")
-    if float(first.value) != float(second.value):
+    single = not isinstance(first, Mapping)
+    roots = _fd_terms(first)
+    reference = _fd_values(first)
+    again = _fd_values(forward())
+    if again.keys() != reference.keys():
         raise DeterminismError(
-            f"closure not deterministic: {float(first.value)!r} vs {float(second.value)!r}"
+            f"closure not deterministic: terms {list(reference)} vs {list(again)}"
         )
-    analytic = backward(first)
-    per_param: dict[str, float] = {}
-    worst = 0.0
+    for term, value in reference.items():
+        if again[term] != value:
+            raise DeterminismError(f"closure not deterministic: {value!r} vs {again[term]!r}")
+    analytic = {term: backward(root) for term, root in roots.items()}
+    del first, roots
+    per_param: dict = {term: {} for term in analytic}
+    worst = dict.fromkeys(analytic, 0.0)
     checked = 0
     for p in params:
         if not p.trainable:
             continue
-        grad = analytic.get(p.name, np.zeros_like(p.value))
         flat = p.value.reshape(-1)
-        gflat = grad.reshape(-1)
-        p_worst = 0.0
+        gflat = {t: g.get(p.name, np.zeros_like(p.value)).reshape(-1) for t, g in analytic.items()}
+        p_worst = dict.fromkeys(analytic, 0.0)
         for i in range(flat.size):
             orig = flat[i]
             try:
                 flat[i] = orig + step
-                f_plus = float(forward().value)
+                f_plus = _fd_values(forward())
                 flat[i] = orig - step
-                f_minus = float(forward().value)
+                f_minus = _fd_values(forward())
             finally:
                 flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            denom = max(abs(gflat[i]), abs(numeric), 1e-8)
-            p_worst = max(p_worst, abs(gflat[i] - numeric) / denom)
+            for term, g in gflat.items():
+                numeric = (f_plus[term] - f_minus[term]) / (2.0 * step)
+                denom = max(abs(g[i]), abs(numeric), 1e-8)
+                p_worst[term] = max(p_worst[term], abs(g[i] - numeric) / denom)
             checked += 1
-        per_param[p.name] = p_worst
-        worst = max(worst, p_worst)
-    return FiniteDifferenceReport(max_rel_error=worst, num_checked=checked, per_param=per_param)
+        for term, err in p_worst.items():
+            per_param[term][p.name] = err
+            worst[term] = max(worst[term], err)
+    reports = {
+        term: FiniteDifferenceReport(
+            max_rel_error=worst[term], num_checked=checked, per_param=per_param[term]
+        )
+        for term in analytic
+    }
+    return reports[None] if single else reports
+
+
+def _fd_terms(out: Tensor | Mapping[str, Tensor | None]) -> dict:
+    """The present terms of a closure's result; a lone tensor is the term ``None``."""
+    if isinstance(out, Mapping):
+        roots = {term: root for term, root in out.items() if root is not None}
+    else:
+        roots = {None: out}
+    if any(root.value.shape != () for root in roots.values()):
+        raise GraphError("finite_difference_check needs scalar closure terms")
+    return roots
+
+
+def _fd_values(out: Tensor | Mapping[str, Tensor | None]) -> dict:
+    return {term: float(root.value) for term, root in _fd_terms(out).items()}

@@ -115,7 +115,10 @@ def predict_batch(
     share_prefix: bool = True,
 ) -> list[Prediction]:
     """Score every seen class for each image of a batch and pick the best,
-    ties going to the lowest (task, class) pair."""
+    ties going to the lowest (task, class) pair. One image ``(channels, H, W)``
+    is taken as a batch of one."""
+    if np.ndim(images) == 3:
+        images = np.asarray(images)[None]
     if not model.tasks:
         raise ProtocolError("no tasks trained yet")
     if len(store) == 0:
@@ -166,7 +169,12 @@ def adapter_pass_count(position_l: int, num_blocks: int, num_tasks: int) -> int:
 def evaluate(
     model: mdl.ContinualModel, store: PrototypeStore, images: np.ndarray, labels: np.ndarray
 ) -> float:
-    """Fraction of samples whose predicted global class matches the label."""
+    """Fraction of samples whose predicted global class matches the label.
+
+    One image ``(channels, H, W)`` with its label is taken as a batch of one.
+    """
+    if np.ndim(images) == 3:
+        images, labels = np.asarray(images)[None], np.atleast_1d(labels)
     if images.shape[0] == 0:
         raise DataError("cannot evaluate on an empty sample set")
     if len(labels) != images.shape[0]:

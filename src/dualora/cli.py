@@ -11,6 +11,9 @@ from . import harness, streams
 from .errors import ConfigError
 from .numerics import make_rng
 
+# the largest relative gradient error `gradcheck` accepts before exiting 1
+GRADCHECK_TOLERANCE = 1e-4
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None, help="JSON config overriding the preset")
@@ -80,6 +83,13 @@ def cmd_gradcheck(args) -> int:
         }
         harness.atomic_write(args.out, json.dumps(slim, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
+    if not report["max_rel_error"] <= GRADCHECK_TOLERANCE:
+        print(
+            f"gradcheck failed: max rel error {report['max_rel_error']:.3e} "
+            f"exceeds {GRADCHECK_TOLERANCE:.0e}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

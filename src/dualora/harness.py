@@ -514,17 +514,12 @@ def gradcheck(
         pinned = tr.kd_target(session.head, session.teacher_cls[rows], tcfg.temperature)
 
     tag_of = {p.name: p.tag for p in session.params}
+    reports = ad.finite_difference_check(
+        lambda: session.losses(images, labels, pinned_kd_target=pinned), session.params, step
+    )
     terms: dict[str, dict] = {}
     overall = 0.0
-    active = session.losses(images, labels, pinned_kd_target=pinned)
-    for term, loss in active.items():
-        if loss is None:
-            continue
-
-        def closure(term=term):
-            return session.losses(images, labels, pinned_kd_target=pinned)[term]
-
-        rep = ad.finite_difference_check(closure, session.params, step)
+    for term, rep in reports.items():
         per_group: dict[str, float] = {}
         for name, err in rep.per_param.items():
             tag = tag_of[name]

@@ -256,3 +256,80 @@ class TestFiniteDifferenceCheck:
             ad.finite_difference_check(closure, [w], step=1e-3)
         assert np.array_equal(calls[-1], [1.001, 2.0])  # it did run perturbed
         assert np.array_equal(w.value, [1.0, 2.0])
+
+
+def _three_term_closure():
+    """Parameters and a closure returning three loss terms on one tape, plus
+    a term that is not computed."""
+    rng = nm.make_rng(40)
+    w1 = _param("w1", rng.standard_normal((3, 3)), tag="shared-up")
+    w2 = _param("w2", rng.standard_normal((3, 2)), tag="specific-up")
+    mu = _param("mu", rng.uniform(0.5, 1.5, 2), tag="block-weight")
+    frozen = _param("f", rng.standard_normal(2), trainable=False)
+    x = rng.standard_normal((4, 3))
+    labels = np.array([0, 1, 0, 1])
+
+    def closure():
+        h1 = ad.softplus(ad.matmul(ad.constant(x), ad.leaf(w1)))
+        logits = ad.matmul(h1, ad.leaf(w2))
+        ce = ad.neg(ad.mean_all(ad.gather_labels(ad.log_softmax_last(logits), labels)))
+        kd = ad.mean_all(ad.mul(h1, h1))
+        orth = ad.sum_all(ad.softplus(ad.mul(ad.leaf(mu), ad.leaf(frozen))))
+        return {"ce": ce, "kd": kd, "orth": orth, "unused": None}
+
+    return [w1, w2, mu, frozen], closure
+
+
+class TestOneSweepCheck:
+    def test_each_term_bitwise_equal_to_its_own_scalar_check(self):
+        params, closure = _three_term_closure()
+        reports = ad.finite_difference_check(closure, params, step=1e-5)
+        assert list(reports) == ["ce", "kd", "orth"]
+        for term, rep in reports.items():
+            alone = ad.finite_difference_check(lambda: closure()[term], params, step=1e-5)
+            assert isinstance(alone, ad.FiniteDifferenceReport)
+            assert repr(rep) == repr(alone), term
+            assert rep.num_checked == 9 + 6 + 2
+            assert rep.max_rel_error <= 1e-6
+
+    def test_closure_runs_twice_per_checked_scalar_plus_two(self):
+        params, closure = _three_term_closure()
+        calls = []
+
+        def counted():
+            calls.append(None)
+            return closure()
+
+        reports = ad.finite_difference_check(counted, params, step=1e-5)
+        assert len(calls) == 2 + 2 * reports["ce"].num_checked
+
+    def test_term_present_in_one_up_front_call_only_detected(self):
+        params, closure = _three_term_closure()
+        calls = []
+
+        def flaky():
+            calls.append(None)
+            out = closure()
+            if len(calls) == 2:
+                out["orth"] = None
+            return out
+
+        with pytest.raises(DeterminismError, match="terms"):
+            ad.finite_difference_check(flaky, params)
+
+    def test_parameter_restored_when_mapping_closure_raises(self):
+        params, closure = _three_term_closure()
+        w1 = params[0]
+        before = w1.value.copy()
+        calls = []
+
+        def failing():
+            calls.append(w1.value.copy())
+            if len(calls) > 3:  # fails on the first scalar's minus forward
+                raise RuntimeError("forward failed")
+            return closure()
+
+        with pytest.raises(RuntimeError):
+            ad.finite_difference_check(failing, params, step=1e-3)
+        assert calls[-1].reshape(-1)[0] == before.reshape(-1)[0] - 1e-3
+        assert np.array_equal(w1.value, before)

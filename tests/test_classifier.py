@@ -300,6 +300,16 @@ class TestBatchedPath:
             for key in one.scores:
                 assert pred.scores[key] == one.scores[key], key
 
+    def test_single_image_is_a_batch_of_one(self, trained_layout):
+        model, store, images, labels = trained_layout
+        for img, y in zip(images[:3], labels[:3]):
+            one = clf.predict(model, store, img)
+            (pred,) = clf.predict_batch(model, store, img)
+            assert pred.class_id == one.class_id
+            assert pred.scores == one.scores
+            assert clf.evaluate(model, store, img, y) == float(one.class_id == int(y))
+            assert clf.evaluate(model, store, img, [y]) == float(one.class_id == int(y))
+
     def test_scores_equal_cosine_score_of_every_pair_bitwise(self, trained_layout):
         model, store, images, _ = trained_layout
         batch = clf.predict_batch(model, store, images)

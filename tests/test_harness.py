@@ -1,10 +1,12 @@
 import csv
+import functools
 import io
 import json
 
 import pytest
 
 from dualora import adapters as adp
+from dualora import cli
 from dualora import harness
 from dualora import numerics as nm
 from dualora import streams as st
@@ -169,9 +171,15 @@ class TestRunAblation:
         assert len(reports) == 6
 
 
+@pytest.fixture(scope="module")
+def gradcheck_seed3():
+    """``harness.gradcheck(None, seed=3)``; treat as read-only."""
+    return harness.gradcheck(None, seed=3)
+
+
 class TestGradcheck:
-    def test_micro_run_verifies_all_terms(self):
-        report = harness.gradcheck(None, seed=3)
+    def test_micro_run_verifies_all_terms(self, gradcheck_seed3):
+        report = gradcheck_seed3
         assert report["terms_checked"] == ["ce", "kd", "orth"]
         assert report["max_rel_error"] <= 1e-4
 
@@ -198,8 +206,8 @@ class TestGradcheck:
         assert loaded != default
         assert shuffled != default
 
-    def test_reports_per_parameter_group(self):
-        report = harness.gradcheck(None, seed=3)
+    def test_reports_per_parameter_group(self, gradcheck_seed3):
+        report = gradcheck_seed3
         groups = report["terms"]["kd"]["per_group"]
         assert {"shared-up", "specific-up", "specific-down", "block-weight", "head"} <= set(groups)
         # the kd term cannot reach past the transition block
@@ -249,3 +257,14 @@ class TestCli:
         assert cli_main(["gradcheck", "--seed", "3", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["max_rel_error"] <= 1e-4
+
+    def test_gradcheck_cli_fails_above_tolerance(self, tmp_path, monkeypatch, capsys):
+        # a step this small leaves only rounding in the central differences
+        monkeypatch.setattr(harness, "gradcheck", functools.partial(harness.gradcheck, step=1e-12))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kd": False, "bw": False, "gr": False}))
+        out = tmp_path / "grad.json"
+        assert cli_main(["gradcheck", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 1
+        data = json.loads(out.read_text())
+        assert data["max_rel_error"] > cli.GRADCHECK_TOLERANCE
+        assert "exceeds" in capsys.readouterr().err
