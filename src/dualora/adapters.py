@@ -366,8 +366,6 @@ def count_trainable_params(
     fixed_down: bool = True,
     flip_positions: bool = False,
     backbone_params: int | None = None,
-    mlp_hidden: int | None = None,
-    patch_dim: int | None = None,
 ) -> ParamCount:
     """Closed-form trainable-parameter accounting.
 
@@ -375,7 +373,8 @@ def count_trainable_params(
     scalars when both matrices train; the shared adapter trains only its
     up-projections (rank*d each) unless ``fixed_down`` is false. Each specific
     block adds one block weight per task when enabled. The backbone total for
-    the ratio defaults to the standard block closed form for this shape.
+    the ratio defaults to the standard block closed form for this shape, with
+    MLP hidden width 4d and patch dimension d.
     """
     if rank < 1:
         raise InvalidRankError(f"rank must be >= 1, got {rank}")
@@ -391,9 +390,8 @@ def count_trainable_params(
     specific = specific_blocks * attach_count * rank * (d + d)
     bw = specific_blocks if block_weights else 0
     if backbone_params is None:
-        h = mlp_hidden if mlp_hidden is not None else 4 * d
-        pd = patch_dim if patch_dim is not None else d
-        backbone_params = pd * d + d + num_blocks * (4 * d * d + 2 * d * h + h + 9 * d) + 2 * d
+        h = 4 * d
+        backbone_params = d * d + d + num_blocks * (4 * d * d + 2 * d * h + h + 9 * d) + 2 * d
     return ParamCount(
         shared=shared,
         specific_per_task=specific,

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import harness, streams
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .numerics import make_rng
 
 # the largest relative gradient error `gradcheck` accepts before exiting 1
@@ -29,15 +29,7 @@ def _load(args) -> dict | None:
 def cmd_gen_data(args) -> int:
     cfg = harness.resolve_config(_load(args), args.preset)
     bcfg, _, scfg = harness.split_config(cfg)
-    dataset = streams.gen_synthetic(
-        int(scfg["num_classes"]),
-        int(scfg["train_per_class"]),
-        int(scfg["test_per_class"]),
-        bcfg.image_side,
-        bcfg.channels,
-        float(scfg["noise_std"]),
-        make_rng(args.seed),
-    )
+    dataset = harness.synthetic_dataset(bcfg, scfg, make_rng(args.seed))
     out = args.out or Path("dataset.clld")
     streams.save_dataset(out, dataset)
     print(f"wrote {out} ({dataset.num_classes} classes)")
@@ -46,7 +38,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_run(args) -> int:
     out = args.out or Path("run_out")
-    report = harness.run_experiment(_load(args), args.seed, out_dir=out)
+    report = harness.run_experiment(_load(args), args.seed, out_dir=out, preset=args.preset)
     acc = report.accuracy
     print(f"final accuracy A_T = {acc.final:.4f}, average A_bar = {acc.average:.4f}")
     print(f"report: {Path(out) / 'run_report.json'}")
@@ -59,14 +51,16 @@ def cmd_ablate(args) -> int:
         raise ConfigError("--axes requires a comma-separated list of axis names")
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
     out = args.out or Path("ablation_out")
-    reports, summary = harness.run_ablation(_load(args), axes, seeds, out_dir=out)
+    reports, summary = harness.run_ablation(
+        _load(args), axes, seeds, out_dir=out, preset=args.preset
+    )
     print(summary, end="")
     print(f"{len(reports)} runs; summary: {Path(out) / 'summary.csv'}")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    report = harness.gradcheck(_load(args), args.seed)
+    report = harness.gradcheck(_load(args), args.seed, preset=args.preset)
     for term in report["terms_checked"]:
         info = report["terms"][term]
         print(f"{term}: max rel error {info['max_rel_error']:.3e} over {info['num_checked']} scalars")
@@ -93,15 +87,29 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
+def _load_report(path) -> dict:
+    """The run report at ``path``; FormatError when the file is not one."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise FormatError(f"report file {path} is not valid JSON: {e}") from e
+    acc = data.get("accuracy") if isinstance(data, dict) else None
+    per_task = acc.get("per_task") if isinstance(acc, dict) else None
+    if not isinstance(per_task, list) or not all(
+        isinstance(v, (int, float)) for v in [acc.get("average"), acc.get("final"), *per_task]
+    ):
+        raise FormatError(f"report file {path} holds no run report accuracy record")
+    return data
+
+
 def cmd_report(args) -> int:
-    with open(args.path, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    acc = data.get("accuracy", {})
+    data = _load_report(args.path)
+    acc = data["accuracy"]
     print(f"seed {data.get('seed')}")
-    for t, a in enumerate(acc.get("per_task", []), start=1):
+    for t, a in enumerate(acc["per_task"], start=1):
         print(f"  after task {t}: accuracy {a:.4f}")
-    print(f"  average A_bar = {acc.get('average'):.4f}")
-    print(f"  final   A_T   = {acc.get('final'):.4f}")
+    print(f"  average A_bar = {acc['average']:.4f}")
+    print(f"  final   A_T   = {acc['final']:.4f}")
     params = data.get("params", {})
     print(
         f"  trainable params: {params.get('total')} "
@@ -148,6 +156,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except FormatError as e:
+        print(f"format error: {e}", file=sys.stderr)
         return 2
 
 

@@ -14,7 +14,7 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -82,44 +82,6 @@ PAPER_PRESET: dict = {
 
 PRESETS = {"desk": DESK_PRESET, "paper": PAPER_PRESET}
 
-_BACKBONE_KEYS = (
-    "num_blocks",
-    "width",
-    "heads",
-    "mlp_ratio",
-    "image_side",
-    "patch_side",
-    "channels",
-    "attach_set",
-)
-_TRAIN_KEYS = (
-    "rank",
-    "position_l",
-    "lambda_kd",
-    "lambda_orth",
-    "temperature",
-    "epochs",
-    "batch_size",
-    "learning_rate",
-    "optimizer",
-    "kd",
-    "gr",
-    "bw",
-    "fix_b",
-    "flip_positions",
-    "shared_down_init",
-)
-_STREAM_KEYS = (
-    "num_classes",
-    "num_tasks",
-    "train_per_class",
-    "test_per_class",
-    "noise_std",
-    "class_shuffle",
-    "dataset_path",
-)
-
-
 def resolve_config(overrides: Mapping | None = None, preset: str = "desk") -> dict:
     """Merge overrides onto a preset, rejecting unknown keys."""
     if preset not in PRESETS:
@@ -144,43 +106,38 @@ def load_config_file(path) -> dict:
     return raw
 
 
+def _typed(cls, cfg: Mapping):
+    """``cls`` from the ``cfg`` values of its fields, each converted to the type
+    of the field's default, so ``"qv"`` becomes ``("q", "v")``."""
+    return cls(**{f.name: type(f.default)(cfg[f.name]) for f in fields(cls)})
+
+
 def split_config(cfg: Mapping) -> tuple[bb.BackboneConfig, tr.TrainConfig, dict]:
-    """Validate a resolved config into typed pieces."""
-    attach = cfg["attach_set"]
-    attach = tuple(attach) if isinstance(attach, str) else tuple(attach)
-    bcfg = bb.BackboneConfig(
-        num_blocks=int(cfg["num_blocks"]),
-        width=int(cfg["width"]),
-        heads=int(cfg["heads"]),
-        mlp_ratio=float(cfg["mlp_ratio"]),
-        image_side=int(cfg["image_side"]),
-        patch_side=int(cfg["patch_side"]),
-        channels=int(cfg["channels"]),
-        attach_set=attach,
-    )
-    tcfg = tr.TrainConfig(
-        rank=int(cfg["rank"]),
-        position_l=int(cfg["position_l"]),
-        lambda_kd=float(cfg["lambda_kd"]),
-        lambda_orth=float(cfg["lambda_orth"]),
-        temperature=float(cfg["temperature"]),
-        epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]),
-        learning_rate=float(cfg["learning_rate"]),
-        optimizer=str(cfg["optimizer"]),
-        kd=bool(cfg["kd"]),
-        gr=bool(cfg["gr"]),
-        bw=bool(cfg["bw"]),
-        fix_b=bool(cfg["fix_b"]),
-        flip_positions=bool(cfg["flip_positions"]),
-        shared_down_init=str(cfg["shared_down_init"]),
-    )
+    """Validate a resolved config into typed pieces: the fields of
+    ``BackboneConfig`` and ``TrainConfig`` name their keys, and every other key
+    belongs to the data stream."""
+    bcfg = _typed(bb.BackboneConfig, cfg)
+    tcfg = _typed(tr.TrainConfig, cfg)
     if tcfg.position_l > bcfg.num_blocks:
         raise ConfigError(
             f"position_l ({tcfg.position_l}) exceeds num_blocks ({bcfg.num_blocks})"
         )
-    scfg = {k: cfg[k] for k in _STREAM_KEYS}
+    typed = {f.name for part in (bcfg, tcfg) for f in fields(part)}
+    scfg = {k: v for k, v in cfg.items() if k not in typed}
     return bcfg, tcfg, scfg
+
+
+def synthetic_dataset(bcfg: bb.BackboneConfig, scfg: Mapping, rng) -> streams.Dataset:
+    """The synthetic dataset a config's stream keys describe, drawn from ``rng``."""
+    return streams.gen_synthetic(
+        int(scfg["num_classes"]),
+        int(scfg["train_per_class"]),
+        int(scfg["test_per_class"]),
+        bcfg.image_side,
+        bcfg.channels,
+        float(scfg["noise_std"]),
+        rng,
+    )
 
 
 def atomic_write(path, data: str | bytes) -> None:
@@ -214,7 +171,6 @@ class RunReport:
     adapter_pass_count: int
     epoch_log: list[dict]
     timings: dict = field(default_factory=dict)
-    loss_log_path: str | None = None
 
     def to_dict(self, include_timings: bool = True) -> dict:
         out = {
@@ -227,7 +183,7 @@ class RunReport:
             },
             "params": self.param_counts,
             "adapter_pass_count": self.adapter_pass_count,
-            "loss_log": self.loss_log_path,
+            "loss_log": "loss_log.jsonl",
         }
         if include_timings:
             out["timings"] = self.timings
@@ -257,15 +213,7 @@ def build_run(cfg: Mapping, seed: int):
     if scfg["dataset_path"]:
         dataset = streams.load_dataset(scfg["dataset_path"])
     else:
-        dataset = streams.gen_synthetic(
-            int(scfg["num_classes"]),
-            int(scfg["train_per_class"]),
-            int(scfg["test_per_class"]),
-            bcfg.image_side,
-            bcfg.channels,
-            float(scfg["noise_std"]),
-            rng_data,
-        )
+        dataset = synthetic_dataset(bcfg, scfg, rng_data)
     stream = streams.split_tasks(
         dataset,
         int(scfg["num_tasks"]),
@@ -347,7 +295,6 @@ def run_experiment(
             "total_s": time.perf_counter() - started,
             "per_task_s": task_times,
         },
-        loss_log_path="loss_log.jsonl",
     )
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -491,9 +438,7 @@ def gradcheck(
     distillation target is pinned at the linearization point, matching its
     constant-target semantics.
     """
-    overrides = dict(GRADCHECK_PRESET)
-    overrides.update(config or {})
-    cfg = resolve_config(overrides, preset)
+    cfg = resolve_config({**GRADCHECK_PRESET, **(config or {})}, preset)
     tcfg, stream, model, task_rngs = build_run(cfg, seed)
     store = clf.PrototypeStore()
     check_task_idx = 1 if len(stream.tasks) > 1 else 0

@@ -204,10 +204,10 @@ def total_step_gradient(
 ) -> dict[str, np.ndarray]:
     """Combine per-term gradients into one update gradient per parameter.
 
-    Shared up-projections take ce + lambda_kd * (reassigned) kd; the head
-    takes ce + lambda_kd * kd unmodified; specific adapters and block weights
-    take ce + lambda_orth * orth. Reassignment touches only the kd term and
-    only shared up-projections.
+    Shared up-projections take ce + lambda_kd * (reassigned) kd; the head and
+    trainable shared down-projections take ce + lambda_kd * kd unmodified;
+    specific adapters and block weights take ce + lambda_orth * orth.
+    Reassignment touches only the kd term and only shared up-projections.
     """
     kd_present = "kd" in bundle.terms
     if kd_present and cfg.gr and snapshot is None:
@@ -222,9 +222,7 @@ def total_step_gradient(
             if cfg.gr and snapshot is not None:
                 kd = reassign_gradient(kd, snapshot.row_norms[p.name])
             g = ce + cfg.lambda_kd * kd
-        elif p.tag == "head":
-            g = ce + cfg.lambda_kd * bundle.grad("kd", p.name)
-        elif p.tag == "shared-down":
+        elif p.tag in ("head", "shared-down"):
             g = ce + cfg.lambda_kd * bundle.grad("kd", p.name)
         else:  # specific-up, specific-down, block-weight
             g = ce + cfg.lambda_orth * bundle.grad("orth", p.name)

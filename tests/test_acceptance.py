@@ -12,12 +12,10 @@ import numpy as np
 
 from dualora import adapters as adp
 from dualora import autodiff as ad
-from dualora import backbone as bb
 from dualora import classifier as clf
 from dualora import harness
 from dualora import model as mdl
 from dualora import numerics as nm
-from dualora import streams as st
 from dualora import trainer as tr
 
 
@@ -41,32 +39,8 @@ DESK_FAST = {"train_per_class": 8, "test_per_class": 4, "epochs": 4}
 
 
 def desk_parts(overrides, seed=0):
-    cfg = harness.resolve_config(overrides)
-    bcfg, tcfg, scfg = harness.split_config(cfg)
-    rng_data, rng_bb, rng_model, task_rngs = harness._spawn_generators(
-        seed, scfg["num_tasks"]
-    )
-    dataset = st.gen_synthetic(
-        int(scfg["num_classes"]),
-        int(scfg["train_per_class"]),
-        int(scfg["test_per_class"]),
-        bcfg.image_side,
-        bcfg.channels,
-        float(scfg["noise_std"]),
-        rng_data,
-    )
-    stream = st.split_tasks(dataset, int(scfg["num_tasks"]))
-    backbone = bb.init_backbone(bcfg, rng_bb)
-    model = mdl.build_model(
-        backbone,
-        tcfg.position_l,
-        tcfg.rank,
-        rng_model,
-        flip_positions=tcfg.flip_positions,
-        fixed_down=tcfg.fix_b,
-        shared_down_init=tcfg.shared_down_init,
-    )
-    return stream, backbone, model, tcfg, task_rngs
+    tcfg, stream, model, task_rngs = harness.build_run(harness.resolve_config(overrides), seed)
+    return stream, model.backbone, model, tcfg, task_rngs
 
 
 def test_01_orthogonality_suite():

@@ -1,7 +1,11 @@
 import csv
+import dataclasses
 import functools
 import io
 import json
+import re
+import types
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,29 @@ class TestConfig:
         bcfg, tcfg, _ = harness.split_config(cfg)
         assert bcfg.num_blocks == 12 and bcfg.width == 768
         assert tcfg.rank == 10 and tcfg.position_l == 6
+
+    def test_split_config_converts_to_field_types(self):
+        overrides = {"rank": 3.0, "mlp_ratio": 4, "attach_set": ["v", "q"], "kd": 0}
+        bcfg, tcfg, _ = harness.split_config(harness.resolve_config(overrides))
+        assert tcfg.rank == 3 and type(tcfg.rank) is int
+        assert bcfg.mlp_ratio == 4.0 and type(bcfg.mlp_ratio) is float
+        assert bcfg.attach_set == ("q", "v")
+        assert tcfg.kd is False
+
+    @pytest.mark.parametrize("preset", sorted(harness.PRESETS))
+    def test_preset_keys_split_into_disjoint_parts(self, preset):
+        cfg = harness.resolve_config(None, preset=preset)
+        bcfg, tcfg, scfg = harness.split_config(cfg)
+        parts = [{f.name for f in dataclasses.fields(c)} for c in (bcfg, tcfg)] + [set(scfg)]
+        assert sum(len(p) for p in parts) == len(cfg)
+        assert set().union(*parts) == set(cfg)
+
+    def test_readme_configuration_table_names_every_key(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+        documented = [key for cell in rows for key in re.findall(r"`(\w+)`", cell)]
+        assert sorted(documented) == sorted(harness.DESK_PRESET)
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -246,6 +273,39 @@ class TestCli:
         assert code == 0
         rows = list(csv.DictReader((out / "summary.csv").open()))
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("command", ["run", "ablate", "gradcheck"])
+    def test_preset_reaches_harness(self, tmp_path, monkeypatch, command):
+        received = []
+
+        def stub(*args, preset="desk", **kwargs):
+            received.append(preset)
+            if command == "run":
+                return types.SimpleNamespace(accuracy=harness.AccuracyRecord([1.0]))
+            if command == "ablate":
+                return [], ""
+            return {"terms_checked": [], "terms": {}, "max_rel_error": 0.0}
+
+        target = {"run": "run_experiment", "ablate": "run_ablation", "gradcheck": "gradcheck"}
+        monkeypatch.setattr(harness, target[command], stub)
+        argv = [command, "--preset", "paper", "--out", str(tmp_path / "out")]
+        if command == "ablate":
+            argv += ["--axes", "kd"]
+        assert cli_main(argv) == 0
+        assert received == ["paper"]
+
+    def test_report_without_accuracy_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"seed": 0}))
+        assert cli_main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+    def test_report_not_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text("not json")
+        assert cli_main(["report", str(path)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_bad_config_key_exits_nonzero(self, tmp_path):
         cfg = tmp_path / "cfg.json"
