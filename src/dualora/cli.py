@@ -19,6 +19,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None, help="JSON config overriding the preset")
     p.add_argument("--preset", choices=sorted(harness.PRESETS), default="desk")
     p.add_argument("--seed", type=int, default=0)
+    _add_out(p)
+
+
+def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=None, help="output file or directory")
 
 
@@ -45,11 +49,18 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _parse_seeds(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--seeds takes a comma-separated list of integers, got {text!r}") from None
+
+
 def cmd_ablate(args) -> int:
     axes = [a for a in (args.axes or "").split(",") if a]
     if not axes:
         raise ConfigError("--axes requires a comma-separated list of axis names")
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
+    seeds = [args.seed] if args.seeds is None else _parse_seeds(args.seeds)
     out = args.out or Path("ablation_out")
     reports, summary = harness.run_ablation(
         _load(args), axes, seeds, out_dir=out, preset=args.preset
@@ -91,7 +102,9 @@ def _load_report(path) -> dict:
     """The run report at ``path``; FormatError when the file is not one."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise FormatError(f"cannot read report file {path}: {e.strerror or e}") from e
+    except ValueError as e:  # not UTF-8, or not JSON
         raise FormatError(f"report file {path} is not valid JSON: {e}") from e
     acc = data.get("accuracy") if isinstance(data, dict) else None
     per_task = acc.get("per_task") if isinstance(acc, dict) else None
@@ -147,7 +160,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("report", help="pretty-print a run report")
-    _add_common(p)
+    _add_out(p)
     p.add_argument("path", type=Path, help="run_report.json to display")
     p.set_defaults(fn=cmd_report)
 

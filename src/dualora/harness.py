@@ -12,8 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -96,20 +98,42 @@ def resolve_config(overrides: Mapping | None = None, preset: str = "desk") -> di
 
 
 def load_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror or e}") from e
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return raw
 
 
+def _convert(key: str, value, kind: type):
+    """``value`` converted to ``kind``, so ``"qv"`` becomes ``("q", "v")`` and
+    ``3.0`` becomes ``3``. A number field takes only a number that it holds
+    exactly and a boolean field only ``true``, ``false``, 0 or 1; anything
+    else raises ConfigError rather than being read as something else
+    (``bool("false")`` is true)."""
+    try:
+        converted = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        converted = None
+    if kind is bool:
+        exact = isinstance(value, numbers.Integral) and value in (0, 1)
+    elif kind in (int, float):
+        exact = isinstance(value, numbers.Real) and not isinstance(value, bool) and converted == value
+    else:
+        exact = converted is not None
+    if not exact:
+        raise ConfigError(f"config key {key!r} expects {kind.__name__}, got {value!r}")
+    return converted
+
+
 def _typed(cls, cfg: Mapping):
     """``cls`` from the ``cfg`` values of its fields, each converted to the type
-    of the field's default, so ``"qv"`` becomes ``("q", "v")``."""
-    return cls(**{f.name: type(f.default)(cfg[f.name]) for f in fields(cls)})
+    of the field's default."""
+    return cls(**{f.name: _convert(f.name, cfg[f.name], type(f.default)) for f in fields(cls)})
 
 
 def split_config(cfg: Mapping) -> tuple[bb.BackboneConfig, tr.TrainConfig, dict]:
@@ -334,6 +358,13 @@ def run_ablation(
 ) -> tuple[list[RunReport], str]:
     """Cross-product sweep over the requested axes at fixed seeds.
 
+    Every (combination, seed) run is one job of a fork-based process pool with
+    one worker per usable CPU, at most one per job. Each worker writes its own
+    run directory; reports come back in job order, so the summary does not
+    depend on the pool. A sweep without runs, or with two runs of the same
+    name (and so the same directory), raises ConfigError before any worker
+    starts.
+
     Returns the reports and the summary CSV text (one row per combination per
     seed: axis columns, seed, A_T, A_bar, params_pct, pass_count).
     """
@@ -363,30 +394,43 @@ def run_ablation(
     for values in axis_values:
         combos = [c + (v,) for c in combos for v in values]
 
-    reports: list[RunReport] = []
+    jobs: list[tuple[dict, int, Path | None]] = []
     rows: list[dict] = []
+    names: list[str] = []
     for combo in combos:
         overrides = dict(base)
         for name, value in zip(axis_names, combo):
             overrides[ABLATION_AXES[name][0]] = value
+        tag = "_".join(f"{n}={v}" for n, v in zip(axis_names, combo))
         for seed in seeds:
-            run_dir = None
-            if out_dir is not None:
-                tag = "_".join(f"{n}={v}" for n, v in zip(axis_names, combo))
-                run_dir = Path(out_dir) / f"{tag}_seed{seed}".replace("/", "-")
-            report = run_experiment(overrides, seed, run_dir)
-            reports.append(report)
-            row = {name: value for name, value in zip(axis_names, combo)}
-            row.update(
-                {
-                    "seed": seed,
-                    "A_T": report.accuracy.final,
-                    "A_bar": report.accuracy.average,
-                    "params_pct": 100.0 * report.param_counts["backbone_ratio"],
-                    "pass_count": report.adapter_pass_count,
-                }
-            )
-            rows.append(row)
+            names.append(f"{tag}_seed{seed}".replace("/", "-"))
+            run_dir = None if out_dir is None else Path(out_dir) / names[-1]
+            jobs.append((overrides, seed, run_dir))
+            rows.append({**dict(zip(axis_names, combo)), "seed": seed})
+    if not jobs:
+        raise ConfigError("the ablation has no runs: give at least one seed and one value per axis")
+    repeated = sorted(n for n, count in Counter(names).items() if count > 1)
+    if repeated:
+        raise ConfigError(f"the ablation repeats runs {repeated}; give each value and seed once")
+
+    # Imported here, so that commands without a sweep do not load multiprocessing.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Forked workers inherit the parent's imported modules, so one starts in
+    # milliseconds where a spawned worker would import numpy and dualora again.
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        reports = list(pool.map(run_experiment, *zip(*jobs)))
+    for row, report in zip(rows, reports):
+        row.update(
+            {
+                "A_T": report.accuracy.final,
+                "A_bar": report.accuracy.average,
+                "params_pct": 100.0 * report.param_counts["backbone_ratio"],
+                "pass_count": report.adapter_pass_count,
+            }
+        )
 
     buf = io.StringIO()
     writer = csv.DictWriter(

@@ -1,8 +1,10 @@
+import concurrent.futures
 import csv
 import dataclasses
 import functools
 import io
 import json
+import os
 import re
 import types
 from pathlib import Path
@@ -15,7 +17,7 @@ from dualora import harness
 from dualora import numerics as nm
 from dualora import streams as st
 from dualora.cli import main as cli_main
-from dualora.errors import ConfigError
+from dualora.errors import ConfigError, InvalidRankError
 
 # a config small enough that a full run takes well under a second
 FAST = dict(
@@ -81,6 +83,19 @@ class TestConfig:
         rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
         documented = [key for cell in rows for key in re.findall(r"`(\w+)`", cell)]
         assert sorted(documented) == sorted(harness.DESK_PRESET)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"kd": "false"}, {"fix_b": "no"}, {"epochs": 2.7}, {"epochs": "ten"}, {"rank": True}],
+    )
+    def test_split_config_rejects_values_a_field_cannot_hold(self, overrides):
+        key = next(iter(overrides))
+        with pytest.raises(ConfigError, match=key):
+            harness.split_config(harness.resolve_config(overrides))
+
+    def test_missing_config_file_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="missing.json"):
+            harness.load_config_file(tmp_path / "missing.json")
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -197,6 +212,82 @@ class TestRunAblation:
         )
         assert len(reports) == 6
 
+    def test_pool_matches_serial_runs(self, tmp_path):
+        axes = {"kd": [True, False], "l-sweep": [0, 2]}
+        reports, summary = harness.run_ablation(FAST, axes, seeds=[0, 1], out_dir=tmp_path / "pool")
+        expected_rows, serial = [], []
+        for kd in axes["kd"]:
+            for l in axes["l-sweep"]:
+                for seed in (0, 1):
+                    name = f"kd={kd}_l-sweep={l}_seed{seed}"
+                    report = harness.run_experiment(
+                        {**FAST, "kd": kd, "position_l": l}, seed, tmp_path / "serial" / name
+                    )
+                    serial.append((name, report))
+                    expected_rows.append(
+                        {
+                            "kd": str(kd),
+                            "l-sweep": str(l),
+                            "seed": str(seed),
+                            "A_T": str(report.accuracy.final),
+                            "A_bar": str(report.accuracy.average),
+                            "params_pct": str(100.0 * report.param_counts["backbone_ratio"]),
+                            "pass_count": str(report.adapter_pass_count),
+                        }
+                    )
+        assert [r.to_dict(include_timings=False) for r in reports] == [
+            r.to_dict(include_timings=False) for _, r in serial
+        ]
+        assert list(csv.DictReader(io.StringIO(summary))) == expected_rows
+        assert (tmp_path / "pool" / "summary.csv").read_bytes() == summary.encode()
+        for name, _ in serial:
+            pool_dir, serial_dir = tmp_path / "pool" / name, tmp_path / "serial" / name
+            log = "loss_log.jsonl"
+            assert (pool_dir / log).read_bytes() == (serial_dir / log).read_bytes()
+            on_disk = [
+                {k: v for k, v in json.loads((d / "run_report.json").read_text()).items() if k != "timings"}
+                for d in (pool_dir, serial_dir)
+            ]
+            assert on_disk[0] == on_disk[1]
+
+    def test_pool_has_one_forked_worker_per_usable_cpu(self, monkeypatch):
+        made = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, mp_context):
+                made.append((max_workers, mp_context.get_start_method()))
+                super().__init__(max_workers, mp_context=mp_context)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        harness.run_ablation(FAST, {"kd": [True]}, seeds=[0])
+        harness.run_ablation(FAST, ["l-sweep"], seeds=[0])
+        cpus = len(os.sched_getaffinity(0))
+        assert made == [(1, "fork"), (min(3, cpus), "fork")]
+
+    @pytest.mark.parametrize(
+        "axes, error, message",
+        [
+            ({"rank": [0]}, InvalidRankError, "rank must be"),
+            ({"l-sweep": [9]}, ConfigError, "exceeds num_blocks"),
+        ],
+    )
+    def test_worker_error_reaches_caller_with_its_type(self, axes, error, message):
+        with pytest.raises(error, match=message):
+            harness.run_ablation(FAST, axes, seeds=[0])
+
+    def test_empty_seed_list_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="no runs"):
+            harness.run_ablation(FAST, ["kd"], seeds=[], out_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "axes, seeds", [(["kd"], [0, 0]), ({"rank": [2, 2]}, [0])], ids=["seeds", "values"]
+    )
+    def test_repeated_run_rejected_before_any_run(self, tmp_path, axes, seeds):
+        with pytest.raises(ConfigError, match="repeats"):
+            harness.run_ablation(FAST, axes, seeds=seeds, out_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+
 
 @pytest.fixture(scope="module")
 def gradcheck_seed3():
@@ -306,6 +397,38 @@ class TestCli:
         path.write_text("not json")
         assert cli_main(["report", str(path)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("seeds", ["0,x", "0,,1", ""])
+    def test_ablate_bad_seeds_exit_2(self, tmp_path, capsys, seeds):
+        argv = ["ablate", "--axes", "kd", "--seeds", seeds, "--out", str(tmp_path / "out")]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "ablate", "report"])
+    def test_missing_file_exits_2(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.json")
+        argv = {
+            "run": ["run", "--config", missing],
+            "ablate": ["ablate", "--axes", "kd", "--config", missing],
+            "report": ["report", missing],
+        }[command]
+        assert cli_main(argv + ["--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert "missing.json" in captured.err
+
+    @pytest.mark.parametrize(
+        "option", [["--config", "cfg.json"], ["--preset", "paper"], ["--seed", "9"]]
+    )
+    def test_report_rejects_run_options(self, tmp_path, capsys, option):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"accuracy": {"per_task": [1.0], "average": 1.0, "final": 1.0}}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["report", *option, str(path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_bad_config_key_exits_nonzero(self, tmp_path):
         cfg = tmp_path / "cfg.json"
