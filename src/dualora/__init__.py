@@ -10,9 +10,8 @@ similarity with a shared-prefix evaluation.
 """
 
 from .adapters import (
+    Adapter,
     BlockWeights,
-    SharedAdapter,
-    SpecificAdapter,
     count_trainable_params,
     init_shared,
     init_specific,

@@ -20,17 +20,14 @@ applied on the right as ``x @ (A @ B).T``.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from . import numerics
-from .errors import FormatError, InvalidInputError, InvalidRankError
+from .errors import InvalidInputError, InvalidRankError
 
-CHECKPOINT_MAGIC = b"CLAD"
-CHECKPOINT_VERSION = 1
 _PROJ_ORDER = ("q", "k", "v")
 
 
@@ -110,21 +107,22 @@ class LowRankPair:
 
 
 @dataclass
-class SharedAdapter:
-    """Cross-task adapter on the shared blocks; ``B`` fixed, ``A`` cumulative."""
+class Adapter:
+    """Low-rank pairs on a run of blocks, one per attached projection.
+
+    The shared adapter and every task's adapter are this type. They differ only
+    in which blocks they cover, whether ``B`` trains and when they freeze.
+    """
 
     blocks: tuple[int, ...]
     attach_set: tuple[str, ...]
-    rank: int
-    width: int
     pairs: dict[tuple[int, str], LowRankPair] = field(default_factory=dict)
-    fixed_down: bool = True
 
     def pair(self, block: int, proj: str) -> LowRankPair:
         if (block, proj) not in self.pairs:
             raise InvalidInputError(
-                f"no shared adapter on block {block} projection {proj!r}; "
-                f"shared blocks are {self.blocks}"
+                f"no adapter on block {block} projection {proj!r}; "
+                f"the adapter covers blocks {self.blocks}"
             )
         return self.pairs[(block, proj)]
 
@@ -134,7 +132,7 @@ class SharedAdapter:
             out.extend((self.pairs[key].down, self.pairs[key].up))
         return out
 
-    def frozen_copy(self) -> SharedAdapter:
+    def frozen_copy(self) -> Adapter:
         """The adapter as it is now, with copied values that take no gradient.
 
         The teacher prefix and inference both run on such a snapshot, so
@@ -145,46 +143,19 @@ class SharedAdapter:
             return ad.Parameter(p.name, p.value.copy(), trainable=False, tag=p.tag)
 
         pairs = {k: LowRankPair(frozen(v.down), frozen(v.up)) for k, v in self.pairs.items()}
-        return SharedAdapter(
-            self.blocks, self.attach_set, self.rank, self.width, pairs, self.fixed_down
-        )
-
-    def content_hash(self) -> str:
-        return hashlib.sha256(_payload(self)).hexdigest()
-
-
-@dataclass
-class SpecificAdapter:
-    """Per-task adapter on the specific blocks; frozen after its task."""
-
-    task_id: int
-    blocks: tuple[int, ...]
-    attach_set: tuple[str, ...]
-    rank: int
-    width: int
-    pairs: dict[tuple[int, str], LowRankPair] = field(default_factory=dict)
-    frozen: bool = False
-
-    def pair(self, block: int, proj: str) -> LowRankPair:
-        if (block, proj) not in self.pairs:
-            raise InvalidInputError(
-                f"task {self.task_id} has no adapter on block {block} projection {proj!r}"
-            )
-        return self.pairs[(block, proj)]
-
-    def parameters(self) -> list[ad.Parameter]:
-        out = []
-        for key in sorted(self.pairs):
-            out.extend((self.pairs[key].down, self.pairs[key].up))
-        return out
+        return Adapter(self.blocks, self.attach_set, pairs)
 
     def freeze(self) -> None:
-        self.frozen = True
         for p in self.parameters():
             p.trainable = False
 
     def content_hash(self) -> str:
-        return hashlib.sha256(_payload(self)).hexdigest()
+        """SHA-256 of the parameter bytes in :meth:`parameters` order, so a
+        freeze audit can compare an adapter with itself over time."""
+        digest = hashlib.sha256()
+        for p in self.parameters():
+            digest.update(p.value.tobytes())
+        return digest.hexdigest()
 
 
 @dataclass
@@ -217,7 +188,7 @@ def init_shared(
     *,
     fixed_down: bool = True,
     down_init: str = "orthogonal",
-) -> SharedAdapter:
+) -> Adapter:
     """Create the shared adapter with zeroed up-projections.
 
     ``down_init`` selects how the fixed down-projections are drawn:
@@ -232,13 +203,7 @@ def init_shared(
         raise InvalidRankError(f"rank {rank} exceeds projection width {width}")
     if down_init not in ("orthogonal", "random"):
         raise InvalidInputError(f"unknown down_init {down_init!r}")
-    adapter = SharedAdapter(
-        blocks=tuple(blocks),
-        attach_set=_ordered(attach_set),
-        rank=rank,
-        width=width,
-        fixed_down=fixed_down,
-    )
+    adapter = Adapter(tuple(blocks), _ordered(attach_set))
     for i in adapter.blocks:
         for p in adapter.attach_set:
             if not fixed_down:
@@ -266,7 +231,7 @@ def init_specific(
     rng: np.random.Generator,
     *,
     block_weights: bool = True,
-) -> tuple[SpecificAdapter, BlockWeights | None]:
+) -> tuple[Adapter, BlockWeights | None]:
     """Create task ``task_id``'s adapter (zero up, Gaussian down) and weights.
 
     Down-projections draw i.i.d. N(0, 1/rank); scaling factors draw
@@ -274,13 +239,7 @@ def init_specific(
     """
     if rank < 1:
         raise InvalidRankError(f"rank must be >= 1, got {rank}")
-    adapter = SpecificAdapter(
-        task_id=task_id,
-        blocks=tuple(blocks),
-        attach_set=_ordered(attach_set),
-        rank=rank,
-        width=width,
-    )
+    adapter = Adapter(tuple(blocks), _ordered(attach_set))
     for i in adapter.blocks:
         for p in adapter.attach_set:
             down = ad.Parameter(
@@ -309,13 +268,13 @@ def init_specific(
     return adapter, weights
 
 
-def shared_delta(adapter: SharedAdapter, x: ad.Tensor, block: int, proj: str) -> ad.Tensor:
+def shared_delta(adapter: Adapter, x: ad.Tensor, block: int, proj: str) -> ad.Tensor:
     """Delta of the shared adapter at (block, projection): ``(x B.T) A.T``."""
     return adapter.pair(block, proj).attach().delta(x)
 
 
 def specific_delta(
-    adapter: SpecificAdapter,
+    adapter: Adapter,
     weights: BlockWeights | None,
     x: ad.Tensor,
     block: int,
@@ -399,143 +358,3 @@ def count_trainable_params(
         num_tasks=num_tasks,
         backbone=backbone_params,
     )
-
-
-# ---------------------------------------------------------------------------
-# checkpoint format
-# ---------------------------------------------------------------------------
-#
-# Binary, little-endian:
-#   magic "CLAD" | version u32 | kind u32 (0 shared, 1 specific)
-#   task_id i64 (-1 for shared) | l u32 | N u32 | r u32 | d u32
-#   attach count u32, then one ascii byte per projection
-#   block count u32, then u32 block indices
-#   per (block, projection) in ascending (block, q<k<v) order:
-#       down matrix f64 row-major, then up matrix f64 row-major
-#   has_block_weights u8; if 1, rho vector f64 (one per block)
-#   frozen u8
-#   sha256 of all preceding bytes (32 bytes)
-
-
-def _payload(
-    adapter: SharedAdapter | SpecificAdapter,
-    weights: BlockWeights | None = None,
-    l: int = 0,
-    n: int = 0,
-) -> bytes:
-    shared = isinstance(adapter, SharedAdapter)
-    out = bytearray(CHECKPOINT_MAGIC)
-    out += struct.pack("<II", CHECKPOINT_VERSION, 0 if shared else 1)
-    task_id = -1 if shared else adapter.task_id
-    out += struct.pack("<qIIII", task_id, l, n, adapter.rank, adapter.width)
-    out += struct.pack("<I", len(adapter.attach_set))
-    out += "".join(adapter.attach_set).encode("ascii")
-    out += struct.pack(f"<I{len(adapter.blocks)}I", len(adapter.blocks), *adapter.blocks)
-    for key in ((i, p) for i in adapter.blocks for p in adapter.attach_set):
-        out += adapter.pairs[key].down.value.astype("<f8").tobytes()
-        out += adapter.pairs[key].up.value.astype("<f8").tobytes()
-    out += struct.pack("<B", weights is not None)
-    if weights is not None:
-        out += weights.rho.value.astype("<f8").tobytes()
-    out += struct.pack("<B", adapter.fixed_down if shared else adapter.frozen)
-    return bytes(out)
-
-
-def save_checkpoint(
-    path,
-    adapter: SharedAdapter | SpecificAdapter,
-    weights: BlockWeights | None = None,
-    *,
-    position_l: int = 0,
-    num_blocks: int = 0,
-) -> str:
-    """Write an adapter checkpoint; returns its content hash (hex)."""
-    body = _payload(adapter, weights, position_l, num_blocks)
-    digest = hashlib.sha256(body).digest()
-    with open(path, "wb") as f:
-        f.write(body + digest)
-    return digest.hex()
-
-
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.off = 0
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.buf):
-            raise FormatError(f"truncated checkpoint: needed {n} bytes at offset {self.off}")
-        out = self.buf[self.off : self.off + n]
-        self.off += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def load_checkpoint(path):
-    """Read a checkpoint; returns (adapter, weights_or_None, header_dict)."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 32:
-        raise FormatError(f"truncated checkpoint: only {len(raw)} bytes")
-    body, digest = raw[:-32], raw[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        raise FormatError(f"content hash mismatch at offset {len(body)}")
-    r = _Reader(body)
-    magic = r.take(4)
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r} at offset 0")
-    version, kind = r.unpack("<II")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version} at offset 4")
-    task_id, l, n, rank, d = r.unpack("<qIIII")
-    (n_attach,) = r.unpack("<I")
-    attach = tuple(r.take(n_attach).decode("ascii"))
-    (n_blocks,) = r.unpack("<I")
-    blocks = r.unpack(f"<{n_blocks}I") if n_blocks else ()
-    header = {
-        "kind": kind,
-        "task_id": task_id,
-        "position_l": l,
-        "num_blocks": n,
-        "rank": rank,
-        "width": d,
-        "attach_set": attach,
-        "blocks": blocks,
-    }
-    if kind not in (0, 1):
-        raise FormatError(f"unknown checkpoint kind {kind} at offset 8")
-    shared = kind == 0
-    name, tag = ("shared", "shared") if shared else (f"task{task_id}", "specific")
-
-    def read(rows, cols):
-        return np.frombuffer(r.take(rows * cols * 8), dtype="<f8").reshape(rows, cols).copy()
-
-    pairs = {}
-    for i in blocks:
-        for p in attach:
-            down, up = read(rank, d), read(d, rank)
-            pairs[(i, p)] = LowRankPair(
-                down=ad.Parameter(f"{name}.b{i}.{p}.down", down, not shared, f"{tag}-down"),
-                up=ad.Parameter(f"{name}.b{i}.{p}.up", up, True, f"{tag}-up"),
-            )
-    (has_bw,) = r.unpack("<B")
-    weights = None
-    if has_bw:
-        rho = read(1, len(blocks))[0]
-        weights = BlockWeights(
-            task_id, blocks, ad.Parameter(f"{name}.blockw", rho, True, "block-weight")
-        )
-    (flag,) = r.unpack("<B")  # shared: fixed down-projections; specific: frozen
-    if shared:
-        adapter = SharedAdapter(blocks, attach, rank, d, pairs, fixed_down=bool(flag))
-        for pair in pairs.values():
-            pair.down.trainable = not flag
-        return adapter, weights, header
-    adapter = SpecificAdapter(task_id, blocks, attach, rank, d, pairs)
-    if flag:
-        adapter.freeze()
-        if weights is not None:
-            weights.freeze()
-    return adapter, weights, header

@@ -173,6 +173,9 @@ def main(argv=None) -> int:
     except FormatError as e:
         print(f"format error: {e}", file=sys.stderr)
         return 2
+    except OSError as e:  # e.g. an --out path in a directory that does not exist
+        print(f"file error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -114,7 +114,12 @@ def _convert(key: str, value, kind: type):
     ``3.0`` becomes ``3``. A number field takes only a number that it holds
     exactly and a boolean field only ``true``, ``false``, 0 or 1; anything
     else raises ConfigError rather than being read as something else
-    (``bool("false")`` is true)."""
+    (``bool("false")`` is true). A key whose preset default is null takes a
+    string or null."""
+    if kind is type(None):
+        if value is None or isinstance(value, str):
+            return value
+        raise ConfigError(f"config key {key!r} expects a string or null, got {value!r}")
     try:
         converted = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -139,7 +144,7 @@ def _typed(cls, cfg: Mapping):
 def split_config(cfg: Mapping) -> tuple[bb.BackboneConfig, tr.TrainConfig, dict]:
     """Validate a resolved config into typed pieces: the fields of
     ``BackboneConfig`` and ``TrainConfig`` name their keys, and every other key
-    belongs to the data stream."""
+    belongs to the data stream, converted to the type of its preset default."""
     bcfg = _typed(bb.BackboneConfig, cfg)
     tcfg = _typed(tr.TrainConfig, cfg)
     if tcfg.position_l > bcfg.num_blocks:
@@ -147,19 +152,21 @@ def split_config(cfg: Mapping) -> tuple[bb.BackboneConfig, tr.TrainConfig, dict]
             f"position_l ({tcfg.position_l}) exceeds num_blocks ({bcfg.num_blocks})"
         )
     typed = {f.name for part in (bcfg, tcfg) for f in fields(part)}
-    scfg = {k: v for k, v in cfg.items() if k not in typed}
+    scfg = {
+        k: _convert(k, v, type(DESK_PRESET[k])) for k, v in cfg.items() if k not in typed
+    }
     return bcfg, tcfg, scfg
 
 
 def synthetic_dataset(bcfg: bb.BackboneConfig, scfg: Mapping, rng) -> streams.Dataset:
     """The synthetic dataset a config's stream keys describe, drawn from ``rng``."""
     return streams.gen_synthetic(
-        int(scfg["num_classes"]),
-        int(scfg["train_per_class"]),
-        int(scfg["test_per_class"]),
+        scfg["num_classes"],
+        scfg["train_per_class"],
+        scfg["test_per_class"],
         bcfg.image_side,
         bcfg.channels,
-        float(scfg["noise_std"]),
+        scfg["noise_std"],
         rng,
     )
 
@@ -234,13 +241,13 @@ def build_run(cfg: Mapping, seed: int):
     """
     bcfg, tcfg, scfg = split_config(cfg)
     rng_data, rng_backbone, rng_model, task_rngs = _spawn_generators(seed, scfg["num_tasks"])
-    if scfg["dataset_path"]:
+    if scfg["dataset_path"] is not None:
         dataset = streams.load_dataset(scfg["dataset_path"])
     else:
         dataset = synthetic_dataset(bcfg, scfg, rng_data)
     stream = streams.split_tasks(
         dataset,
-        int(scfg["num_tasks"]),
+        scfg["num_tasks"],
         class_order_rng=rng_data if scfg["class_shuffle"] else None,
     )
     model = mdl.build_model(

@@ -30,7 +30,7 @@ class TaskComponents:
 
     task_id: int
     classes: tuple[int, ...]
-    specific: adp.SpecificAdapter | None
+    specific: adp.Adapter | None
     block_weights: adp.BlockWeights | None
 
 
@@ -50,7 +50,7 @@ class ContinualModel:
     position_l: int
     rank: int
     flip_positions: bool = False
-    shared: adp.SharedAdapter | None = None
+    shared: adp.Adapter | None = None
     tasks: list[TaskComponents] = field(default_factory=list)
 
     @property
@@ -120,15 +120,11 @@ def build_model(
     return model
 
 
-def _shared_deltas(model, block, shared: adp.SharedAdapter):
-    return {p: shared.pair(block, p).attach() for p in model.backbone.cfg.attach_set}
-
-
-def _specific_deltas(model, block, task: TaskComponents, mu: ad.Tensor | None):
-    index = task.block_weights.blocks.index(block) if mu is not None else 0
-    return {
-        p: task.specific.pair(block, p).attach(mu, index) for p in model.backbone.cfg.attach_set
-    }
+def _deltas(model, block, adapter: adp.Adapter, mu: ad.Tensor | None = None):
+    """``adapter``'s attachments on ``block``, scaled by that block's entry of
+    the block-weight vector ``mu`` when given."""
+    index = adapter.blocks.index(block) if mu is not None else 0
+    return {p: adapter.pair(block, p).attach(mu, index) for p in model.backbone.cfg.attach_set}
 
 
 def run_blocks(
@@ -137,7 +133,7 @@ def run_blocks(
     blocks,
     *,
     task: TaskComponents | None = None,
-    shared: adp.SharedAdapter | None = None,
+    shared: adp.Adapter | None = None,
     counter: PassCounter | None = None,
     cls_only: bool = False,
 ) -> bb.TokenState:
@@ -146,7 +142,7 @@ def run_blocks(
     ``task`` supplies the specific adapter for specific-role blocks (pass
     None to run those blocks bare, e.g. to show a fresh adapter changes
     nothing). ``shared`` replaces the model's live shared adapter on the
-    shared-role blocks; a :meth:`~adapters.SharedAdapter.frozen_copy` there is
+    shared-role blocks; a :meth:`~adapters.Adapter.frozen_copy` there is
     how the teacher prefix and inference run without gradients. ``cls_only``
     runs the last block readout-only, for a caller that reads only the CLS row.
     """
@@ -163,9 +159,9 @@ def run_blocks(
         deltas = {}
         if model.is_shared_block(i):
             if shared is not None:
-                deltas = _shared_deltas(model, i, shared)
+                deltas = _deltas(model, i, shared)
         elif task is not None and task.specific is not None:
-            deltas = _specific_deltas(model, i, task, mu)
+            deltas = _deltas(model, i, task.specific, mu)
         state = bb.block_forward(
             model.backbone, state, i, deltas, cls_only=cls_only and i == blocks[-1]
         )
@@ -187,7 +183,7 @@ def forward_features(
     *,
     collect_transition_cls: bool = False,
     counter: PassCounter | None = None,
-    shared: adp.SharedAdapter | None = None,
+    shared: adp.Adapter | None = None,
 ) -> ForwardResult:
     """Full forward: embed, prefix blocks 1..l, suffix blocks l+1..N, CLS."""
     l, n = model.position_l, model.num_blocks
@@ -225,7 +221,7 @@ def transition_cls_with(
     model: ContinualModel,
     images: np.ndarray,
     *,
-    shared: adp.SharedAdapter | None = None,
+    shared: adp.Adapter | None = None,
     prefix_task: TaskComponents | None = None,
 ) -> np.ndarray:
     """CLS readout at the transition point, as plain values (no gradients).

@@ -75,7 +75,7 @@ class TeacherSnapshot:
     """End-of-previous-task state the distillation target is computed from."""
 
     task_id: int  # the task being trained, not the teacher
-    shared: adp.SharedAdapter | None  # frozen copy of the shared adapter
+    shared: adp.Adapter | None  # frozen copy of the shared adapter
     row_norms: dict[str, np.ndarray]  # per shared up-projection parameter
     prefix_task: mdl.TaskComponents | None  # teacher prefix when positions are flipped
 

@@ -4,7 +4,21 @@ import pytest
 from dualora import adapters as adp
 from dualora import autodiff as ad
 from dualora import numerics as nm
-from dualora.errors import FormatError, InvalidInputError, InvalidRankError
+from dualora.errors import InvalidInputError, InvalidRankError
+
+
+def assert_hash_sees_every_entry(adapter):
+    """Changing any one entry of any down or up matrix changes the hash, and
+    restoring it restores the hash."""
+    base = adapter.content_hash()
+    for pair in adapter.pairs.values():
+        for mat in (pair.down.value, pair.up.value):
+            for idx in np.ndindex(mat.shape):
+                old = mat[idx]
+                mat[idx] = old + 1.0
+                assert adapter.content_hash() != base, idx
+                mat[idx] = old
+    assert adapter.content_hash() == base
 
 
 class TestInitShared:
@@ -32,6 +46,25 @@ class TestInitShared:
         a = adp.init_shared((1,), ("q",), 2, 8, nm.make_rng(3))
         b = adp.init_shared((1,), ("q",), 2, 8, nm.make_rng(3))
         assert a.content_hash() == b.content_hash()
+        c = adp.init_shared((1,), ("q",), 2, 8, nm.make_rng(4))
+        assert c.content_hash() != a.content_hash()
+
+    def test_content_hash_sees_every_entry(self):
+        shared = adp.init_shared((1, 2), ("q", "v"), 2, 4, nm.make_rng(6))
+        assert_hash_sees_every_entry(shared)
+
+    def test_frozen_copy_hashes_equal_and_owns_its_arrays(self):
+        shared = adp.init_shared((1, 2), ("q", "v"), 2, 4, nm.make_rng(7))
+        for pair in shared.pairs.values():
+            pair.up.value[:] = nm.make_rng(8).standard_normal(pair.up.value.shape)
+        snap = shared.frozen_copy()
+        assert snap.content_hash() == shared.content_hash()
+        for p, q in zip(shared.parameters(), snap.parameters()):
+            assert p.name == q.name and p.tag == q.tag and not q.trainable
+            assert not np.shares_memory(p.value, q.value)
+        before = snap.content_hash()
+        shared.pairs[(1, "q")].up.value[0, 0] += 1.0
+        assert snap.content_hash() == before != shared.content_hash()
 
     def test_rank_exceeding_width_rejected(self):
         with pytest.raises(InvalidRankError):
@@ -73,6 +106,12 @@ class TestInitSpecific:
         b, wb = adp.init_specific(2, (3,), ("q",), 2, 8, nm.make_rng(9))
         assert a.content_hash() == b.content_hash()
         assert wa.content_hash() == wb.content_hash()
+        c, _ = adp.init_specific(2, (3,), ("q",), 2, 8, nm.make_rng(10))
+        assert c.content_hash() != a.content_hash()
+
+    def test_content_hash_sees_every_entry(self):
+        specific, _ = adp.init_specific(1, (2, 3), ("q", "v"), 2, 4, nm.make_rng(11))
+        assert_hash_sees_every_entry(specific)
 
     def test_without_block_weights(self):
         specific, weights = adp.init_specific(
@@ -180,60 +219,3 @@ class TestParamCount:
     def test_backbone_ratio(self):
         counts = adp.count_trainable_params(4, 64, 2, 4, 2, 5, backbone_params=204224)
         assert counts.backbone_ratio == pytest.approx(counts.total / 204224)
-
-
-class TestCheckpoint:
-    def test_shared_round_trip(self, tmp_path):
-        shared = adp.init_shared((1, 2), ("q", "v"), 3, 8, nm.make_rng(0))
-        shared.pairs[(1, "q")].up.value[:] = 0.5
-        path = tmp_path / "shared.clad"
-        digest = adp.save_checkpoint(path, shared, position_l=2, num_blocks=4)
-        loaded, weights, header = adp.load_checkpoint(path)
-        assert weights is None
-        assert header["task_id"] == -1 and header["rank"] == 3
-        assert loaded.content_hash() == shared.content_hash()
-        for key in shared.pairs:
-            assert np.array_equal(loaded.pairs[key].down.value, shared.pairs[key].down.value)
-            assert np.array_equal(loaded.pairs[key].up.value, shared.pairs[key].up.value)
-        assert len(digest) == 64
-
-    def test_specific_round_trip_with_weights(self, tmp_path):
-        specific, weights = adp.init_specific(3, (3, 4), ("q", "v"), 2, 8, nm.make_rng(1))
-        specific.freeze()
-        weights.freeze()
-        path = tmp_path / "task3.clad"
-        adp.save_checkpoint(path, specific, weights, position_l=2, num_blocks=4)
-        loaded, lw, header = adp.load_checkpoint(path)
-        assert header["task_id"] == 3
-        assert loaded.frozen and not lw.rho.trainable
-        assert np.array_equal(lw.rho.value, weights.rho.value)
-        assert loaded.content_hash() == specific.content_hash()
-
-    def test_truncated_file_rejected_with_offset(self, tmp_path):
-        shared = adp.init_shared((1,), ("q",), 2, 8, nm.make_rng(0))
-        path = tmp_path / "shared.clad"
-        adp.save_checkpoint(path, shared)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(FormatError, match="offset|truncated"):
-            adp.load_checkpoint(path)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        shared = adp.init_shared((1,), ("q",), 2, 8, nm.make_rng(0))
-        path = tmp_path / "shared.clad"
-        adp.save_checkpoint(path, shared)
-        raw = bytearray(path.read_bytes())
-        raw[:4] = b"NOPE"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError):
-            adp.load_checkpoint(path)
-
-    def test_hash_detects_tampering(self, tmp_path):
-        shared = adp.init_shared((1,), ("q",), 2, 8, nm.make_rng(0))
-        path = tmp_path / "shared.clad"
-        adp.save_checkpoint(path, shared)
-        raw = bytearray(path.read_bytes())
-        raw[40] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="hash"):
-            adp.load_checkpoint(path)

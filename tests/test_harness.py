@@ -63,11 +63,15 @@ class TestConfig:
 
     def test_split_config_converts_to_field_types(self):
         overrides = {"rank": 3.0, "mlp_ratio": 4, "attach_set": ["v", "q"], "kd": 0}
-        bcfg, tcfg, _ = harness.split_config(harness.resolve_config(overrides))
+        overrides |= {"num_classes": 6.0, "noise_std": 0, "class_shuffle": 1, "dataset_path": "d"}
+        bcfg, tcfg, scfg = harness.split_config(harness.resolve_config(overrides))
         assert tcfg.rank == 3 and type(tcfg.rank) is int
         assert bcfg.mlp_ratio == 4.0 and type(bcfg.mlp_ratio) is float
         assert bcfg.attach_set == ("q", "v")
         assert tcfg.kd is False
+        assert scfg["num_classes"] == 6 and type(scfg["num_classes"]) is int
+        assert scfg["noise_std"] == 0.0 and type(scfg["noise_std"]) is float
+        assert scfg["class_shuffle"] is True and scfg["dataset_path"] == "d"
 
     @pytest.mark.parametrize("preset", sorted(harness.PRESETS))
     def test_preset_keys_split_into_disjoint_parts(self, preset):
@@ -86,7 +90,18 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"kd": "false"}, {"fix_b": "no"}, {"epochs": 2.7}, {"epochs": "ten"}, {"rank": True}],
+        [
+            {"kd": "false"},
+            {"fix_b": "no"},
+            {"epochs": 2.7},
+            {"epochs": "ten"},
+            {"rank": True},
+            {"class_shuffle": "false"},
+            {"num_classes": 10.7},
+            {"num_tasks": 2.5},
+            {"noise_std": "0.3"},
+            {"dataset_path": 5},
+        ],
     )
     def test_split_config_rejects_values_a_field_cannot_hold(self, overrides):
         key = next(iter(overrides))
@@ -362,7 +377,7 @@ class TestCli:
             ["ablate", "--config", str(cfg), "--axes", "kd", "--seed", "0", "--out", str(out)]
         )
         assert code == 0
-        rows = list(csv.DictReader((out / "summary.csv").open()))
+        rows = list(csv.DictReader((out / "summary.csv").read_text().splitlines()))
         assert len(rows) == 2
 
     @pytest.mark.parametrize("command", ["run", "ablate", "gradcheck"])
@@ -418,6 +433,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert "missing.json" in captured.err
+
+    @pytest.mark.parametrize("command", ["gen-data", "report", "gradcheck"])
+    def test_missing_output_directory_exits_2(self, tmp_path, capsys, command):
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps({"accuracy": {"per_task": [1.0], "average": 1.0, "final": 1.0}}))
+        out = str(tmp_path / "missing" / "out")
+        argv = [str(report)] if command == "report" else []
+        assert cli_main([command, "--out", out, *argv]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and "missing" in captured.err
+        assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize(
         "option", [["--config", "cfg.json"], ["--preset", "paper"], ["--seed", "9"]]
