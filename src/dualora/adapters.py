@@ -268,11 +268,6 @@ def init_specific(
     return adapter, weights
 
 
-def shared_delta(adapter: Adapter, x: ad.Tensor, block: int, proj: str) -> ad.Tensor:
-    """Delta of the shared adapter at (block, projection): ``(x B.T) A.T``."""
-    return adapter.pair(block, proj).attach().delta(x)
-
-
 def specific_delta(
     adapter: Adapter,
     weights: BlockWeights | None,

@@ -187,7 +187,8 @@ def patch_embed(image: np.ndarray, backbone: Backbone) -> TokenState:
         image = image[None]
     expected = (cfg.channels, cfg.image_side, cfg.image_side)
     if image.ndim != 4 or image.shape[1:] != expected:
-        raise ShapeError(f"expected image shape {expected}, got {image.shape[1 if single else 0:]}")
+        got = image.shape[1:] if image.ndim == 4 else image.shape  # per image when batched
+        raise ShapeError(f"expected image shape {expected}, got {got}")
     patches = _extract_patches(image, cfg)
     tokens = patches @ backbone.param("embed.W").value
     cls = np.broadcast_to(backbone.param("cls").value, (image.shape[0], 1, cfg.width))

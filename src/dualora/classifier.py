@@ -11,8 +11,6 @@ evaluation all go through it.
 
 from __future__ import annotations
 
-import functools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,12 +40,6 @@ class PrototypeStore:
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-    def export_json(self) -> str:
-        payload = {
-            f"{t}.{c}": [float(x) for x in v] for (t, c), v in sorted(self.vectors.items())
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
@@ -81,10 +73,12 @@ def _task_features(
             yield components, result.cls_final.value
         return
     k, n = model.shared_prefix, model.num_blocks
-    run = functools.partial(mdl.run_blocks, model, shared=shared, counter=counter)
-    prefix = run(bb.patch_embed(images, model.backbone), range(1, k + 1), cls_only=k == n)
+    prefix = mdl.run_prefix(model, images, k, cls_only=k == n, shared=shared, counter=counter)
+    suffix = range(k + 1, n + 1)
     for components in tasks:
-        state = run(prefix, range(k + 1, n + 1), task=components, cls_only=True)
+        state = mdl.run_blocks(
+            model, prefix, suffix, task=components, shared=shared, counter=counter, cls_only=True
+        )
         yield components, bb.extract_cls(model.backbone, state).value
 
 

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import harness, streams
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, InputError
 from .numerics import make_rng
 
 # the largest relative gradient error `gradcheck` accepts before exiting 1
@@ -18,7 +18,7 @@ GRADCHECK_TOLERANCE = 1e-4
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None, help="JSON config overriding the preset")
     p.add_argument("--preset", choices=sorted(harness.PRESETS), default="desk")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0", help="integer >= 0")
     _add_out(p)
 
 
@@ -30,10 +30,17 @@ def _load(args) -> dict | None:
     return harness.load_config_file(args.config) if args.config else None
 
 
+def _seed(text: str) -> int:
+    """A seed given on the command line: an integer >= 0."""
+    if not (text.isascii() and text.isdigit()):
+        raise ConfigError(f"a seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def cmd_gen_data(args) -> int:
     cfg = harness.resolve_config(_load(args), args.preset)
     bcfg, _, scfg = harness.split_config(cfg)
-    dataset = harness.synthetic_dataset(bcfg, scfg, make_rng(args.seed))
+    dataset = harness.synthetic_dataset(bcfg, scfg, make_rng(_seed(args.seed)))
     out = args.out or Path("dataset.clld")
     streams.save_dataset(out, dataset)
     print(f"wrote {out} ({dataset.num_classes} classes)")
@@ -42,25 +49,19 @@ def cmd_gen_data(args) -> int:
 
 def cmd_run(args) -> int:
     out = args.out or Path("run_out")
-    report = harness.run_experiment(_load(args), args.seed, out_dir=out, preset=args.preset)
+    report = harness.run_experiment(_load(args), _seed(args.seed), out_dir=out, preset=args.preset)
     acc = report.accuracy
     print(f"final accuracy A_T = {acc.final:.4f}, average A_bar = {acc.average:.4f}")
     print(f"report: {Path(out) / 'run_report.json'}")
     return 0
 
 
-def _parse_seeds(text: str) -> list[int]:
-    try:
-        return [int(s) for s in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"--seeds takes a comma-separated list of integers, got {text!r}") from None
-
-
 def cmd_ablate(args) -> int:
     axes = [a for a in (args.axes or "").split(",") if a]
     if not axes:
         raise ConfigError("--axes requires a comma-separated list of axis names")
-    seeds = [args.seed] if args.seeds is None else _parse_seeds(args.seeds)
+    texts = [args.seed] if args.seeds is None else args.seeds.split(",")
+    seeds = [_seed(s) for s in texts]
     out = args.out or Path("ablation_out")
     reports, summary = harness.run_ablation(
         _load(args), axes, seeds, out_dir=out, preset=args.preset
@@ -71,7 +72,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    report = harness.gradcheck(_load(args), args.seed, preset=args.preset)
+    report = harness.gradcheck(_load(args), _seed(args.seed), preset=args.preset)
     for term in report["terms_checked"]:
         info = report["terms"][term]
         print(f"{term}: max rel error {info['max_rel_error']:.3e} over {info['num_checked']} scalars")
@@ -167,14 +168,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except FormatError as e:
-        print(f"format error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:  # e.g. an --out path in a directory that does not exist
-        print(f"file error: {e}", file=sys.stderr)
+    except (InputError, OSError) as e:  # OSError: e.g. --out in a missing directory
+        print(f"dualora {args.command}: {e}", file=sys.stderr)
         return 2
 
 

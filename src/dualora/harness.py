@@ -29,7 +29,7 @@ from . import classifier as clf
 from . import model as mdl
 from . import streams
 from . import trainer as tr
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 DESK_PRESET: dict = {
     # backbone
@@ -243,6 +243,20 @@ def build_run(cfg: Mapping, seed: int):
     rng_data, rng_backbone, rng_model, task_rngs = _spawn_generators(seed, scfg["num_tasks"])
     if scfg["dataset_path"] is not None:
         dataset = streams.load_dataset(scfg["dataset_path"])
+        for attr, key, want in (
+            ("num_classes", "num_classes", scfg["num_classes"]),
+            ("train_per_class", "train_per_class", scfg["train_per_class"]),
+            ("test_per_class", "test_per_class", scfg["test_per_class"]),
+            ("channels", "channels", bcfg.channels),
+            ("height", "image_side", bcfg.image_side),
+            ("width", "image_side", bcfg.image_side),
+        ):
+            got = getattr(dataset, attr)
+            if got != want:
+                raise DataError(
+                    f"dataset file {scfg['dataset_path']} has {attr} {got}, "
+                    f"but the config's {key!r} is {want}"
+                )
     else:
         dataset = synthetic_dataset(bcfg, scfg, rng_data)
     stream = streams.split_tasks(

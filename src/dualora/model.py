@@ -170,6 +170,15 @@ def run_blocks(
     return state
 
 
+def run_prefix(
+    model: ContinualModel, images: np.ndarray, k: int, *, cls_only: bool = False, **routing
+) -> bb.TokenState:
+    """Embed ``images`` and run blocks 1..k; ``routing`` (``task``, ``shared``,
+    ``counter``) is passed to :func:`run_blocks`."""
+    state = bb.patch_embed(images, model.backbone)
+    return run_blocks(model, state, range(1, k + 1), cls_only=cls_only, **routing)
+
+
 @dataclass
 class ForwardResult:
     cls_final: ad.Tensor
@@ -187,16 +196,7 @@ def forward_features(
 ) -> ForwardResult:
     """Full forward: embed, prefix blocks 1..l, suffix blocks l+1..N, CLS."""
     l, n = model.position_l, model.num_blocks
-    state = bb.patch_embed(images, model.backbone)
-    state = run_blocks(
-        model,
-        state,
-        range(1, l + 1),
-        task=task,
-        shared=shared,
-        counter=counter,
-        cls_only=l == n,
-    )
+    state = run_prefix(model, images, l, cls_only=l == n, task=task, shared=shared, counter=counter)
     cls_at_l = None
     if collect_transition_cls:
         if l < 1:
@@ -233,13 +233,5 @@ def transition_cls_with(
     l = model.position_l
     if l < 1:
         raise InvalidInputError("no transition readout exists at position 0")
-    state = bb.patch_embed(images, model.backbone)
-    state = run_blocks(
-        model,
-        state,
-        range(1, l + 1),
-        task=prefix_task,
-        shared=shared,
-        cls_only=True,
-    )
+    state = run_prefix(model, images, l, cls_only=True, task=prefix_task, shared=shared)
     return bb.extract_cls(model.backbone, state).value

@@ -1,4 +1,4 @@
-"""Dense float64 linear algebra, orthogonal sampling, and norm utilities.
+"""Float64 matrix validation, orthogonal sampling, softmax and norm utilities.
 
 Matrices throughout the package are 2-D ``numpy.float64`` arrays in row-major
 order. Every function here is a pure function of its inputs and returns fully
@@ -33,22 +33,6 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     if a.size and not np.isfinite(a).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two 2-D matrices.
-
-    Raises :class:`ShapeError` naming both shapes when the inner dimensions
-    disagree.
-    """
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    out = a @ b
-    if not np.isfinite(out).all():
-        raise InvalidInputError("matmul produced non-finite entries")
-    return out
 
 
 def sample_orthogonal_rows(r: int, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -149,6 +149,9 @@ def split_tasks(
         local = {c: j for j, c in enumerate(classes)}
         tr_mask = np.isin(dataset.train_labels, classes)
         te_mask = np.isin(dataset.test_labels, classes)
+        for split, mask in (("train", tr_mask), ("test", te_mask)):
+            if not mask.any():
+                raise DataError(f"task {t + 1} (classes {list(classes)}) has no {split} samples")
         tasks.append(
             Task(
                 task_id=t + 1,

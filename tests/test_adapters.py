@@ -124,13 +124,13 @@ class TestDeltas:
     def test_shared_delta_zero_at_init(self):
         shared = adp.init_shared((1,), ("q",), 2, 8, nm.make_rng(0))
         x = ad.constant(nm.make_rng(1).standard_normal((4, 8)))
-        assert np.array_equal(adp.shared_delta(shared, x, 1, "q").value, np.zeros((4, 8)))
+        assert np.array_equal(shared.pair(1, "q").attach().delta(x).value, np.zeros((4, 8)))
 
     def test_scalar_case(self):
         shared = adp.init_shared((1,), ("q",), 1, 1, nm.make_rng(0))
         shared.pairs[(1, "q")].down.value[:] = 1.0  # orthonormal 1x1
         shared.pairs[(1, "q")].up.value[:] = 2.0
-        out = adp.shared_delta(shared, ad.constant([[3.0]]), 1, "q")
+        out = shared.pair(1, "q").attach().delta(ad.constant([[3.0]]))
         assert out.value == pytest.approx(6.0)
 
     def test_linearity(self):
@@ -138,13 +138,13 @@ class TestDeltas:
         shared.pairs[(1, "q")].up.value[:] = nm.make_rng(3).standard_normal((8, 3))
         rng = nm.make_rng(4)
         x1, x2 = rng.standard_normal((4, 8)), rng.standard_normal((4, 8))
-        d = lambda x: adp.shared_delta(shared, ad.constant(x), 1, "q").value
+        d = lambda x: shared.pair(1, "q").attach().delta(ad.constant(x)).value
         assert np.allclose(d(x1 + x2), d(x1) + d(x2), atol=1e-12)
 
     def test_block_out_of_range(self):
         shared = adp.init_shared((1, 2), ("q",), 2, 8, nm.make_rng(0))
         with pytest.raises(InvalidInputError):
-            adp.shared_delta(shared, ad.constant(np.zeros((2, 8))), 3, "q")
+            shared.pair(3, "q").attach().delta(ad.constant(np.zeros((2, 8))))
 
     def test_specific_scalar_with_mu(self):
         specific, weights = adp.init_specific(1, (2,), ("q",), 1, 1, nm.make_rng(0))

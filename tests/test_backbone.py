@@ -87,6 +87,11 @@ class TestPatchEmbed:
         with pytest.raises(ShapeError):
             bb.patch_embed(np.zeros((1, 8, 9)), backbone)
 
+    def test_batch_shape_mismatch_names_per_image_shape(self):
+        backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
+        with pytest.raises(ShapeError, match=r"expected image shape \(1, 8, 8\), got \(1, 8, 9\)$"):
+            bb.patch_embed(np.zeros((16, 1, 8, 9)), backbone)
+
     def test_batch_matches_single(self):
         backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
         imgs = nm.make_rng(1).uniform(0, 1, (3, 1, 8, 8))

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -21,14 +20,6 @@ class TestPrototypeStore:
         store.add(1, 0, np.ones(4))
         with pytest.raises(ProtocolError):
             store.add(1, 0, np.zeros(4))
-
-    def test_export_json_round_trips(self):
-        store = clf.PrototypeStore()
-        store.add(1, 0, np.array([1.0, 2.0]))
-        store.add(2, 5, np.array([-1.0, 0.5]))
-        payload = json.loads(store.export_json())
-        assert payload["1.0"] == [1.0, 2.0]
-        assert payload["2.5"] == [-1.0, 0.5]
 
     def test_stored_vectors_are_copies(self):
         store = clf.PrototypeStore()

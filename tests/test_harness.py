@@ -12,12 +12,12 @@ from pathlib import Path
 import pytest
 
 from dualora import adapters as adp
-from dualora import cli
+from dualora import cli, errors
 from dualora import harness
 from dualora import numerics as nm
 from dualora import streams as st
 from dualora.cli import main as cli_main
-from dualora.errors import ConfigError, InvalidRankError
+from dualora.errors import ConfigError, DataError, GraphError, InvalidRankError
 
 # a config small enough that a full run takes well under a second
 FAST = dict(
@@ -180,6 +180,26 @@ class TestRunExperiment:
             {**FAST, "dataset_path": str(tmp_path / "d.clld")}, seed=0
         )
         assert len(report.accuracy.per_task) == 2
+
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"num_classes": 2},
+            {"train_per_class": 4},
+            {"test_per_class": 2},
+            {"channels": 3},
+            {"image_side": 16},
+        ],
+    )
+    def test_dataset_file_must_match_config(self, tmp_path, overrides):
+        path = tmp_path / "d.clld"
+        st.save_dataset(path, st.gen_synthetic(4, 5, 3, 8, 1, 0.05, nm.make_rng(0)))
+        cfg = harness.resolve_config({**FAST, "dataset_path": str(path), **overrides})
+        ((key, want),) = overrides.items()
+        with pytest.raises(DataError, match=rf"d\.clld .*'{key}' is {want}$") as exc:
+            harness.build_run(cfg, 0)
+        assert str(path) in str(exc.value)
 
 
 class TestRunAblation:
@@ -455,6 +475,78 @@ class TestCli:
             cli_main(["report", *option, str(path)])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"num_tasks": 0},
+            {"num_tasks": 3},
+            {"num_classes": 0},
+            {"train_per_class": 0},
+            {"test_per_class": 0},
+            {"noise_std": -1},
+            {"rank": 0},
+            {"rank": 100},
+        ],
+    )
+    def test_rejected_input_exits_2_in_one_line(self, tmp_path, capsys, overrides):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert not (out / "run_report.json").exists()
+
+    def test_dataset_file_of_other_image_size_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "d.clld"
+        st.save_dataset(path, st.gen_synthetic(10, 20, 10, 8, 1, 0.05, nm.make_rng(0)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset_path": str(path)}))
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "image_side" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--seed", "-1"],
+            ["gen-data", "--seed", "-1"],
+            ["gradcheck", "--seed", "-1"],
+            ["ablate", "--axes", "kd", "--seed", "-1"],
+            ["ablate", "--axes", "kd", "--seeds", "0,-1"],
+        ],
+    )
+    def test_negative_seed_exits_2_before_any_run(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(FAST))
+        out = tmp_path / "out"
+        assert cli_main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert "-1" in captured.err
+        assert not out.exists()
+
+    def test_bug_error_keeps_its_type(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise GraphError("inconsistent tape")
+
+        monkeypatch.setattr(harness, "run_experiment", broken)
+        with pytest.raises(GraphError, match="inconsistent tape"):
+            cli_main(["run"])
+
+    def test_every_error_class_is_input_or_bug(self):
+        input_errors = {
+            "ConfigError", "FormatError", "DataError", "InvalidInputError", "InvalidRankError"
+        }
+        bug_errors = {
+            "GraphError", "DeterminismError", "ShapeError", "ProtocolError", "MissingAdapterError"
+        }
+        defined = {name for name, obj in vars(errors).items() if isinstance(obj, type)}
+        assert defined == input_errors | bug_errors | {"InputError"}
+        for name in input_errors:
+            assert issubclass(getattr(errors, name), errors.InputError), name
+        for name in bug_errors:
+            assert not issubclass(getattr(errors, name), errors.InputError), name
 
     def test_bad_config_key_exits_nonzero(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -5,24 +5,6 @@ from dualora import numerics as nm
 from dualora.errors import InvalidInputError, InvalidRankError, ShapeError
 
 
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[2.0, -1.0], [0.5, 3.0]])
-        assert np.array_equal(nm.matmul(np.eye(2), m), m)
-
-    def test_hand_arithmetic(self):
-        out = nm.matmul([[1.0, 2.0], [3.0, 4.0]], [[1.0], [1.0]])
-        assert np.array_equal(out, [[3.0], [7.0]])
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(3, 2\).*\(3, 2\)"):
-            nm.matmul(np.ones((3, 2)), np.ones((3, 2)))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InvalidInputError):
-            nm.matmul(np.array([[np.nan]]), np.array([[1.0]]))
-
-
 class TestSampleOrthogonalRows:
     def test_unit_row(self):
         row = nm.sample_orthogonal_rows(1, 4, nm.make_rng(0))

@@ -65,6 +65,18 @@ class TestSplitTasks:
         with pytest.raises(DataError):
             st.split_tasks(ds, 3)
 
+    def test_empty_train_split_names_the_task(self):
+        ds = st.gen_synthetic(4, 0, 2, 4, 1, 0.0, nm.make_rng(0))
+        with pytest.raises(DataError, match=r"task 1 .* no train samples"):
+            st.split_tasks(ds, 2)
+
+    def test_empty_test_split_names_the_task(self):
+        ds = st.gen_synthetic(4, 2, 1, 4, 1, 0.0, nm.make_rng(0))
+        keep = ds.test_labels < 2  # drop the test samples of task 2's classes
+        ds.test_images, ds.test_labels = ds.test_images[keep], ds.test_labels[keep]
+        with pytest.raises(DataError, match=r"task 2 .* no test samples"):
+            st.split_tasks(ds, 2)
+
     def test_disjoint_and_covering(self):
         ds = st.gen_synthetic(12, 2, 1, 4, 1, 0.0, nm.make_rng(1))
         stream = st.split_tasks(ds, 4)
