@@ -10,9 +10,9 @@ Gradients are only computed along paths that reach a trainable leaf; frozen
 parameters participate in the chain rule by value but never receive (or
 trigger computation of) a stored gradient.
 
-Shapes follow the convention ``(..., tokens, features)`` with optional
-leading batch axes; weight matrices are stored ``(in, out)`` and applied on
-the right.
+Token tensors are batched, ``(batch, tokens, features)``, and a CLS readout
+is ``(batch, features)``; weight matrices are stored ``(in, out)`` and
+applied on the right.
 
 The op set here is what the loss terms, the classifier head and the CLS
 readout need. Larger pieces of the model (a transformer block's attention
@@ -193,18 +193,8 @@ def matmul(a, b) -> Tensor:
     return node(va @ vb, (a, b), bwd)
 
 
-def reshape(a, shape) -> Tensor:
-    a = _wrap(a)
-    old = a.value.shape
-
-    def bwd(g, needs):
-        return (g.reshape(old) if needs[0] else None,)
-
-    return node(a.value.reshape(shape), (a,), bwd)
-
-
 def take_row(a, idx: int) -> Tensor:
-    """Select one row along the token axis: ``(..., n, d) -> (..., d)``."""
+    """Select one row along the token axis: ``(batch, n, d) -> (batch, d)``."""
     a = _wrap(a)
 
     def bwd(g, needs):
@@ -275,7 +265,8 @@ def softplus(a) -> Tensor:
     a = _wrap(a)
     v = a.value
     out = np.logaddexp(0.0, v)
-    sig = 1.0 / (1.0 + np.exp(-v))
+    with np.errstate(over="ignore"):  # exp(-v) is inf below v = -709; sig is then 0.0
+        sig = 1.0 / (1.0 + np.exp(-v))
 
     def bwd(g, needs):
         return (g * sig if needs[0] else None,)

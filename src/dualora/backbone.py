@@ -82,10 +82,10 @@ class BackboneConfig:
 class TokenState:
     """Token matrix flowing through the blocks.
 
-    ``tokens`` is ``(num_tokens, width)`` for a single sample or
-    ``(batch, num_tokens, width)`` for a batch, or ``(batch, 1, width)`` after
-    a readout-only block; row 0 along the token axis is the classification
-    token. ``block_index`` is the number of blocks already applied.
+    ``tokens`` is ``(batch, num_tokens, width)``, or ``(batch, 1, width)``
+    after a readout-only block; row 0 along the token axis is the
+    classification token. ``block_index`` is the number of blocks already
+    applied.
     """
 
     tokens: ad.Tensor
@@ -175,15 +175,14 @@ def _extract_patches(image: np.ndarray, cfg: BackboneConfig) -> np.ndarray:
 def patch_embed(image: np.ndarray, backbone: Backbone) -> TokenState:
     """Project patches, prepend the CLS token, and add positional encodings.
 
-    Accepts a single image ``(channels, H, W)`` or a batch
-    ``(batch, channels, H, W)``. Everything upstream of the first block is
-    constant with respect to the trainable parameters, so the result enters
-    the tape as a constant.
+    Accepts a batch ``(batch, channels, H, W)`` or a single image
+    ``(channels, H, W)``, which becomes a batch of one. Everything upstream
+    of the first block is constant with respect to the trainable parameters,
+    so the result enters the tape as a constant.
     """
     cfg = backbone.cfg
     image = np.asarray(image, dtype=np.float64)
-    single = image.ndim == 3
-    if single:
+    if image.ndim == 3:
         image = image[None]
     expected = (cfg.channels, cfg.image_side, cfg.image_side)
     if image.ndim != 4 or image.shape[1:] != expected:
@@ -193,8 +192,6 @@ def patch_embed(image: np.ndarray, backbone: Backbone) -> TokenState:
     tokens = patches @ backbone.param("embed.W").value
     cls = np.broadcast_to(backbone.param("cls").value, (image.shape[0], 1, cfg.width))
     tokens = np.concatenate([cls, tokens], axis=1) + backbone.positions
-    if single:
-        tokens = tokens[0]
     return TokenState(tokens=ad.constant(tokens), block_index=0)
 
 
@@ -303,7 +300,7 @@ def mlp_sublayer(backbone: Backbone, i: int, x: ad.Tensor, cls_only: bool = Fals
     ``cls_only`` a batch of two or more runs on its CLS rows alone, as 2-D
     products, and yields ``(batch, 1, d)``."""
     w = _weights(backbone, i, _MLP_WEIGHTS)
-    readout = cls_only and x.value.ndim == 3 and x.value.shape[0] > 1
+    readout = cls_only and x.value.shape[0] > 1
     v = x.value[:, 0, :] if readout else x.value
     h, xhat, inv = ad.layer_norm_values(v, w["ln2.g"], w["ln2.b"])
     m = h @ w["W1"] + w["b1"]
@@ -350,7 +347,7 @@ def block_forward(
         raise ShapeError(
             f"state is after block {state.block_index}, cannot apply block {i}"
         )
-    if state.tokens.value.ndim == 3 and state.tokens.value.shape[1] == 1:
+    if state.tokens.value.shape[1] == 1:
         raise ShapeError(f"block {state.block_index} ran readout-only; no block can follow it")
     deltas = deltas or {}
     unknown = set(deltas) - set(backbone.cfg.attach_set)
@@ -362,7 +359,7 @@ def block_forward(
 
 
 def extract_cls(backbone: Backbone, state: TokenState) -> ad.Tensor:
-    """Final layer norm, then the CLS row: ``(..., d)``."""
+    """Final layer norm, then the CLS row: ``(batch, d)``."""
     normed = ad.layer_norm(
         state.tokens, backbone.param("lnf.g").value, backbone.param("lnf.b").value
     )

@@ -73,11 +73,11 @@ def _task_features(
             yield components, result.cls_final.value
         return
     k, n = model.shared_prefix, model.num_blocks
-    prefix = mdl.run_prefix(model, images, k, cls_only=k == n, shared=shared, counter=counter)
+    prefix = mdl.run_prefix(model, images, k, shared=shared, counter=counter)
     suffix = range(k + 1, n + 1)
     for components in tasks:
         state = mdl.run_blocks(
-            model, prefix, suffix, task=components, shared=shared, counter=counter, cls_only=True
+            model, prefix, suffix, task=components, shared=shared, counter=counter
         )
         yield components, bb.extract_cls(model.backbone, state).value
 

@@ -31,32 +31,19 @@ from . import streams
 from . import trainer as tr
 from .errors import ConfigError, DataError
 
+
+def _defaults(cls) -> dict:
+    """The field defaults of a config dataclass, as a JSON config writes them:
+    a tuple of letters as one string, so ``("q", "v")`` is ``"qv"``."""
+    return {
+        f.name: "".join(f.default) if isinstance(f.default, tuple) else f.default
+        for f in fields(cls)
+    }
+
+
 DESK_PRESET: dict = {
-    # backbone
-    "num_blocks": 4,
-    "width": 64,
-    "heads": 4,
-    "mlp_ratio": 4.0,
-    "image_side": 16,
-    "patch_side": 8,
-    "channels": 1,
-    "attach_set": "qv",
-    # adapters + training
-    "rank": 4,
-    "position_l": 2,
-    "lambda_kd": 5.0,
-    "lambda_orth": 1e-4,
-    "temperature": 2.0,
-    "epochs": 10,
-    "batch_size": 16,
-    "learning_rate": 3e-4,
-    "optimizer": "adaptive-moments",
-    "kd": True,
-    "gr": True,
-    "bw": True,
-    "fix_b": True,
-    "flip_positions": False,
-    "shared_down_init": "orthogonal",
+    **_defaults(bb.BackboneConfig),
+    **_defaults(tr.TrainConfig),
     # data stream
     "num_classes": 10,
     "num_tasks": 5,
@@ -486,13 +473,16 @@ GRADCHECK_PRESET: dict = {
     "batch_size": 4,
 }
 
+# optimizer steps taken on the checked task before the check, so the
+# distillation term is away from its stationary initialization
+GRADCHECK_SETTLE_STEPS = 5
+
 
 def gradcheck(
     config: Mapping | None,
     seed: int,
     *,
     step: float = 3e-4,
-    settle_steps: int = 5,
     preset: str = "desk",
 ) -> dict:
     """Verify analytic gradients of every active loss term on a micro run.
@@ -516,7 +506,7 @@ def gradcheck(
     images = task.train_images[rows]
     labels = task.train_labels_local[rows]
     optimizer = tr.make_optimizer(tcfg)
-    for _ in range(settle_steps):
+    for _ in range(GRADCHECK_SETTLE_STEPS):
         session.step(images, labels, optimizer, rows=rows)
 
     pinned = None

@@ -48,7 +48,6 @@ class PassCounter:
 class ContinualModel:
     backbone: bb.Backbone
     position_l: int
-    rank: int
     flip_positions: bool = False
     shared: adp.Adapter | None = None
     tasks: list[TaskComponents] = field(default_factory=list)
@@ -104,9 +103,7 @@ def build_model(
         raise ConfigError(
             f"position_l must lie in [0, {backbone.cfg.num_blocks}], got {position_l}"
         )
-    model = ContinualModel(
-        backbone=backbone, position_l=position_l, rank=rank, flip_positions=flip_positions
-    )
+    model = ContinualModel(backbone=backbone, position_l=position_l, flip_positions=flip_positions)
     if model.shared_blocks:
         model.shared = adp.init_shared(
             model.shared_blocks,
@@ -135,7 +132,6 @@ def run_blocks(
     task: TaskComponents | None = None,
     shared: adp.Adapter | None = None,
     counter: PassCounter | None = None,
-    cls_only: bool = False,
 ) -> bb.TokenState:
     """Apply a contiguous run of blocks with their routed adapter deltas.
 
@@ -143,8 +139,9 @@ def run_blocks(
     None to run those blocks bare, e.g. to show a fresh adapter changes
     nothing). ``shared`` replaces the model's live shared adapter on the
     shared-role blocks; a :meth:`~adapters.Adapter.frozen_copy` there is
-    how the teacher prefix and inference run without gradients. ``cls_only``
-    runs the last block readout-only, for a caller that reads only the CLS row.
+    how the teacher prefix and inference run without gradients. Nothing but
+    the CLS readout follows block N, so block N runs readout-only and leaves
+    a ``(batch, 1, width)`` state; every earlier block keeps every token.
     """
     shared = shared if shared is not None else model.shared
     blocks = tuple(blocks)
@@ -162,21 +159,17 @@ def run_blocks(
                 deltas = _deltas(model, i, shared)
         elif task is not None and task.specific is not None:
             deltas = _deltas(model, i, task.specific, mu)
-        state = bb.block_forward(
-            model.backbone, state, i, deltas, cls_only=cls_only and i == blocks[-1]
-        )
+        state = bb.block_forward(model.backbone, state, i, deltas, cls_only=i == model.num_blocks)
         if deltas and counter is not None:
             counter.bump()
     return state
 
 
-def run_prefix(
-    model: ContinualModel, images: np.ndarray, k: int, *, cls_only: bool = False, **routing
-) -> bb.TokenState:
+def run_prefix(model: ContinualModel, images: np.ndarray, k: int, **routing) -> bb.TokenState:
     """Embed ``images`` and run blocks 1..k; ``routing`` (``task``, ``shared``,
     ``counter``) is passed to :func:`run_blocks`."""
     state = bb.patch_embed(images, model.backbone)
-    return run_blocks(model, state, range(1, k + 1), cls_only=cls_only, **routing)
+    return run_blocks(model, state, range(1, k + 1), **routing)
 
 
 @dataclass
@@ -196,21 +189,13 @@ def forward_features(
 ) -> ForwardResult:
     """Full forward: embed, prefix blocks 1..l, suffix blocks l+1..N, CLS."""
     l, n = model.position_l, model.num_blocks
-    state = run_prefix(model, images, l, cls_only=l == n, task=task, shared=shared, counter=counter)
+    state = run_prefix(model, images, l, task=task, shared=shared, counter=counter)
     cls_at_l = None
     if collect_transition_cls:
         if l < 1:
             raise InvalidInputError("no transition readout exists at position 0")
         cls_at_l = bb.extract_cls(model.backbone, state)
-    state = run_blocks(
-        model,
-        state,
-        range(l + 1, n + 1),
-        task=task,
-        shared=shared,
-        counter=counter,
-        cls_only=True,
-    )
+    state = run_blocks(model, state, range(l + 1, n + 1), task=task, shared=shared, counter=counter)
     return ForwardResult(
         cls_final=bb.extract_cls(model.backbone, state),
         cls_at_l=cls_at_l,
@@ -233,5 +218,5 @@ def transition_cls_with(
     l = model.position_l
     if l < 1:
         raise InvalidInputError("no transition readout exists at position 0")
-    state = run_prefix(model, images, l, cls_only=True, task=prefix_task, shared=shared)
+    state = run_prefix(model, images, l, task=prefix_task, shared=shared)
     return bb.extract_cls(model.backbone, state).value

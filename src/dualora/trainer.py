@@ -119,8 +119,6 @@ def init_head(width: int, num_classes: int, task_id: int, rng: np.random.Generat
 def local_ce_loss(logits, labels) -> ad.Tensor:
     """Mean cross-entropy of logits (b, C) against local class indices."""
     logits = logits if isinstance(logits, ad.Tensor) else ad.constant(logits)
-    if logits.value.ndim == 1:
-        logits = ad.reshape(logits, (1, logits.value.shape[0]))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     n_classes = logits.value.shape[-1]
     if labels.min() < 0 or labels.max() >= n_classes:
@@ -138,7 +136,7 @@ def kd_target(head: Head, teacher_cls: np.ndarray, tau: float) -> np.ndarray:
     This is the distillation target; it is recomputed every step because the
     head keeps training, but no gradient ever flows through it.
     """
-    return numerics.softmax_temperature(head.logits_value(np.atleast_2d(teacher_cls)), tau)
+    return numerics.softmax_temperature(head.logits_value(teacher_cls), tau)
 
 
 def kd_loss(
@@ -154,10 +152,8 @@ def kd_loss(
     if tau <= 0:
         raise InvalidInputError(f"temperature must be positive, got {tau}")
     student_cls = student_cls if isinstance(student_cls, ad.Tensor) else ad.constant(student_cls)
-    if student_cls.value.ndim == 1:
-        student_cls = ad.reshape(student_cls, (1,) + student_cls.value.shape)
     if target is None:
-        teacher_cls = np.atleast_2d(np.asarray(teacher_cls, dtype=np.float64))
+        teacher_cls = np.asarray(teacher_cls, dtype=np.float64)
         if teacher_cls.shape != student_cls.value.shape:
             raise ShapeError(
                 f"teacher readout {teacher_cls.shape} does not match student "
@@ -385,10 +381,9 @@ class TaskSession:
         teacher reads ``images`` afresh. ``pinned_kd_target`` holds the
         distillation target fixed across calls; gradient verification needs
         that, since the analytic gradient treats the target as a constant by
-        design. One image ``(channels, H, W)`` is taken as a batch of one.
+        design. One image ``(channels, H, W)`` is a batch of one, as it is for
+        every forward.
         """
-        if np.ndim(images) == 3:
-            images = np.asarray(images)[None]
         result = mdl.forward_features(
             self.model, images, self.components, collect_transition_cls=self.kd_active
         )

@@ -73,14 +73,14 @@ class TestPatchEmbed:
         cfg = bb.BackboneConfig(num_blocks=1, width=8, heads=1, image_side=16, patch_side=8)
         backbone = bb.init_backbone(cfg, nm.make_rng(0))
         state = bb.patch_embed(np.zeros((1, 16, 16)), backbone)
-        assert state.tokens.shape == (5, 8)
+        assert state.tokens.shape == (1, 5, 8)
 
     def test_zero_image_gives_positions_plus_cls(self):
         backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
         state = bb.patch_embed(np.zeros((1, 8, 8)), backbone)
         expected = backbone.positions.copy()
         expected[0] += backbone.param("cls").value
-        assert np.array_equal(state.tokens.value, expected)
+        assert np.array_equal(state.tokens.value, expected[None])
 
     def test_shape_mismatch(self):
         backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
@@ -91,6 +91,13 @@ class TestPatchEmbed:
         backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
         with pytest.raises(ShapeError, match=r"expected image shape \(1, 8, 8\), got \(1, 8, 9\)$"):
             bb.patch_embed(np.zeros((16, 1, 8, 9)), backbone)
+
+    def test_single_image_is_a_batch_of_one(self):
+        backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
+        img = nm.make_rng(1).uniform(0, 1, (1, 8, 8))
+        single = bb.patch_embed(img, backbone).tokens.value
+        assert single.shape == (1, 5, 16)
+        assert np.array_equal(single, bb.patch_embed(img[None], backbone).tokens.value)
 
     def test_batch_matches_single(self):
         backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
@@ -129,7 +136,7 @@ class TestBlockForward:
         state = bb.patch_embed(nm.make_rng(3).uniform(0, 1, (1, 8, 8)), backbone)
         for i in (1, 2):
             state = bb.block_forward(backbone, state, i)
-            assert state.tokens.shape == (5, 16)
+            assert state.tokens.shape == (1, 5, 16)
             assert state.block_index == i
 
     def test_single_token_attention_closed_form(self):
@@ -143,9 +150,9 @@ class TestBlockForward:
         # strip to a single CLS-like token by feeding the 1-patch image
         img = nm.make_rng(6).uniform(0, 1, (1, 2, 2))
         state = bb.patch_embed(img, backbone)
-        assert state.tokens.shape == (2, 4)  # 1 patch + CLS; take a manual 1-token path
+        assert state.tokens.shape == (1, 2, 4)  # 1 patch + CLS; take a manual 1-token path
 
-        x = state.tokens.value[:1]  # single row
+        x = state.tokens.value[0, :1]  # single row
         p = {k: backbone.param(f"block1.{k}").value for k in
              ("ln1.g", "ln1.b", "Wv", "bv", "Wo", "bo", "ln2.g", "ln2.b", "W1", "b1", "W2", "b2")}
 
@@ -179,7 +186,7 @@ class TestExtractCls:
         mu = tokens.mean(axis=-1, keepdims=True)
         var = ((tokens - mu) ** 2).mean(axis=-1, keepdims=True)
         normed = (tokens - mu) / np.sqrt(var + 1e-6)
-        assert np.allclose(cls, normed[0], atol=1e-12)
+        assert np.allclose(cls, normed[:, 0], atol=1e-12)
 
     def test_unit_statistics_after_norm(self):
         backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
@@ -202,7 +209,7 @@ class TestExtractCls:
         img = nm.make_rng(10).uniform(0, 1, (1, 8, 8))
         base = bb.patch_embed(img, backbone).tokens.value
         perm = base.copy()
-        perm[1:] = perm[1:][::-1]
+        perm[:, 1:] = perm[:, 1:][:, ::-1]
 
         def run(tokens):
             state = bb.TokenState(tokens=ad.constant(tokens), block_index=0)
@@ -373,7 +380,7 @@ class TestReadoutOnlyBlock:
         assert cls.shape == (batch, 1, 12)
         assert np.array_equal(cls[:, 0], full[:, 0])
 
-    @pytest.mark.parametrize("shape", [(1, 5, 12), (5, 12)])
+    @pytest.mark.parametrize("shape", [(1, 5, 12), (1, 2, 12)])
     def test_one_image_keeps_every_token(self, shape):
         backbone, specific, weights = _sublayer_setup(("q", "v"), True)
         state = bb.TokenState(ad.constant(nm.make_rng(5).standard_normal(shape)), 0)

@@ -64,6 +64,16 @@ class TestZeroInitTransparency:
         assert np.array_equal(bare, routed)
 
 
+class TestRunPrefix:
+    @pytest.mark.parametrize("batch", [2, 3])
+    def test_only_block_n_runs_readout_only(self, micro, batch):
+        stream, backbone, model, _ = micro
+        imgs = stream.tasks[0].train_images[:batch]
+        n, d, tokens = model.num_blocks, model.width, backbone.cfg.num_tokens
+        assert mdl.run_prefix(model, imgs, n).tokens.shape == (batch, 1, d)
+        assert mdl.run_prefix(model, imgs, n - 1).tokens.shape == (batch, tokens, d)
+
+
 class TestCounter:
     def test_counts_only_adapter_bearing_blocks(self):
         stream, _, model, tcfg = build_micro()

@@ -41,11 +41,11 @@ class TestTrainConfig:
 
 class TestLocalCeLoss:
     def test_uniform_two_class_is_ln2(self):
-        loss = tr.local_ce_loss(np.array([0.3, 0.3]), 0)
+        loss = tr.local_ce_loss(np.array([[0.3, 0.3]]), 0)
         assert float(loss.value) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_huge_margin_goes_to_zero(self):
-        loss = tr.local_ce_loss(np.array([60.0, 0.0]), 0)
+        loss = tr.local_ce_loss(np.array([[60.0, 0.0]]), 0)
         assert float(loss.value) <= 1e-20
 
     def test_mean_reduction_over_duplicates(self):
@@ -461,7 +461,7 @@ class TestDegenerateModes:
             state = bb.patch_embed(img, backbone)
             for i in range(1, 5):
                 state = bb.block_forward(backbone, state, i)
-            return bb.extract_cls(backbone, state).value
+            return bb.extract_cls(backbone, state).value[0]
 
         feats = np.stack([raw_feature(img) for img in task.train_images])
         means = np.stack([feats[task.train_labels == c].mean(axis=0) for c in (0, 1)])
