@@ -26,7 +26,7 @@ from .autodiff import (
 from .backbone import Backbone, BackboneConfig, TokenState, init_backbone
 from .classifier import PrototypeStore, adapter_pass_count, compute_prototypes, predict
 from .harness import gradcheck, run_ablation, run_experiment
-from .model import ContinualModel, PassCounter, TaskComponents, build_model
+from .model import ContinualModel, TaskComponents, build_model
 from .numerics import (
     dimension_preserving_normalize,
     make_rng,

@@ -347,6 +347,8 @@ def block_forward(
         raise ShapeError(
             f"state is after block {state.block_index}, cannot apply block {i}"
         )
+    if state.tokens.value.ndim != 3:
+        raise ShapeError(f"token state must be (batch, tokens, width), got {state.tokens.shape}")
     if state.tokens.value.shape[1] == 1:
         raise ShapeError(f"block {state.block_index} ran readout-only; no block can follow it")
     deltas = deltas or {}

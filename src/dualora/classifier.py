@@ -55,30 +55,21 @@ def _cosine(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
     return float(a @ b) / (na * nb)
 
 
-def _task_features(
-    model: mdl.ContinualModel, images: np.ndarray, tasks, counter=None, *, share_prefix=True
-):
+def _task_features(model: mdl.ContinualModel, images: np.ndarray, tasks, *, share_prefix=True):
     """Yield each task's components with the CLS features of an image batch.
 
-    The shared prefix runs once for the whole batch, then each task's suffix
-    runs on it. ``share_prefix=False`` runs each task's full stack through
-    :func:`model.forward_features` instead, the reference that prefix sharing
-    must match bitwise. Both use a frozen copy of the shared adapter, so no
-    tape is recorded.
+    Blocks 1..k run once for the whole batch, then each task runs blocks
+    k+1..N on the result, with k the model's shared prefix.
+    ``share_prefix=False`` sets k to 0, so every task runs its full stack:
+    the reference that prefix sharing must match bitwise. Both use a frozen
+    copy of the shared adapter, so no tape is recorded.
     """
     shared = model.shared.frozen_copy() if model.shared is not None else None
-    if not share_prefix:
-        for components in tasks:
-            result = mdl.forward_features(model, images, components, counter=counter, shared=shared)
-            yield components, result.cls_final.value
-        return
-    k, n = model.shared_prefix, model.num_blocks
-    prefix = mdl.run_prefix(model, images, k, shared=shared, counter=counter)
-    suffix = range(k + 1, n + 1)
+    k = model.shared_prefix if share_prefix else 0
+    prefix = mdl.run_prefix(model, images, k, shared=shared)
+    suffix = range(k + 1, model.num_blocks + 1)
     for components in tasks:
-        state = mdl.run_blocks(
-            model, prefix, suffix, task=components, shared=shared, counter=counter
-        )
+        state = mdl.run_blocks(model, prefix, suffix, task=components, shared=shared)
         yield components, bb.extract_cls(model.backbone, state).value
 
 
@@ -98,7 +89,6 @@ def compute_prototypes(model: mdl.ContinualModel, store: PrototypeStore, task) -
 class Prediction:
     class_id: int
     scores: dict[int, float]  # global class id -> cosine score
-    counter: mdl.PassCounter  # shared by a batch; one application covers every query
 
 
 def predict_batch(
@@ -117,10 +107,9 @@ def predict_batch(
         raise ProtocolError("no tasks trained yet")
     if len(store) == 0:
         raise ProtocolError("prototype store is empty")
-    counter = mdl.PassCounter()
-    preds = [Prediction(-1, {}, counter) for _ in range(images.shape[0])]
+    preds = [Prediction(-1, {}) for _ in range(images.shape[0])]
     best = [-np.inf] * len(preds)
-    features = _task_features(model, images, model.tasks, counter, share_prefix=share_prefix)
+    features = _task_features(model, images, model.tasks, share_prefix=share_prefix)
     for components, feats in features:
         items = [(c, v, float(np.linalg.norm(v))) for c, v in store.task_items(components.task_id)]
         for q, (pred, feat) in enumerate(zip(preds, feats)):
@@ -142,9 +131,9 @@ def predict(
 ) -> Prediction:
     """:func:`predict_batch` for one image.
 
-    ``share_prefix=False`` recomputes the full stack per task; it exists to
-    demonstrate the shared-prefix path is an exact optimization, not an
-    approximation.
+    ``share_prefix=False`` scores with a shared prefix of length 0, so each
+    task runs all N blocks; it exists to show that the shared-prefix path is
+    an exact optimization, not an approximation.
     """
     return predict_batch(model, store, np.asarray(image)[None], share_prefix=share_prefix)[0]
 

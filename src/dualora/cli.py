@@ -80,14 +80,7 @@ def cmd_gradcheck(args) -> int:
             print(f"    {tag:14s} {err:.3e}")
     print(f"overall max rel error {report['max_rel_error']:.3e}")
     if args.out:
-        slim = {
-            **report,
-            "terms": {
-                t: {k: v for k, v in info.items() if k != "per_param"}
-                for t, info in report["terms"].items()
-            },
-        }
-        harness.atomic_write(args.out, json.dumps(slim, indent=2, sort_keys=True) + "\n")
+        harness.atomic_write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
     if not report["max_rel_error"] <= GRADCHECK_TOLERANCE:
         print(

@@ -527,7 +527,6 @@ def gradcheck(
         terms[term] = {
             "max_rel_error": rep.max_rel_error,
             "num_checked": rep.num_checked,
-            "per_param": rep.per_param,
             "per_group": per_group,
         }
         overall = max(overall, rep.max_rel_error)

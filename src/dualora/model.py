@@ -7,9 +7,7 @@ point (and therefore the early-exit readout) at block ``l``.
 
 Forward passes run on the autodiff tape. The teacher prefix and inference
 pass a frozen copy of the shared adapter, so with every task's components
-frozen they record no tape at all. A pass counter, when supplied, increments
-once per block that is executed with an adapter attached, which is what makes
-the shared prefix measurably cheaper at evaluation time.
+frozen they record no tape at all.
 """
 
 from __future__ import annotations
@@ -29,19 +27,8 @@ class TaskComponents:
     """Everything learned for one task that survives training."""
 
     task_id: int
-    classes: tuple[int, ...]
     specific: adp.Adapter | None
     block_weights: adp.BlockWeights | None
-
-
-@dataclass
-class PassCounter:
-    """Counts adapter-bearing block applications for one query."""
-
-    applications: int = 0
-
-    def bump(self) -> None:
-        self.applications += 1
 
 
 @dataclass
@@ -131,7 +118,6 @@ def run_blocks(
     *,
     task: TaskComponents | None = None,
     shared: adp.Adapter | None = None,
-    counter: PassCounter | None = None,
 ) -> bb.TokenState:
     """Apply a contiguous run of blocks with their routed adapter deltas.
 
@@ -160,14 +146,13 @@ def run_blocks(
         elif task is not None and task.specific is not None:
             deltas = _deltas(model, i, task.specific, mu)
         state = bb.block_forward(model.backbone, state, i, deltas, cls_only=i == model.num_blocks)
-        if deltas and counter is not None:
-            counter.bump()
     return state
 
 
 def run_prefix(model: ContinualModel, images: np.ndarray, k: int, **routing) -> bb.TokenState:
-    """Embed ``images`` and run blocks 1..k; ``routing`` (``task``, ``shared``,
-    ``counter``) is passed to :func:`run_blocks`."""
+    """Embed ``images`` and run blocks 1..k; ``routing`` (``task``,
+    ``shared``) is passed to :func:`run_blocks`. With ``k = 0`` this is the
+    embedded batch alone, so every block is left to the caller."""
     state = bb.patch_embed(images, model.backbone)
     return run_blocks(model, state, range(1, k + 1), **routing)
 
@@ -184,18 +169,16 @@ def forward_features(
     task: TaskComponents | None,
     *,
     collect_transition_cls: bool = False,
-    counter: PassCounter | None = None,
-    shared: adp.Adapter | None = None,
 ) -> ForwardResult:
     """Full forward: embed, prefix blocks 1..l, suffix blocks l+1..N, CLS."""
     l, n = model.position_l, model.num_blocks
-    state = run_prefix(model, images, l, task=task, shared=shared, counter=counter)
+    state = run_prefix(model, images, l, task=task)
     cls_at_l = None
     if collect_transition_cls:
         if l < 1:
             raise InvalidInputError("no transition readout exists at position 0")
         cls_at_l = bb.extract_cls(model.backbone, state)
-    state = run_blocks(model, state, range(l + 1, n + 1), task=task, shared=shared, counter=counter)
+    state = run_blocks(model, state, range(l + 1, n + 1), task=task)
     return ForwardResult(
         cls_final=bb.extract_cls(model.backbone, state),
         cls_at_l=cls_at_l,

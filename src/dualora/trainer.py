@@ -275,8 +275,6 @@ def make_optimizer(cfg: TrainConfig):
 
 @dataclass
 class TaskTrainResult:
-    task_id: int
-    components: mdl.TaskComponents
     epoch_log: list[dict]
     step_records: list[dict]
     duration_s: float
@@ -333,7 +331,6 @@ class TaskSession:
             )
         self.components = mdl.TaskComponents(
             task_id=self.t,
-            classes=tuple(task.classes),
             specific=specific,
             block_weights=weights,
         )
@@ -461,8 +458,6 @@ def train_task(
         epoch_log.append(entry)
     session.finish(store)
     return TaskTrainResult(
-        task_id=session.t,
-        components=session.components,
         epoch_log=epoch_log,
         step_records=step_records,
         duration_s=time.perf_counter() - started,

@@ -35,6 +35,22 @@ def micro():
     return build_micro()
 
 
+@pytest.fixture
+def adapter_blocks(monkeypatch):
+    """Block indices of every ``block_forward`` call that carries adapter
+    deltas, in call order; one call covers every image of its batch."""
+    calls = []
+    block_forward = bb.block_forward
+
+    def recording(backbone, state, i, deltas=None, **kwargs):
+        if deltas:
+            calls.append(i)
+        return block_forward(backbone, state, i, deltas, **kwargs)
+
+    monkeypatch.setattr(bb, "block_forward", recording)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def trained_micro():
     """A completed 2-task micro run; treat as read-only."""

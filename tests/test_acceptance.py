@@ -155,7 +155,7 @@ def test_06_zero_init_transparency():
             session.finish(store)
 
 
-def test_07_inference_cost_counter():
+def test_07_inference_cost_counter(adapter_blocks):
     with _report(7, "pass counter equals l + (N-l)t on every query; 126 vs 240 at the full-size shape"):
         stream, backbone, model, tcfg, task_rngs = desk_parts(DESK_FAST)
         store = clf.PrototypeStore()
@@ -165,8 +165,9 @@ def test_07_inference_cost_counter():
                 model.position_l, model.num_blocks, task.task_id
             )
             for img in task.test_images[:3]:
-                pred = clf.predict(model, store, img)
-                assert pred.counter.applications == expected
+                adapter_blocks.clear()
+                clf.predict(model, store, img)
+                assert len(adapter_blocks) == expected
         assert clf.adapter_pass_count(6, 12, 20) == 126
         assert clf.adapter_pass_count(0, 12, 20) == 240
 

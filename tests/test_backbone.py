@@ -152,7 +152,7 @@ class TestBlockForward:
         state = bb.patch_embed(img, backbone)
         assert state.tokens.shape == (1, 2, 4)  # 1 patch + CLS; take a manual 1-token path
 
-        x = state.tokens.value[0, :1]  # single row
+        x = state.tokens.value[:, :1]  # single row
         p = {k: backbone.param(f"block1.{k}").value for k in
              ("ln1.g", "ln1.b", "Wv", "bv", "Wo", "bo", "ln2.g", "ln2.b", "W1", "b1", "W2", "b2")}
 
@@ -170,9 +170,16 @@ class TestBlockForward:
         m = m * 0.5 * (1 + erf(m / np.sqrt(2)))
         expected = y + m @ p["W2"] + p["b2"]
 
-        single = bb.TokenState(tokens=ad.constant(x), block_index=0)
-        out = bb.block_forward(backbone, single, 1).tokens.value
-        assert np.allclose(out, expected, atol=1e-12)
+        # block_forward refuses a one-token state, so run its two sublayers
+        out = bb.mlp_sublayer(backbone, 1, bb.attention_sublayer(backbone, 1, ad.constant(x), {}))
+        assert np.allclose(out.value, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("cls_only", [False, True])
+    def test_unbatched_state_rejected(self, cls_only):
+        backbone, _, _ = _sublayer_setup(("q", "v"), False)
+        state = bb.TokenState(ad.constant(np.ones((5, 12))), 0)
+        with pytest.raises(ShapeError):
+            bb.block_forward(backbone, state, 1, cls_only=cls_only)
 
 
 class TestExtractCls:
@@ -347,7 +354,7 @@ class TestFusedSublayers:
     def test_one_node_per_sublayer_with_adapter_parents_only(self):
         backbone, specific, weights = _sublayer_setup(("q", "v"), True)
         specific.pairs[(1, "v")].down.trainable = False  # a frozen tensor is no parent
-        x = ad.leaf(ad.Parameter("x", np.ones((5, 12)), True, "head"))
+        x = ad.leaf(ad.Parameter("x", np.ones((1, 5, 12)), True, "head"))
         deltas = _attachments(specific, weights)
         state = bb.block_forward(backbone, bb.TokenState(x, 0), 1, deltas)
         mlp = state.tokens

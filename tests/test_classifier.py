@@ -122,15 +122,15 @@ class TestPredict:
         pred = clf.predict(model, probe, img)
         assert pred.scores[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_pass_counter_formula(self, trained_micro):
+    def test_pass_counter_formula(self, trained_micro, adapter_blocks):
         model, stream, store = (
             trained_micro["model"],
             trained_micro["stream"],
             trained_micro["store"],
         )
-        pred = clf.predict(model, store, stream.tasks[0].test_images[0])
+        clf.predict(model, store, stream.tasks[0].test_images[0])
         expected = clf.adapter_pass_count(model.position_l, model.num_blocks, len(model.tasks))
-        assert pred.counter.applications == expected
+        assert len(adapter_blocks) == expected
 
     def test_prefix_sharing_equivalence_bitwise(self, trained_micro):
         model, stream, store = (
@@ -146,6 +146,21 @@ class TestPredict:
             assert fast.class_id == slow.class_id
             for key in fast.scores:
                 assert fast.scores[key] == slow.scores[key]
+
+    def test_reference_shares_no_block(self, trained_micro, adapter_blocks):
+        model, stream, store = (
+            trained_micro["model"],
+            trained_micro["stream"],
+            trained_micro["store"],
+        )
+        l, n, t = model.position_l, model.num_blocks, len(model.tasks)
+        assert l >= 1
+        img = stream.tasks[0].test_images[0]
+        clf.predict(model, store, img, share_prefix=False)
+        assert len(adapter_blocks) == n * t
+        adapter_blocks.clear()
+        clf.predict(model, store, img, share_prefix=True)
+        assert len(adapter_blocks) == clf.adapter_pass_count(l, n, t)
 
     def test_prototype_scale_invariance_of_argmax(self, trained_micro):
         model, stream, store = (
@@ -312,11 +327,11 @@ class TestBatchedPath:
                     checked += 1
         assert checked == len(images) * len(store)
 
-    def test_batch_counter_reports_the_per_query_formula(self, trained_layout):
+    def test_batch_counter_reports_the_per_query_formula(self, trained_layout, adapter_blocks):
         model, store, images, _ = trained_layout
-        counter = clf.predict_batch(model, store, images)[0].counter
+        clf.predict_batch(model, store, images)
         expected = clf.adapter_pass_count(model.shared_prefix, model.num_blocks, len(model.tasks))
-        assert counter.applications == expected
+        assert len(adapter_blocks) == expected
 
 
 class TestInferenceRecordsNoTape:

@@ -75,19 +75,17 @@ class TestRunPrefix:
 
 
 class TestCounter:
-    def test_counts_only_adapter_bearing_blocks(self):
+    def test_counts_only_adapter_bearing_blocks(self, adapter_blocks):
         stream, _, model, tcfg = build_micro()
-        counter = mdl.PassCounter()
         img = stream.tasks[0].train_images[0]
-        mdl.forward_features(model, img, None, counter=counter)
-        assert counter.applications == 1  # only the shared block carries a delta
+        mdl.forward_features(model, img, None)
+        assert len(adapter_blocks) == 1  # only the shared block carries a delta
 
-    def test_full_forward_counts_all_blocks(self, trained_micro):
+    def test_full_forward_counts_all_blocks(self, trained_micro, adapter_blocks):
         model = trained_micro["model"]
-        counter = mdl.PassCounter()
         img = trained_micro["stream"].tasks[0].train_images[0]
-        mdl.forward_features(model, img, model.components_for(1), counter=counter)
-        assert counter.applications == model.num_blocks
+        mdl.forward_features(model, img, model.components_for(1))
+        assert len(adapter_blocks) == model.num_blocks
 
 
 class TestTeacherPrefix:
@@ -116,11 +114,12 @@ class TestTeacherPrefix:
 
 
 class TestFlippedForward:
-    def test_flip_trains_and_predicts(self):
+    def test_flip_trains_and_predicts(self, adapter_blocks):
         stream, _, model, tcfg = build_micro(train_overrides={"flip_positions": True})
         store = clf.PrototypeStore()
         for task in stream.tasks:
             tr.train_task(model, store, task, tcfg, nm.make_rng(task.task_id))
-        pred = clf.predict(model, store, stream.tasks[0].test_images[0])
+        adapter_blocks.clear()
+        clf.predict(model, store, stream.tasks[0].test_images[0])
         # nothing shareable: every task re-runs all blocks
-        assert pred.counter.applications == model.num_blocks * len(model.tasks)
+        assert len(adapter_blocks) == model.num_blocks * len(model.tasks)
