@@ -14,10 +14,12 @@ Token tensors are batched, ``(batch, tokens, features)``, and a CLS readout
 is ``(batch, features)``; weight matrices are stored ``(in, out)`` and
 applied on the right.
 
-The op set here is what the loss terms, the classifier head and the CLS
-readout need. Larger pieces of the model (a transformer block's attention
-and MLP sublayers) are single nodes made with :func:`node` and a hand-written
-backward, so a block costs two nodes however many array operations it runs.
+The tape holds leaves and fused nodes only. Each fused node is made with
+:func:`node` and a hand-written backward, however many array operations it
+runs: a transformer block's attention and MLP sublayers, the CLS readout,
+each loss term with the classifier head inside it, and the softplus that
+maps block-weight parameters to their positive scales. So a block costs two
+nodes and a loss term one.
 """
 
 from __future__ import annotations
@@ -100,10 +102,6 @@ def leaf(param: Parameter) -> Tensor:
     return Tensor(param.value, requires_grad=param.trainable, param=param)
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def node(value, parents: Sequence[Tensor], bwd) -> Tensor:
     """A tape node with a hand-written backward.
 
@@ -118,151 +116,8 @@ def node(value, parents: Sequence[Tensor], bwd) -> Tensor:
     return Tensor(value)
 
 
-def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
-    """Sum a gradient back down to the shape it was broadcast from."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-# ---------------------------------------------------------------------------
-# elementwise and structural ops
-# ---------------------------------------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    va, vb = a.value, b.value
-
-    def bwd(g, needs):
-        return (
-            _unbroadcast(g, va.shape) if needs[0] else None,
-            _unbroadcast(g, vb.shape) if needs[1] else None,
-        )
-
-    return node(va + vb, (a, b), bwd)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    va, vb = a.value, b.value
-
-    def bwd(g, needs):
-        return (
-            _unbroadcast(g * vb, va.shape) if needs[0] else None,
-            _unbroadcast(g * va, vb.shape) if needs[1] else None,
-        )
-
-    return node(va * vb, (a, b), bwd)
-
-
-def scale(a, c: float) -> Tensor:
-    a = _wrap(a)
-    c = float(c)
-
-    def bwd(g, needs):
-        return (g * c if needs[0] else None,)
-
-    return node(a.value * c, (a,), bwd)
-
-
-def neg(a) -> Tensor:
-    return scale(a, -1.0)
-
-
-def matmul(a, b) -> Tensor:
-    """Weight application ``(..., n, m) @ (m, p)``."""
-    a, b = _wrap(a), _wrap(b)
-    va, vb = a.value, b.value
-    if va.ndim < 2 or vb.ndim != 2:
-        raise GraphError(f"matmul needs (..., n, m) @ (m, p), got {va.shape} @ {vb.shape}")
-    if va.shape[-1] != vb.shape[0]:
-        raise GraphError(f"matmul shape mismatch: {va.shape} @ {vb.shape}")
-
-    def bwd(g, needs):
-        ga = g @ vb.T if needs[0] else None
-        gb = None
-        if needs[1]:
-            gb = va.reshape(-1, va.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        return (ga, gb)
-
-    return node(va @ vb, (a, b), bwd)
-
-
-def take_row(a, idx: int) -> Tensor:
-    """Select one row along the token axis: ``(batch, n, d) -> (batch, d)``."""
-    a = _wrap(a)
-
-    def bwd(g, needs):
-        if not needs[0]:
-            return (None,)
-        out = np.zeros_like(a.value)
-        out[..., idx, :] = g
-        return (out,)
-
-    return node(a.value[..., idx, :], (a,), bwd)
-
-
-def gather_labels(a, labels: np.ndarray) -> Tensor:
-    """Pick ``a[i, labels[i]]`` from a 2-D array, yielding a 1-D vector."""
-    a = _wrap(a)
-    if a.value.ndim != 2:
-        raise GraphError(f"gather_labels expects 2-D, got shape {a.shape}")
-    rows = np.arange(a.value.shape[0])
-
-    def bwd(g, needs):
-        if not needs[0]:
-            return (None,)
-        out = np.zeros_like(a.value)
-        out[rows, labels] = g
-        return (out,)
-
-    return node(a.value[rows, labels], (a,), bwd)
-
-
-def sum_all(a) -> Tensor:
-    a = _wrap(a)
-    shape = a.value.shape
-
-    def bwd(g, needs):
-        return (np.broadcast_to(g, shape).copy() if needs[0] else None,)
-
-    return node(a.value.sum(), (a,), bwd)
-
-
-def mean_all(a) -> Tensor:
-    a = _wrap(a)
-    n = a.value.size
-    return scale(sum_all(a), 1.0 / n)
-
-
-def sum_last(a) -> Tensor:
-    a = _wrap(a)
-
-    def bwd(g, needs):
-        if not needs[0]:
-            return (None,)
-        return (np.broadcast_to(g[..., None], a.value.shape).copy(),)
-
-    return node(a.value.sum(axis=-1), (a,), bwd)
-
-
-def abs_(a) -> Tensor:
-    a = _wrap(a)
-    s = np.sign(a.value)
-
-    def bwd(g, needs):
-        return (g * s if needs[0] else None,)
-
-    return node(np.abs(a.value), (a,), bwd)
-
-
-def softplus(a) -> Tensor:
-    a = _wrap(a)
+def softplus(a: Tensor) -> Tensor:
+    """``log(1 + exp(a))`` elementwise, as one node."""
     v = a.value
     out = np.logaddexp(0.0, v)
     with np.errstate(over="ignore"):  # exp(-v) is inf below v = -709; sig is then 0.0
@@ -294,35 +149,6 @@ def layer_norm_input_grad(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray, inv
     return inv * (
         gl - gl.mean(axis=-1, keepdims=True) - xhat * (gl * xhat).mean(axis=-1, keepdims=True)
     )
-
-
-def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
-    """Normalize over the last axis, then apply elementwise gain and bias."""
-    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    out, xhat, inv = layer_norm_values(x.value, gain.value, bias.value, eps)
-
-    def bwd(g, needs):
-        gx = layer_norm_input_grad(g, gain.value, xhat, inv) if needs[0] else None
-        ggain = _unbroadcast(g * xhat, gain.value.shape) if needs[1] else None
-        gbias = _unbroadcast(g, bias.value.shape) if needs[2] else None
-        return (gx, ggain, gbias)
-
-    return node(out, (x, gain, bias), bwd)
-
-
-def log_softmax_last(x) -> Tensor:
-    x = _wrap(x)
-    v = x.value
-    z = v - v.max(axis=-1, keepdims=True)
-    ls = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    y = np.exp(ls)
-
-    def bwd(g, needs):
-        if not needs[0]:
-            return (None,)
-        return (g - y * g.sum(axis=-1, keepdims=True),)
-
-    return node(ls, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -361,8 +361,16 @@ def block_forward(
 
 
 def extract_cls(backbone: Backbone, state: TokenState) -> ad.Tensor:
-    """Final layer norm, then the CLS row: ``(batch, d)``."""
-    normed = ad.layer_norm(
-        state.tokens, backbone.param("lnf.g").value, backbone.param("lnf.b").value
-    )
-    return ad.take_row(normed, 0)
+    """Final layer norm of the CLS rows alone, as one node: ``(batch, d)``."""
+    x = state.tokens
+    gain = backbone.param("lnf.g").value
+    out, xhat, inv = ad.layer_norm_values(x.value[:, 0, :], gain, backbone.param("lnf.b").value)
+
+    def bwd(g, needs):
+        # the other rows read nothing; with the frozen positive gain, a layer
+        # norm of every token gave them exactly +0.0 as well
+        g_x = np.zeros_like(x.value)
+        g_x[:, 0, :] = ad.layer_norm_input_grad(g, gain, xhat, inv)
+        return (g_x,)
+
+    return ad.node(out, (x,), bwd)

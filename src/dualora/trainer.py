@@ -87,10 +87,11 @@ class Head:
     W: ad.Parameter
     b: ad.Parameter
 
-    def logits(self, cls: ad.Tensor) -> ad.Tensor:
-        return ad.add(ad.matmul(cls, ad.leaf(self.W)), ad.leaf(self.b))
-
     def logits_value(self, cls_value: np.ndarray) -> np.ndarray:
+        if cls_value.shape[-1:] != self.W.value.shape[:1]:
+            raise ShapeError(
+                f"CLS readout {cls_value.shape} does not fit head {self.W.value.shape}"
+            )
         return cls_value @ self.W.value + self.b.value
 
     def parameters(self) -> list[ad.Parameter]:
@@ -116,18 +117,55 @@ def init_head(width: int, num_classes: int, task_id: int, rng: np.random.Generat
 # ---------------------------------------------------------------------------
 
 
-def local_ce_loss(logits, labels) -> ad.Tensor:
-    """Mean cross-entropy of logits (b, C) against local class indices."""
-    logits = logits if isinstance(logits, ad.Tensor) else ad.constant(logits)
+def _log_softmax(v: np.ndarray) -> np.ndarray:
+    z = v - v.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _log_softmax_grad(g: np.ndarray, logp: np.ndarray) -> np.ndarray:
+    return g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
+
+
+def _head_grads(g: np.ndarray, x: np.ndarray, head: Head, needs) -> tuple:
+    """Gradients of ``x @ W + b`` with respect to ``x``, ``W`` and ``b``."""
+    return (
+        g @ head.W.value.T if needs[0] else None,
+        x.reshape(-1, x.shape[-1]).T @ g if needs[1] else None,
+        g.sum(axis=0) if needs[2] else None,
+    )
+
+
+def _as_tensor(x) -> ad.Tensor:
+    return x if isinstance(x, ad.Tensor) else ad.constant(x)
+
+
+def local_ce_loss(cls, head: Head, labels) -> ad.Tensor:
+    """Mean cross-entropy of the head's logits of ``cls`` (b, d) against
+    local class indices, as one node."""
+    cls = _as_tensor(cls)
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    n_classes = logits.value.shape[-1]
+    n_classes = head.W.value.shape[-1]
     if labels.min() < 0 or labels.max() >= n_classes:
         raise InvalidInputError(
             f"labels must lie in [0, {n_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    logp = ad.log_softmax_last(logits)
-    return ad.neg(ad.mean_all(ad.gather_labels(logp, labels)))
+    x = cls.value
+    if x.ndim != 2:
+        raise ShapeError(f"CLS readout must be (batch, width), got {x.shape}")
+    if labels.shape != (x.shape[0],):
+        raise ShapeError(f"{labels.size} labels for a batch of {x.shape[0]}")
+    n = labels.shape[0]
+    rows = np.arange(n)
+    logp = _log_softmax(head.logits_value(x))
+    value = logp[rows, labels].sum() * (1.0 / n) * -1.0
+
+    def bwd(g, needs):
+        gp = np.zeros_like(logp)
+        gp[rows, labels] = g * -1.0 * (1.0 / n)
+        return _head_grads(_log_softmax_grad(gp, logp), x, head, needs)
+
+    return ad.node(value, (cls, ad.leaf(head.W), ad.leaf(head.b)), bwd)
 
 
 def kd_target(head: Head, teacher_cls: np.ndarray, tau: float) -> np.ndarray:
@@ -142,7 +180,8 @@ def kd_target(head: Head, teacher_cls: np.ndarray, tau: float) -> np.ndarray:
 def kd_loss(
     student_cls, teacher_cls, head: Head, tau: float, *, target: np.ndarray | None = None
 ) -> ad.Tensor:
-    """Soft cross-entropy between temperature-softened class distributions.
+    """Soft cross-entropy between temperature-softened class distributions,
+    as one node.
 
     The target is a constant (either precomputed or derived here from the
     teacher readout), so gradient flows only through the student branch.
@@ -151,32 +190,50 @@ def kd_loss(
         raise ProtocolError("distillation needs a previous task; none exists yet")
     if tau <= 0:
         raise InvalidInputError(f"temperature must be positive, got {tau}")
-    student_cls = student_cls if isinstance(student_cls, ad.Tensor) else ad.constant(student_cls)
+    student_cls = _as_tensor(student_cls)
+    x = student_cls.value
     if target is None:
         teacher_cls = np.asarray(teacher_cls, dtype=np.float64)
-        if teacher_cls.shape != student_cls.value.shape:
+        if teacher_cls.shape != x.shape:
             raise ShapeError(
-                f"teacher readout {teacher_cls.shape} does not match student "
-                f"{student_cls.value.shape}"
+                f"teacher readout {teacher_cls.shape} does not match student {x.shape}"
             )
         target = kd_target(head, teacher_cls, tau)
-    student_logp = ad.log_softmax_last(ad.scale(head.logits(student_cls), 1.0 / tau))
-    per_sample = ad.sum_last(ad.mul(ad.constant(target), student_logp))
-    return ad.neg(ad.mean_all(per_sample))
+    c = 1.0 / tau
+    logp = _log_softmax(head.logits_value(x) * c)
+    if target.shape != logp.shape:
+        raise ShapeError(f"distillation target {target.shape} does not match logits {logp.shape}")
+    n = logp.shape[0]
+    value = (target * logp).sum(axis=-1).sum() * (1.0 / n) * -1.0
+
+    def bwd(g, needs):
+        gl = (g * -1.0 * (1.0 / n)) * target
+        return _head_grads(_log_softmax_grad(gl, logp) * c, x, head, needs)
+
+    return ad.node(value, (student_cls, ad.leaf(head.W), ad.leaf(head.b)), bwd)
 
 
 def orth_loss(mu: ad.Tensor, previous: list[np.ndarray]) -> ad.Tensor:
     """Sum of absolute overlaps between this task's block-weight vector and
-    each earlier task's (earlier vectors are constants)."""
-    total = ad.constant(0.0)
+    each earlier task's (earlier vectors are constants), as one node."""
+    previous = [np.asarray(p, dtype=np.float64) for p in previous]
     for prev in previous:
-        prev = np.asarray(prev, dtype=np.float64)
         if prev.shape != mu.value.shape:
             raise ShapeError(
                 f"block-weight vectors differ in length: {prev.shape} vs {mu.value.shape}"
             )
-        total = ad.add(total, ad.abs_(ad.sum_all(ad.mul(mu, ad.constant(prev)))))
-    return total
+    dots = [(mu.value * prev).sum() for prev in previous]
+    value = sum(np.abs(dot) for dot in dots)
+
+    def bwd(g, needs):
+        # summed in the order of ``previous``, as the op-by-op tape did
+        g_mu = None
+        for dot, prev in zip(dots, previous):
+            term = (g * np.sign(dot)) * prev
+            g_mu = term if g_mu is None else g_mu + term
+        return (g_mu,)
+
+    return ad.node(value, (mu,), bwd)
 
 
 def reassign_gradient(kd_grad: np.ndarray, prev_row_norms: np.ndarray) -> np.ndarray:
@@ -384,7 +441,7 @@ class TaskSession:
         result = mdl.forward_features(
             self.model, images, self.components, collect_transition_cls=self.kd_active
         )
-        ce = local_ce_loss(self.head.logits(result.cls_final), labels_local)
+        ce = local_ce_loss(result.cls_final, self.head, labels_local)
         kd = None
         if self.kd_active:
             target = pinned_kd_target

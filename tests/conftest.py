@@ -1,11 +1,21 @@
+import numpy as np
 import pytest
+from hypothesis import settings
 
+from dualora import autodiff as ad
 from dualora import backbone as bb
 from dualora import classifier as clf
 from dualora import model as mdl
 from dualora import numerics as nm
 from dualora import streams as st
 from dualora import trainer as tr
+
+# derandomized and without an example database, property tests draw the same
+# examples on every run and leave nothing behind
+settings.register_profile(
+    "dualora", derandomize=True, database=None, deadline=None, max_examples=30
+)
+settings.load_profile("dualora")
 
 MICRO_BACKBONE = dict(num_blocks=2, width=16, heads=2, image_side=8, patch_side=4, channels=1)
 MICRO_TRAIN = dict(rank=2, position_l=1, epochs=3, batch_size=4, learning_rate=3e-4)
@@ -28,6 +38,13 @@ def build_micro(seed=0, *, num_classes=4, num_tasks=2, train_per_class=6, test_p
         shared_down_init=tcfg.shared_down_init,
     )
     return stream, backbone, model, tcfg
+
+
+def project(t: ad.Tensor, c) -> ad.Tensor:
+    """``sum(c * t)`` as one node: a scalar whose gradient with respect to
+    ``t`` is ``c``, which reduces any node to a scalar for a gradient check."""
+    c = np.broadcast_to(np.asarray(c, dtype=np.float64), t.value.shape)
+    return ad.node((c * t.value).sum(), (t,), lambda g, needs: (g * c,))
 
 
 @pytest.fixture

@@ -140,12 +140,12 @@ def test_06_zero_init_transparency():
         for task, rng_task in zip(stream.tasks, task_rngs):
             session = tr.TaskSession(model, task, tcfg, rng_task)
             images = task.train_images[: tcfg.batch_size]
-            with_task = session.head.logits(
-                mdl.forward_features(model, images, session.components).cls_final
-            ).value
-            without = session.head.logits(
-                mdl.forward_features(model, images, None).cls_final
-            ).value
+            with_task = session.head.logits_value(
+                mdl.forward_features(model, images, session.components).cls_final.value
+            )
+            without = session.head.logits_value(
+                mdl.forward_features(model, images, None).cls_final.value
+            )
             assert np.array_equal(with_task, without), f"task {task.task_id}"
             # now actually train so the next task sees realistic state
             optimizer = tr.make_optimizer(tcfg)

@@ -3,7 +3,10 @@ import pytest
 
 from dualora import autodiff as ad
 from dualora import numerics as nm
+from dualora import trainer as tr
 from dualora.errors import DeterminismError, GraphError, InvalidInputError
+
+from conftest import project
 
 
 def _param(name, value, trainable=True, tag="head"):
@@ -24,32 +27,59 @@ class TestParameter:
         assert p.value.dtype == np.float64
 
 
+def _product(a, b):
+    """``a * b`` elementwise, as one node."""
+    return ad.node(a.value * b.value, (a, b), lambda g, needs: (g * b.value, g * a.value))
+
+
+def _matmul(a, b):
+    """``a @ b`` for 2-D operands, as one node."""
+    return ad.node(a.value @ b.value, (a, b), lambda g, needs: (g @ b.value.T, a.value.T @ g))
+
+
+def _weighted_sum(parts):
+    """``sum(w * t)`` over ``(tensor, weight)`` pairs of one shape, as one node."""
+    value = sum(w * t.value for t, w in parts)
+    parents = tuple(t for t, _ in parts)
+    return ad.node(value, parents, lambda g, needs: tuple(g * w for _, w in parts))
+
+
 class TestBackward:
     def test_quadratic_gradient_is_value(self):
         p = _param("p", [[1.0, -2.0], [0.5, 4.0]])
         t = ad.leaf(p)
-        loss = ad.scale(ad.sum_all(ad.mul(t, t)), 0.5)
+        loss = project(_product(t, t), 0.5)
         grads = ad.backward(loss)
         assert np.allclose(grads["p"], p.value, atol=1e-14)
 
     def test_independent_parameter_gets_no_entry(self):
         p = _param("p", [1.0, 2.0])
         q = _param("q", [3.0])
-        loss = ad.sum_all(ad.mul(ad.leaf(p), ad.leaf(p)))
+        loss = project(_product(ad.leaf(p), ad.leaf(p)), 1.0)
         bundle = ad.backward_per_term({"ce": loss}, [p, q])
         assert not bundle.has_entry("ce", "q")
         assert np.array_equal(bundle.grad("ce", "q"), np.zeros(1))
 
     def test_frozen_leaf_gets_no_gradient(self):
         p = _param("p", [2.0], trainable=False)
-        loss = ad.sum_all(ad.mul(ad.leaf(p), ad.leaf(p)))
+        loss = project(_product(ad.leaf(p), ad.leaf(p)), 1.0)
         assert ad.backward(loss) == {}
 
     def test_reused_parameter_accumulates(self):
         p = _param("p", [3.0])
-        loss = ad.sum_all(ad.add(ad.leaf(p), ad.leaf(p)))
+        loss = project(_weighted_sum([(ad.leaf(p), 1.0), (ad.leaf(p), 1.0)]), 1.0)
         grads = ad.backward(loss)
         assert np.array_equal(grads["p"], [2.0])
+
+    def test_parents_run_after_every_consumer(self):
+        # h feeds two nodes, one of them through a chain; its backward must
+        # see the sum of both before passing a gradient on to p
+        p = _param("p", [1.5, -0.5])
+        h = _product(ad.leaf(p), ad.leaf(p))
+        longer = _weighted_sum([(_weighted_sum([(h, 2.0)]), 3.0)])
+        loss = project(_weighted_sum([(h, 1.0), (longer, 1.0)]), 1.0)
+        grads = ad.backward(loss)
+        assert np.array_equal(grads["p"], 7.0 * 2.0 * p.value)
 
     def test_non_scalar_root_rejected(self):
         p = _param("p", [1.0, 2.0])
@@ -58,107 +88,80 @@ class TestBackward:
 
     def test_unknown_term_rejected(self):
         p = _param("p", [1.0])
-        loss = ad.sum_all(ad.leaf(p))
+        loss = project(ad.leaf(p), 1.0)
         with pytest.raises(GraphError):
             ad.backward_per_term({"extra": loss}, [p])
 
     def test_duplicate_parameter_name_rejected(self):
         p1, p2 = _param("p", [1.0]), _param("p", [2.0])
-        loss = ad.sum_all(ad.leaf(p1))
+        loss = project(ad.leaf(p1), 1.0)
         with pytest.raises(GraphError):
             ad.backward_per_term({"ce": loss}, [p1, p2])
 
 
 class TestOpGradients:
-    """Central finite differences as the oracle for each primitive."""
+    """Central finite differences as the oracle for softplus and the layer-norm
+    helpers the fused nodes use."""
 
     def _check(self, build, params, tol=1e-6):
         rep = ad.finite_difference_check(build, params, step=1e-5)
         assert rep.max_rel_error <= tol, rep.per_param
 
-    def test_matmul_weight(self):
-        rng = nm.make_rng(0)
-        w = _param("w", rng.standard_normal((4, 3)))
-        x = rng.standard_normal((2, 5, 4))
-        self._check(lambda: ad.sum_all(ad.mul(t := ad.matmul(ad.constant(x), ad.leaf(w)), t)), [w])
-
     def test_layer_norm(self):
         rng = nm.make_rng(2)
         x = _param("x", rng.standard_normal((3, 6)))
-        g = _param("g", rng.uniform(0.5, 1.5, 6))
-        b = _param("b", rng.standard_normal(6))
-        self._check(
-            lambda: ad.sum_all(
-                ad.mul(t := ad.layer_norm(ad.leaf(x), ad.leaf(g), ad.leaf(b)), t)
-            ),
-            [x, g, b],
-            tol=1e-5,
-        )
+        gain, bias = rng.uniform(0.5, 1.5, 6), rng.standard_normal(6)
+        c = rng.standard_normal((3, 6))
 
-    def test_log_softmax(self):
-        rng = nm.make_rng(3)
-        x = _param("x", rng.standard_normal((4, 5)))
-        c = rng.uniform(0.2, 1.0, (4, 5))
-        self._check(
-            lambda: ad.sum_all(ad.mul(ad.constant(c), ad.log_softmax_last(ad.leaf(x)))), [x]
-        )
+        def closure():
+            t = ad.leaf(x)
+            out, xhat, inv = ad.layer_norm_values(t.value, gain, bias)
+            normed = ad.node(
+                out, (t,), lambda g, needs: (ad.layer_norm_input_grad(g, gain, xhat, inv),)
+            )
+            return project(normed, c)
 
-    def test_softplus_abs(self):
+        self._check(closure, [x], tol=1e-5)
+
+    def test_softplus(self):
         rng = nm.make_rng(4)
         x = _param("x", rng.standard_normal(12) * 2)
-        self._check(lambda: ad.sum_all(ad.softplus(ad.leaf(x))), [x])
-        self._check(lambda: ad.sum_all(ad.abs_(ad.leaf(x))), [x])
+        self._check(lambda: project(ad.softplus(ad.leaf(x)), 1.0), [x])
 
     def test_softplus_slope_far_below_zero_is_zero(self):
         v = np.array([-1000.0, -3.0, 0.0, 0.5, 40.0])
         x = _param("x", v)
-        grads = ad.backward(ad.sum_all(ad.softplus(ad.leaf(x))))  # any warning fails the test
+        grads = ad.backward(project(ad.softplus(ad.leaf(x)), 1.0))  # any warning fails the test
         assert grads["x"][0] == 0.0
         assert np.array_equal(grads["x"][1:], 1.0 / (1.0 + np.exp(-v[1:])))
 
-    def test_row_selection(self):
-        rng = nm.make_rng(6)
-        x = _param("x", rng.standard_normal((3, 5, 4)))
-        self._check(lambda: ad.sum_all(ad.take_row(ad.leaf(x), 0)), [x])
 
-    def test_gather_labels(self):
-        rng = nm.make_rng(7)
-        x = _param("x", rng.standard_normal((4, 3)))
-        labels = np.array([0, 2, 1, 2])
-        self._check(
-            lambda: ad.mean_all(ad.gather_labels(ad.log_softmax_last(ad.leaf(x)), labels)), [x]
-        )
-
-    def test_broadcast_add_and_mul(self):
-        rng = nm.make_rng(8)
-        b = _param("b", rng.standard_normal(4))
-        s = _param("s", rng.standard_normal(()))
-        x = rng.standard_normal((3, 5, 4))
-        self._check(lambda: ad.sum_all(ad.add(ad.constant(x), ad.leaf(b))), [b])
-        self._check(lambda: ad.sum_all(ad.mul(ad.leaf(s), ad.constant(x))), [s])
+def _toy_terms(x, w1, w2, mu, frozen):
+    """Three scalar terms on one tape: ce reaches w1 and w2, kd reaches w1
+    only, and orth reaches mu only."""
+    h1 = ad.softplus(_matmul(ad.constant(x), ad.leaf(w1)))
+    logits = _matmul(h1, ad.leaf(w2))
+    weights = np.linspace(-1.0, 1.0, logits.value.size).reshape(logits.shape)
+    ce = project(ad.softplus(logits), weights)
+    kd = project(_product(h1, h1), 1.0 / h1.value.size)
+    orth = project(ad.softplus(_product(ad.leaf(mu), ad.leaf(frozen))), 1.0)
+    return {"ce": ce, "kd": kd, "orth": orth}
 
 
 class TestAttribution:
     def _toy_losses(self):
         rng = nm.make_rng(10)
-        self_w1 = _param("w1", rng.standard_normal((3, 3)), tag="shared-up")
-        self_w2 = _param("w2", rng.standard_normal((3, 2)), tag="specific-up")
-        self_mu = _param("mu", rng.uniform(0.5, 1.5, 2), tag="block-weight")
-        x = ad.constant(rng.standard_normal((4, 3)))
-        h1 = ad.softplus(ad.matmul(x, ad.leaf(self_w1)))
-        logits = ad.matmul(h1, ad.leaf(self_w2))
-        ce = ad.neg(ad.mean_all(ad.gather_labels(ad.log_softmax_last(logits), np.array([0, 1, 0, 1]))))
-        kd = ad.mean_all(ad.mul(h1, h1))  # touches w1 only
-        orth = ad.abs_(ad.sum_all(ad.mul(ad.leaf(self_mu), ad.constant(np.array([1.0, 0.5])))))
-        return (self_w1, self_w2, self_mu), {"ce": ce, "kd": kd, "orth": orth}
+        w1 = _param("w1", rng.standard_normal((3, 3)), tag="shared-up")
+        w2 = _param("w2", rng.standard_normal((3, 2)), tag="specific-up")
+        mu = _param("mu", rng.uniform(0.5, 1.5, 2), tag="block-weight")
+        frozen = _param("f", np.array([1.0, 0.5]), trainable=False)
+        x = rng.standard_normal((4, 3))
+        return (w1, w2, mu), _toy_terms(x, w1, w2, mu, frozen)
 
     def test_additivity_of_bundles(self):
         params, losses = self._toy_losses()
         lam1, lam2 = 5.0, 1e-4
-        total = ad.add(
-            ad.add(losses["ce"], ad.scale(losses["kd"], lam1)),
-            ad.scale(losses["orth"], lam2),
-        )
+        total = _weighted_sum([(losses["ce"], 1.0), (losses["kd"], lam1), (losses["orth"], lam2)])
         combined = ad.backward(total)
         bundle = ad.backward_per_term(losses, list(params))
         for p in params:
@@ -189,29 +192,24 @@ class TestFiniteDifferenceCheck:
     def test_linear_model_near_exact(self):
         w = _param("w", [0.7, -1.3, 2.0])
         x = np.array([1.5, 0.5, -2.0])
-        rep = ad.finite_difference_check(
-            lambda: ad.sum_all(ad.mul(ad.leaf(w), ad.constant(x))), [w], step=1e-5
-        )
+        rep = ad.finite_difference_check(lambda: project(ad.leaf(w), x), [w], step=1e-5)
         assert rep.max_rel_error <= 1e-10
 
     def test_softmax_cross_entropy_head(self):
         rng = nm.make_rng(20)
-        w = _param("w", rng.standard_normal((4, 3)))
+        head = tr.Head(_param("w", rng.standard_normal((4, 3))), _param("b", np.zeros(3)))
         x = rng.standard_normal((6, 4))
         labels = rng.integers(0, 3, 6)
-
-        def closure():
-            logits = ad.matmul(ad.constant(x), ad.leaf(w))
-            return ad.neg(ad.mean_all(ad.gather_labels(ad.log_softmax_last(logits), labels)))
-
-        rep = ad.finite_difference_check(closure, [w], step=1e-5)
+        rep = ad.finite_difference_check(
+            lambda: tr.local_ce_loss(x, head, labels), head.parameters(), step=1e-5
+        )
         assert rep.max_rel_error <= 1e-6
 
     def test_frozen_parameter_skipped(self):
         w = _param("w", [1.0, 2.0])
         frozen = _param("f", [[3.0]], trainable=False)
         rep = ad.finite_difference_check(
-            lambda: ad.sum_all(ad.mul(ad.leaf(w), ad.leaf(w))), [w, frozen], step=1e-5
+            lambda: project(_product(ad.leaf(w), ad.leaf(w)), 1.0), [w, frozen], step=1e-5
         )
         assert rep.num_checked == 2
         assert "f" not in rep.per_param
@@ -221,7 +219,7 @@ class TestFiniteDifferenceCheck:
         w = _param("w", [1.0])
 
         def closure():
-            return ad.sum_all(ad.mul(ad.leaf(w), ad.constant(rng.standard_normal(1))))
+            return project(ad.leaf(w), rng.standard_normal(1))
 
         with pytest.raises(DeterminismError):
             ad.finite_difference_check(closure, [w])
@@ -229,14 +227,14 @@ class TestFiniteDifferenceCheck:
     def test_bad_step_rejected(self):
         w = _param("w", [1.0])
         with pytest.raises(InvalidInputError):
-            ad.finite_difference_check(lambda: ad.sum_all(ad.leaf(w)), [w], step=0.0)
+            ad.finite_difference_check(lambda: project(ad.leaf(w), 1.0), [w], step=0.0)
 
     def test_check_leaves_parameters_bit_identical(self):
         rng = nm.make_rng(30)
         w = _param("w", rng.standard_normal((3, 3)))
         before = w.byte_hash()
         ad.finite_difference_check(
-            lambda: ad.sum_all(ad.softplus(ad.mul(ad.leaf(w), ad.leaf(w)))), [w], step=1e-5
+            lambda: project(ad.softplus(_product(ad.leaf(w), ad.leaf(w))), 1.0), [w], step=1e-5
         )
         assert w.byte_hash() == before
 
@@ -248,7 +246,7 @@ class TestFiniteDifferenceCheck:
             calls.append(w.value.copy())
             if len(calls) > 2:  # the two determinism calls pass, the first perturbed one fails
                 raise RuntimeError("forward failed")
-            return ad.sum_all(ad.leaf(w))
+            return project(ad.leaf(w), 1.0)
 
         with pytest.raises(RuntimeError):
             ad.finite_difference_check(closure, [w], step=1e-3)
@@ -265,15 +263,9 @@ def _three_term_closure():
     mu = _param("mu", rng.uniform(0.5, 1.5, 2), tag="block-weight")
     frozen = _param("f", rng.standard_normal(2), trainable=False)
     x = rng.standard_normal((4, 3))
-    labels = np.array([0, 1, 0, 1])
 
     def closure():
-        h1 = ad.softplus(ad.matmul(ad.constant(x), ad.leaf(w1)))
-        logits = ad.matmul(h1, ad.leaf(w2))
-        ce = ad.neg(ad.mean_all(ad.gather_labels(ad.log_softmax_last(logits), labels)))
-        kd = ad.mean_all(ad.mul(h1, h1))
-        orth = ad.sum_all(ad.softplus(ad.mul(ad.leaf(mu), ad.leaf(frozen))))
-        return {"ce": ce, "kd": kd, "orth": orth, "unused": None}
+        return {**_toy_terms(x, w1, w2, mu, frozen), "unused": None}
 
     return [w1, w2, mu, frozen], closure
 

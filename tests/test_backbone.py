@@ -7,6 +7,8 @@ from dualora import backbone as bb
 from dualora import numerics as nm
 from dualora.errors import ConfigError, ShapeError
 
+from conftest import project
+
 
 def small_cfg(**kw):
     base = dict(num_blocks=2, width=16, heads=2, image_side=8, patch_side=4, channels=1)
@@ -314,7 +316,7 @@ class TestFusedSublayers:
             out = bb.attention_sublayer(
                 backbone, 1, ad.leaf(x), _attachments(specific, weights)
             )
-            return ad.sum_all(ad.mul(ad.constant(c), out))
+            return project(out, c)
 
         rep = ad.finite_difference_check(closure, params, step=1e-5)
         assert rep.num_checked == sum(p.size for p in params)
@@ -328,7 +330,7 @@ class TestFusedSublayers:
         c = rng.standard_normal(TOKEN_SHAPES[tokens])
 
         def closure():
-            return ad.sum_all(ad.mul(ad.constant(c), bb.mlp_sublayer(backbone, 1, ad.leaf(x))))
+            return project(bb.mlp_sublayer(backbone, 1, ad.leaf(x)), c)
 
         rep = ad.finite_difference_check(closure, [x], step=1e-5)
         assert rep.max_rel_error <= 1e-5, rep.per_param
@@ -405,7 +407,7 @@ class TestReadoutOnlyBlock:
 
         def closure():
             out = bb.mlp_sublayer(backbone, 1, ad.leaf(x), cls_only=True)
-            return ad.sum_all(ad.mul(ad.constant(c), out))
+            return project(out, c)
 
         rep = ad.finite_difference_check(closure, [x], step=1e-5)
         assert rep.num_checked == x.size

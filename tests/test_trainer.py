@@ -39,23 +39,48 @@ class TestTrainConfig:
             tr.TrainConfig(position_l=-1)
 
 
+def identity_head(classes):
+    """A head whose logits are its input: ``x @ I + 0`` is exact."""
+    return tr.Head(
+        ad.Parameter("W", np.eye(classes), True, "head"),
+        ad.Parameter("b", np.zeros(classes), True, "head"),
+    )
+
+
 class TestLocalCeLoss:
     def test_uniform_two_class_is_ln2(self):
-        loss = tr.local_ce_loss(np.array([[0.3, 0.3]]), 0)
+        loss = tr.local_ce_loss(np.array([[0.3, 0.3]]), identity_head(2), 0)
         assert float(loss.value) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_huge_margin_goes_to_zero(self):
-        loss = tr.local_ce_loss(np.array([[60.0, 0.0]]), 0)
+        loss = tr.local_ce_loss(np.array([[60.0, 0.0]]), identity_head(2), 0)
         assert float(loss.value) <= 1e-20
 
     def test_mean_reduction_over_duplicates(self):
-        single = tr.local_ce_loss(np.array([[1.0, -0.5]]), [0])
-        double = tr.local_ce_loss(np.array([[1.0, -0.5], [1.0, -0.5]]), [0, 0])
+        head = identity_head(2)
+        single = tr.local_ce_loss(np.array([[1.0, -0.5]]), head, [0])
+        double = tr.local_ce_loss(np.array([[1.0, -0.5], [1.0, -0.5]]), head, [0, 0])
         assert float(single.value) == pytest.approx(float(double.value), abs=1e-15)
 
     def test_label_out_of_range(self):
         with pytest.raises(InvalidInputError):
-            tr.local_ce_loss(np.array([0.1, 0.2]), 2)
+            tr.local_ce_loss(np.array([0.1, 0.2]), identity_head(2), 2)
+
+    @pytest.mark.parametrize("labels", [0, [0, 1], [0, 1, 1, 0, 1]])
+    def test_label_count_must_match_batch(self, labels):
+        with pytest.raises(ShapeError, match=f"{np.size(labels)} labels for a batch of 4"):
+            tr.local_ce_loss(np.zeros((4, 2)), identity_head(2), labels)
+
+    def test_readout_width_must_fit_the_head(self):
+        with pytest.raises(ShapeError, match="does not fit head"):
+            tr.local_ce_loss(np.zeros((2, 3)), identity_head(2), [0, 1])
+
+    def test_session_rejects_fewer_labels_than_images(self):
+        stream, _, model, tcfg = build_micro()
+        task = stream.tasks[0]
+        session = tr.TaskSession(model, task, tcfg, nm.make_rng(0))
+        with pytest.raises(ShapeError):
+            session.losses(task.train_images[:4], task.train_labels_local[:1])
 
 
 class TestKdLoss:
@@ -96,6 +121,12 @@ class TestKdLoss:
         head = make_head()
         with pytest.raises(ShapeError):
             tr.kd_loss(ad.constant(np.zeros((1, 4))), np.zeros((2, 4)), head, tau=2.0)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (4, 3), (4,)])
+    def test_pinned_target_must_match_logits(self, shape):
+        head = make_head(width=3, classes=2)
+        with pytest.raises(ShapeError, match="distillation target"):
+            tr.kd_loss(ad.constant(np.ones((4, 3))), None, head, 2.0, target=np.full(shape, 0.5))
 
 
 class TestOrthLoss:
@@ -494,9 +525,10 @@ class TestTapeSize:
     def test_desk_step_node_count_per_task(self, monkeypatch):
         # Desk architecture, one 8-image step per task. Each block records one
         # attention and one MLP node; the attention node's parents are the
-        # tokens and the adapter tensors that train. From task 2 on, the
-        # distillation and overlap terms join, and the overlap term grows by
-        # five nodes per earlier task's block-weight vector.
+        # tokens and the adapter tensors that train. Each loss term and each
+        # CLS readout is one node, so from task 2 on the distillation and
+        # overlap terms add a fixed number of nodes however many tasks came
+        # before.
         from dualora import harness
 
         sizes, backbone_on_tape = [], []
@@ -519,5 +551,5 @@ class TestTapeSize:
         harness.run_experiment(
             {"train_per_class": 4, "test_per_class": 1, "epochs": 1, "batch_size": 8}, 0
         )
-        assert sizes == [36, 60, 65, 70, 75]
+        assert sizes == [27, 34, 34, 34, 34]
         assert backbone_on_tape == []
