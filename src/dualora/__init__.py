@@ -12,7 +12,6 @@ similarity with a shared-prefix evaluation.
 from .adapters import (
     Adapter,
     BlockWeights,
-    count_trainable_params,
     init_shared,
     init_specific,
 )
@@ -26,7 +25,7 @@ from .autodiff import (
 from .backbone import Backbone, BackboneConfig, TokenState, init_backbone
 from .classifier import PrototypeStore, adapter_pass_count, compute_prototypes, predict
 from .harness import gradcheck, run_ablation, run_experiment
-from .model import ContinualModel, TaskComponents, build_model
+from .model import ContinualModel, TaskComponents, build_model, param_counts
 from .numerics import (
     dimension_preserving_normalize,
     make_rng,

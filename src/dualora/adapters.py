@@ -288,68 +288,3 @@ def specific_delta(
         mu = weights.mu_tensor()
     return pair.attach(mu, weights.blocks.index(block)).delta(x)
 
-
-@dataclass
-class ParamCount:
-    shared: int
-    specific_per_task: int
-    block_weights_per_task: int
-    num_tasks: int
-    backbone: int
-
-    @property
-    def total(self) -> int:
-        return self.shared + self.num_tasks * (
-            self.specific_per_task + self.block_weights_per_task
-        )
-
-    @property
-    def backbone_ratio(self) -> float:
-        return self.total / self.backbone
-
-
-def count_trainable_params(
-    num_blocks: int,
-    width: int,
-    attach_count: int,
-    rank: int,
-    position_l: int,
-    num_tasks: int,
-    *,
-    block_weights: bool = True,
-    fixed_down: bool = True,
-    flip_positions: bool = False,
-    backbone_params: int | None = None,
-) -> ParamCount:
-    """Closed-form trainable-parameter accounting.
-
-    One low-rank pair on a width-d projection costs rank*(d + d) trainable
-    scalars when both matrices train; the shared adapter trains only its
-    up-projections (rank*d each) unless ``fixed_down`` is false. Each specific
-    block adds one block weight per task when enabled. The backbone total for
-    the ratio defaults to the standard block closed form for this shape, with
-    MLP hidden width 4d and patch dimension d.
-    """
-    if rank < 1:
-        raise InvalidRankError(f"rank must be >= 1, got {rank}")
-    if not 0 <= position_l <= num_blocks:
-        raise InvalidInputError(f"position must lie in [0, {num_blocks}], got {position_l}")
-    if num_tasks < 0:
-        raise InvalidInputError(f"num_tasks must be nonnegative, got {num_tasks}")
-    d = width
-    shared_blocks = num_blocks - position_l if flip_positions else position_l
-    specific_blocks = num_blocks - shared_blocks
-    per_shared_pair = rank * d + (0 if fixed_down else rank * d)
-    shared = shared_blocks * attach_count * per_shared_pair
-    specific = specific_blocks * attach_count * rank * (d + d)
-    bw = specific_blocks if block_weights else 0
-    if backbone_params is None:
-        h = 4 * d
-        backbone_params = d * d + d + num_blocks * (4 * d * d + 2 * d * h + h + 9 * d) + 2 * d
-    return ParamCount(
-        shared=shared,
-        specific_per_task=specific,
-        block_weights_per_task=bw,
-        num_tasks=num_tasks,
-        backbone=backbone_params,
-    )

@@ -237,9 +237,6 @@ class GradientBundle:
             return np.zeros_like(self.params[name].value)
         return g
 
-    def has_entry(self, term: str, name: str) -> bool:
-        return name in self.terms.get(term, {})
-
 
 def backward_per_term(
     losses: Mapping[str, Tensor | None], params: Sequence[Parameter]

@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import adapters as adp
 from . import autodiff as ad
 from . import backbone as bb
 from . import classifier as clf
@@ -190,8 +189,8 @@ class RunReport:
     epoch_log: list[dict]
     timings: dict = field(default_factory=dict)
 
-    def to_dict(self, include_timings: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "config": self.config,
             "seed": self.seed,
             "accuracy": {
@@ -202,13 +201,11 @@ class RunReport:
             "params": self.param_counts,
             "adapter_pass_count": self.adapter_pass_count,
             "loss_log": "loss_log.jsonl",
+            "timings": self.timings,
         }
-        if include_timings:
-            out["timings"] = self.timings
-        return out
 
-    def to_json(self, include_timings: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timings), sort_keys=True, indent=2) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _spawn_generators(seed: int, num_tasks: int):
@@ -293,34 +290,13 @@ def run_experiment(
         labels = np.concatenate([t.test_labels for t in seen])
         per_task_acc.append(clf.evaluate(model, store, images, labels))
 
-    accuracy = AccuracyRecord(per_task=per_task_acc)
-    num_tasks = len(stream.tasks)
-    counts = adp.count_trainable_params(
-        model.num_blocks,
-        model.width,
-        len(model.backbone.cfg.attach_set),
-        tcfg.rank,
-        tcfg.position_l,
-        num_tasks,
-        block_weights=tcfg.bw,
-        fixed_down=tcfg.fix_b,
-        flip_positions=tcfg.flip_positions,
-        backbone_params=model.backbone.param_count(),
-    )
     report = RunReport(
         config=cfg,
         seed=seed,
-        accuracy=accuracy,
-        param_counts={
-            "shared": counts.shared,
-            "specific_per_task": counts.specific_per_task,
-            "block_weights_per_task": counts.block_weights_per_task,
-            "total": counts.total,
-            "backbone": counts.backbone,
-            "backbone_ratio": counts.backbone_ratio,
-        },
+        accuracy=AccuracyRecord(per_task=per_task_acc),
+        param_counts=mdl.param_counts(model),
         adapter_pass_count=clf.adapter_pass_count(
-            model.shared_prefix, model.num_blocks, num_tasks
+            model.shared_prefix, model.num_blocks, len(stream.tasks)
         ),
         epoch_log=epoch_log,
         timings={
@@ -503,11 +479,9 @@ def gradcheck(
     task = stream.tasks[check_task_idx]
     session = tr.TaskSession(model, task, tcfg, task_rngs[check_task_idx])
     rows = np.arange(min(tcfg.batch_size, task.num_train))
-    images = task.train_images[rows]
-    labels = task.train_labels_local[rows]
     optimizer = tr.make_optimizer(tcfg)
     for _ in range(GRADCHECK_SETTLE_STEPS):
-        session.step(images, labels, optimizer, rows=rows)
+        session.step(rows, optimizer)
 
     pinned = None
     if session.kd_active:
@@ -515,7 +489,7 @@ def gradcheck(
 
     tag_of = {p.name: p.tag for p in session.params}
     reports = ad.finite_difference_check(
-        lambda: session.losses(images, labels, pinned_kd_target=pinned), session.params, step
+        lambda: session.losses(rows, pinned_kd_target=pinned), session.params, step
     )
     terms: dict[str, dict] = {}
     overall = 0.0

@@ -19,7 +19,7 @@ import numpy as np
 from . import adapters as adp
 from . import autodiff as ad
 from . import backbone as bb
-from .errors import ConfigError, InvalidInputError, MissingAdapterError
+from .errors import ConfigError, InvalidInputError, MissingAdapterError, ProtocolError
 
 
 @dataclass
@@ -102,6 +102,31 @@ def build_model(
             down_init=shared_down_init,
         )
     return model
+
+
+def param_counts(model: ContinualModel) -> dict:
+    """The parameter budget of a model with its tasks, counted off the
+    parameters it holds: trainable shared scalars, one task's adapter and block
+    weights, their total over the tasks, and the frozen backbone."""
+    if not model.tasks:
+        raise ProtocolError("no tasks trained yet")
+    shared = model.shared.parameters() if model.shared is not None else []
+    first = model.tasks[0]
+    counts = {
+        "shared": sum(p.size for p in shared if p.trainable),
+        "specific_per_task": (
+            sum(p.size for p in first.specific.parameters()) if first.specific is not None else 0
+        ),
+        "block_weights_per_task": (
+            first.block_weights.rho.size if first.block_weights is not None else 0
+        ),
+        "backbone": model.backbone.param_count(),
+    }
+    counts["total"] = counts["shared"] + len(model.tasks) * (
+        counts["specific_per_task"] + counts["block_weights_per_task"]
+    )
+    counts["backbone_ratio"] = counts["total"] / counts["backbone"]
+    return counts
 
 
 def _deltas(model, block, adapter: adp.Adapter, mu: ad.Tensor | None = None):

@@ -74,7 +74,6 @@ class TrainConfig:
 class TeacherSnapshot:
     """End-of-previous-task state the distillation target is computed from."""
 
-    task_id: int  # the task being trained, not the teacher
     shared: adp.Adapter | None  # frozen copy of the shared adapter
     row_norms: dict[str, np.ndarray]  # per shared up-projection parameter
     prefix_task: mdl.TaskComponents | None  # teacher prefix when positions are flipped
@@ -177,28 +176,16 @@ def kd_target(head: Head, teacher_cls: np.ndarray, tau: float) -> np.ndarray:
     return numerics.softmax_temperature(head.logits_value(teacher_cls), tau)
 
 
-def kd_loss(
-    student_cls, teacher_cls, head: Head, tau: float, *, target: np.ndarray | None = None
-) -> ad.Tensor:
-    """Soft cross-entropy between temperature-softened class distributions,
-    as one node.
+def kd_loss(student_cls, target: np.ndarray, head: Head, tau: float) -> ad.Tensor:
+    """Soft cross-entropy of the head's temperature-softened distribution of
+    ``student_cls`` against ``target`` (see :func:`kd_target`), as one node.
 
-    The target is a constant (either precomputed or derived here from the
-    teacher readout), so gradient flows only through the student branch.
+    The target is a constant, so gradient flows only through the student.
     """
-    if teacher_cls is None and target is None:
-        raise ProtocolError("distillation needs a previous task; none exists yet")
     if tau <= 0:
         raise InvalidInputError(f"temperature must be positive, got {tau}")
     student_cls = _as_tensor(student_cls)
     x = student_cls.value
-    if target is None:
-        teacher_cls = np.asarray(teacher_cls, dtype=np.float64)
-        if teacher_cls.shape != x.shape:
-            raise ShapeError(
-                f"teacher readout {teacher_cls.shape} does not match student {x.shape}"
-            )
-        target = kd_target(head, teacher_cls, tau)
     c = 1.0 / tau
     logp = _log_softmax(head.logits_value(x) * c)
     if target.shape != logp.shape:
@@ -352,6 +339,7 @@ class TaskSession:
             raise DataError(f"task {task.task_id} has no training samples")
         self.model = model
         self.task = task
+        self.labels_local = task.train_labels_local
         self.cfg = cfg
         self.t = task.task_id
         self.kd_active = bool(cfg.kd and self.t > 1 and cfg.position_l >= 1)
@@ -360,7 +348,6 @@ class TaskSession:
         self.snapshot = None
         if self.kd_active:
             self.snapshot = TeacherSnapshot(
-                task_id=self.t,
                 shared=model.shared.frozen_copy() if model.shared is not None else None,
                 row_norms=(
                     {
@@ -421,45 +408,34 @@ class TaskSession:
         )
 
     def losses(
-        self,
-        images,
-        labels_local,
-        *,
-        rows: np.ndarray | None = None,
-        pinned_kd_target: np.ndarray | None = None,
+        self, rows, *, pinned_kd_target: np.ndarray | None = None
     ) -> dict[str, ad.Tensor | None]:
         """The three loss terms for one batch, on a single shared tape.
 
-        ``rows`` gives the batch's indices into the task's training images, so
-        the teacher readout is read from :attr:`teacher_cls`; without it the
-        teacher reads ``images`` afresh. ``pinned_kd_target`` holds the
-        distillation target fixed across calls; gradient verification needs
-        that, since the analytic gradient treats the target as a constant by
-        design. One image ``(channels, H, W)`` is a batch of one, as it is for
-        every forward.
+        ``rows`` indexes the task's training set; the batch's images, local
+        labels and teacher readout are all taken at those rows.
+        ``pinned_kd_target`` holds the distillation target fixed across calls;
+        gradient verification needs that, since the analytic gradient treats
+        the target as a constant by design.
         """
         result = mdl.forward_features(
-            self.model, images, self.components, collect_transition_cls=self.kd_active
+            self.model, self.task.train_images[rows], self.components,
+            collect_transition_cls=self.kd_active,
         )
-        ce = local_ce_loss(result.cls_final, self.head, labels_local)
+        ce = local_ce_loss(result.cls_final, self.head, self.labels_local[rows])
         kd = None
         if self.kd_active:
             target = pinned_kd_target
-            teacher_cls = None
             if target is None:
-                teacher_cls = (
-                    self.teacher_cls[rows] if rows is not None else self.teacher_readout(images)
-                )
-            kd = kd_loss(
-                result.cls_at_l, teacher_cls, self.head, self.cfg.temperature, target=target
-            )
+                target = kd_target(self.head, self.teacher_cls[rows], self.cfg.temperature)
+            kd = kd_loss(result.cls_at_l, target, self.head, self.cfg.temperature)
         orth = None
         if self.orth_active and self.previous_mu:
             orth = orth_loss(self.components.block_weights.mu_tensor(), self.previous_mu)
         return {"ce": ce, "kd": kd, "orth": orth}
 
-    def step(self, images, labels_local, optimizer, rows: np.ndarray | None = None) -> dict:
-        losses = self.losses(images, labels_local, rows=rows)
+    def step(self, rows, optimizer) -> dict:
+        losses = self.losses(rows)
         bundle = ad.backward_per_term(losses, self.params)
         grads = total_step_gradient(bundle, self.params, self.cfg, self.snapshot)
         optimizer.step({p.name: p for p in self.params}, grads)
@@ -494,9 +470,7 @@ def train_task(
     started = time.perf_counter()
     session = TaskSession(model, task, cfg, rng)
     optimizer = make_optimizer(cfg)
-    labels_local = session.task.train_labels_local
-    images = session.task.train_images
-    n = images.shape[0]
+    n = task.num_train
     epoch_log: list[dict] = []
     step_records: list[dict] = []
     for epoch in range(cfg.epochs):
@@ -505,7 +479,7 @@ def train_task(
         steps = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            rec = session.step(images[idx], labels_local[idx], optimizer, rows=idx)
+            rec = session.step(idx, optimizer)
             step_records.append(rec)
             for k in sums:
                 sums[k] += rec[k]

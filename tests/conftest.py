@@ -1,6 +1,10 @@
+import atexit
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import configuration, settings
 
 from dualora import autodiff as ad
 from dualora import backbone as bb
@@ -16,6 +20,12 @@ settings.register_profile(
     "dualora", derandomize=True, database=None, deadline=None, max_examples=30
 )
 settings.load_profile("dualora")
+# Hypothesis still caches the constants it reads from source files under its
+# home directory, which defaults to ./.hypothesis; a home made for this session
+# and removed at exit leaves the checkout as it was
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="dualora-hypothesis-")
+configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+atexit.register(shutil.rmtree, _HYPOTHESIS_HOME, ignore_errors=True)
 
 MICRO_BACKBONE = dict(num_blocks=2, width=16, heads=2, image_side=8, patch_side=4, channels=1)
 MICRO_TRAIN = dict(rank=2, position_l=1, epochs=3, batch_size=4, learning_rate=3e-4)

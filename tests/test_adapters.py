@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dualora import adapters as adp
 from dualora import autodiff as ad
+from dualora import backbone as bb
+from dualora import model as mdl
 from dualora import numerics as nm
-from dualora.errors import InvalidInputError, InvalidRankError
+from dualora.errors import InvalidInputError, InvalidRankError, ProtocolError
 
 
 def assert_hash_sees_every_entry(adapter):
@@ -66,6 +70,10 @@ class TestInitShared:
         shared.pairs[(1, "q")].up.value[0, 0] += 1.0
         assert snap.content_hash() == before != shared.content_hash()
 
+    def test_rank_zero_rejected(self):
+        with pytest.raises(InvalidRankError):
+            adp.init_shared((1,), ("q",), 0, 8, nm.make_rng(0))
+
     def test_rank_exceeding_width_rejected(self):
         with pytest.raises(InvalidRankError):
             adp.init_shared((1,), ("q",), 9, 8, nm.make_rng(0))
@@ -119,6 +127,10 @@ class TestInitSpecific:
         )
         assert weights is None
 
+    def test_rank_zero_rejected(self):
+        with pytest.raises(InvalidRankError):
+            adp.init_specific(1, (2,), ("q",), 0, 8, nm.make_rng(0))
+
 
 class TestDeltas:
     def test_shared_delta_zero_at_init(self):
@@ -170,52 +182,114 @@ class TestDeltas:
         assert (weights.mu_values() > 0).all()
 
 
+def closed_form(n, l, flip, fix_b, bw, attach, r, d):
+    """The paper's count for ``n`` blocks, transition ``l``, ``attach``
+    projections per block, rank ``r`` and width ``d``: (shared, per-task
+    adapter, per-task block weights). The shared adapter trains its
+    up-projections (r*d each), and its down-projections too when ``fix_b`` is
+    off; a task trains both matrices (2*r*d) and one weight per block."""
+    shared_blocks = n - l if flip else l
+    specific_blocks = n - shared_blocks
+    shared = shared_blocks * attach * r * d * (1 if fix_b else 2)
+    return shared, specific_blocks * attach * 2 * r * d, specific_blocks if bw else 0
+
+
+def model_with_tasks(num_tasks, *, position_l=1, flip=False, fix_b=True, bw=True, rank=2,
+                     **backbone):
+    """A model with ``num_tasks`` untrained tasks appended as a training
+    session appends them; the backbone defaults to 2 blocks of width 8."""
+    bcfg = bb.BackboneConfig(
+        **{"num_blocks": 2, "width": 8, "heads": 2, "image_side": 4, "patch_side": 2, **backbone}
+    )
+    model = mdl.build_model(
+        bb.init_backbone(bcfg, nm.make_rng(0)), position_l, rank, nm.make_rng(1),
+        flip_positions=flip, fixed_down=fix_b,
+    )
+    rng = nm.make_rng(2)
+    for t in range(1, num_tasks + 1):
+        specific, weights = None, None
+        if model.specific_blocks:
+            specific, weights = adp.init_specific(
+                t, model.specific_blocks, bcfg.attach_set, rank, bcfg.width, rng, block_weights=bw
+            )
+        model.tasks.append(mdl.TaskComponents(t, specific, weights))
+    return model
+
+
 class TestParamCount:
     def test_single_pair_formula(self):
-        counts = adp.count_trainable_params(12, 768, 1, 10, 11, 1)
-        assert counts.specific_per_task == 1 * 10 * (768 + 768) + 0 * 15360
-        # one block, one projection: exactly r*(d+k)
-        assert counts.specific_per_task == 15360
-
-    def test_rank_zero_rejected(self):
-        with pytest.raises(InvalidRankError):
-            adp.count_trainable_params(4, 64, 2, 0, 2, 1)
+        # one specific block, one projection: exactly r*(d + d)
+        model = model_with_tasks(1, attach_set=("q",), rank=3)
+        assert mdl.param_counts(model)["specific_per_task"] == 3 * (8 + 8)
 
     def test_shared_only_count(self):
-        counts = adp.count_trainable_params(12, 768, 2, 10, 6, 0)
-        assert counts.shared == 6 * 2 * 10 * 768 == 92160
+        model = model_with_tasks(3, position_l=2)
+        counts = mdl.param_counts(model)
+        assert counts["shared"] == 2 * 2 * 2 * 8
+        assert counts["specific_per_task"] == counts["block_weights_per_task"] == 0
+        assert counts["total"] == counts["shared"]
 
     def test_oracle_enumeration(self, micro):
-        # oracle: build the real model and sum the trainable tensor sizes
         from dualora import classifier as clf
         from dualora import trainer as tr
 
         stream, backbone, model, tcfg = micro
         store = clf.PrototypeStore()
-        tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
-        enumerated = sum(
-            p.size
-            for p in model.shared.parameters() + model.tasks[0].specific.parameters()
-            if p.trainable or p.tag in ("specific-up", "specific-down")
+        for task in stream.tasks:
+            tr.train_task(model, store, task, tcfg, nm.make_rng(task.task_id))
+        shared, specific, weights = closed_form(
+            backbone.cfg.num_blocks, tcfg.position_l, False, True, True,
+            len(backbone.cfg.attach_set), tcfg.rank, backbone.cfg.width,
         )
-        enumerated += model.tasks[0].block_weights.rho.size
-        counts = adp.count_trainable_params(
-            backbone.cfg.num_blocks,
-            backbone.cfg.width,
-            len(backbone.cfg.attach_set),
-            tcfg.rank,
-            tcfg.position_l,
-            1,
-            backbone_params=backbone.param_count(),
-        )
-        assert counts.total == enumerated
+        assert mdl.param_counts(model) == {
+            "shared": shared,
+            "specific_per_task": specific,
+            "block_weights_per_task": weights,
+            "total": shared + 2 * (specific + weights),
+            "backbone": backbone.param_count(),
+            "backbone_ratio": (shared + 2 * (specific + weights)) / backbone.param_count(),
+        }
 
     def test_flip_swaps_roles(self):
-        normal = adp.count_trainable_params(4, 64, 2, 4, 1, 2)
-        flipped = adp.count_trainable_params(4, 64, 2, 4, 3, 2, flip_positions=True)
-        assert normal.shared == flipped.shared
-        assert normal.specific_per_task == flipped.specific_per_task
+        normal = mdl.param_counts(model_with_tasks(2, num_blocks=4, position_l=1))
+        flipped = mdl.param_counts(model_with_tasks(2, num_blocks=4, position_l=3, flip=True))
+        assert normal == flipped
 
     def test_backbone_ratio(self):
-        counts = adp.count_trainable_params(4, 64, 2, 4, 2, 5, backbone_params=204224)
-        assert counts.backbone_ratio == pytest.approx(counts.total / 204224)
+        # three channels and a 2x MLP: the patch dimension and the hidden width
+        # both differ from the width, so a backbone formula with both equal to
+        # d (204,224 at this shape) would be wrong
+        d, h, n, patch_dim = 64, 128, 4, 3 * 8 * 8
+        model = model_with_tasks(
+            5, num_blocks=n, width=d, heads=4, image_side=16, patch_side=8, channels=3,
+            mlp_ratio=2.0, position_l=2, rank=4,
+        )
+        counts = mdl.param_counts(model)
+        backbone = d * patch_dim + d + n * (4 * d * d + 2 * d * h + h + 9 * d) + 2 * d
+        assert counts["backbone"] == backbone
+        assert counts["backbone_ratio"] == counts["total"] / backbone
+
+    def test_no_task_is_protocol_error(self):
+        with pytest.raises(ProtocolError):
+            mdl.param_counts(model_with_tasks(0))
+
+    @given(
+        st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        st.sets(st.sampled_from("qkv"), min_size=1),
+        st.integers(1, 3),
+        st.integers(1, 3),
+    )
+    def test_matches_closed_form_over_layouts(self, nl, flip, fix_b, bw, attach, rank, tasks):
+        n, l = nl
+        model = model_with_tasks(
+            tasks, num_blocks=n, position_l=l, flip=flip, fix_b=fix_b, bw=bw, rank=rank,
+            attach_set=tuple(sorted(attach)),
+        )
+        shared, specific, weights = closed_form(n, l, flip, fix_b, bw, len(attach), rank, 8)
+        counts = mdl.param_counts(model)
+        assert (counts["shared"], counts["specific_per_task"]) == (shared, specific)
+        assert counts["block_weights_per_task"] == weights
+        assert counts["total"] == shared + tasks * (specific + weights)

@@ -193,7 +193,7 @@ class TestCentralDifferences:
     def test_kd(self, case):
         x, head, _, tau, target = case
         assert_central_differences(
-            lambda: tr.kd_loss(ad.leaf(x), None, head, tau, target=target),
+            lambda: tr.kd_loss(ad.leaf(x), target, head, tau),
             [x, *head.parameters()],
         )
 
@@ -232,7 +232,7 @@ class TestBitwiseAgainstReplacedChain:
     @given(head_cases())
     def test_kd(self, case):
         x, head, _, tau, target = case
-        loss = tr.kd_loss(ad.leaf(x), None, head, tau, target=target)
+        loss = tr.kd_loss(ad.leaf(x), target, head, tau)
         value, grads = chain_kd(x.value, head.W.value, head.b.value, target, tau)
         assert np.array_equal(loss.value, value)
         _assert_equal(loss.bwd(ONE, (True, True, True)), grads)

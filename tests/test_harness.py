@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from dualora import adapters as adp
 from dualora import cli, errors
 from dualora import harness
 from dualora import numerics as nm
@@ -35,6 +34,11 @@ FAST = dict(
     epochs=2,
     batch_size=4,
 )
+
+
+def without_timings(report) -> dict:
+    """A report's dict without ``timings``, the one part that varies between runs."""
+    return {k: v for k, v in report.to_dict().items() if k != "timings"}
 
 
 class TestConfig:
@@ -134,7 +138,7 @@ class TestRunExperiment:
     def test_same_seed_byte_identical_report_modulo_timings(self, tmp_path):
         a = harness.run_experiment(FAST, seed=3, out_dir=tmp_path / "a")
         b = harness.run_experiment(FAST, seed=3, out_dir=tmp_path / "b")
-        assert a.to_json(include_timings=False) == b.to_json(include_timings=False)
+        assert without_timings(a) == without_timings(b)
         log_a = (tmp_path / "a" / "loss_log.jsonl").read_bytes()
         log_b = (tmp_path / "b" / "loss_log.jsonl").read_bytes()
         assert log_a == log_b
@@ -150,17 +154,22 @@ class TestRunExperiment:
 
     def test_param_accounting_matches_closed_form(self):
         report = harness.run_experiment(FAST, seed=0)
-        counts = adp.count_trainable_params(
-            FAST["num_blocks"],
-            FAST["width"],
-            2,  # attach q and v
-            FAST["rank"],
-            FAST["position_l"],
-            FAST["num_tasks"],
-            backbone_params=report.param_counts["backbone"],
-        )
-        assert report.param_counts["total"] == counts.total
-        assert report.param_counts["shared"] == counts.shared
+        n, l, d, r = FAST["num_blocks"], FAST["position_l"], FAST["width"], FAST["rank"]
+        tasks = FAST["num_tasks"]
+        attach, patch_dim, hidden = 2, 4 * 4, 4 * d  # q and v; one channel; mlp_ratio 4
+        shared = l * attach * r * d  # the down-projections are fixed
+        specific = (n - l) * attach * 2 * r * d
+        weights = n - l
+        total = shared + tasks * (specific + weights)
+        backbone = d * patch_dim + d + n * (4 * d * d + 2 * d * hidden + hidden + 9 * d) + 2 * d
+        assert report.param_counts == {
+            "shared": shared,
+            "specific_per_task": specific,
+            "block_weights_per_task": weights,
+            "total": total,
+            "backbone": backbone,
+            "backbone_ratio": total / backbone,
+        }
 
     def test_accuracy_over_seen_tasks_only(self):
         # after task 1 the evaluation set contains only task-1 classes, so a
@@ -270,9 +279,7 @@ class TestRunAblation:
                             "pass_count": str(report.adapter_pass_count),
                         }
                     )
-        assert [r.to_dict(include_timings=False) for r in reports] == [
-            r.to_dict(include_timings=False) for _, r in serial
-        ]
+        assert [without_timings(r) for r in reports] == [without_timings(r) for _, r in serial]
         assert list(csv.DictReader(io.StringIO(summary))) == expected_rows
         assert (tmp_path / "pool" / "summary.csv").read_bytes() == summary.encode()
         for name, _ in serial:

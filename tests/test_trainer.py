@@ -6,6 +6,7 @@ import pytest
 
 from dualora import autodiff as ad
 from dualora import classifier as clf
+from dualora import model as mdl
 from dualora import numerics as nm
 from dualora import trainer as tr
 from dualora.errors import (
@@ -75,12 +76,12 @@ class TestLocalCeLoss:
         with pytest.raises(ShapeError, match="does not fit head"):
             tr.local_ce_loss(np.zeros((2, 3)), identity_head(2), [0, 1])
 
-    def test_session_rejects_fewer_labels_than_images(self):
-        stream, _, model, tcfg = build_micro()
+    def test_model_readout_with_fewer_labels_rejected(self):
+        stream, _, model, _ = build_micro()
         task = stream.tasks[0]
-        session = tr.TaskSession(model, task, tcfg, nm.make_rng(0))
-        with pytest.raises(ShapeError):
-            session.losses(task.train_images[:4], task.train_labels_local[:1])
+        cls = mdl.forward_features(model, task.train_images[:4], None).cls_final
+        with pytest.raises(ShapeError, match="1 labels for a batch of 4"):
+            tr.local_ce_loss(cls, make_head(width=16), task.train_labels_local[:1])
 
 
 class TestKdLoss:
@@ -88,7 +89,7 @@ class TestKdLoss:
         head = make_head()
         cls_param = ad.Parameter("s", nm.make_rng(1).standard_normal((3, 4)), True, "head")
         teacher = cls_param.value.copy()
-        loss = tr.kd_loss(ad.leaf(cls_param), teacher, head, tau=2.0)
+        loss = tr.kd_loss(ad.leaf(cls_param), tr.kd_target(head, teacher, 2.0), head, tau=2.0)
         grads = ad.backward(loss)
         assert np.abs(grads["s"]).max() <= 1e-14
 
@@ -98,7 +99,7 @@ class TestKdLoss:
         head.b.value[:] = 0.0
         teacher = np.array([[1.0, 0.0]])  # head logits -> one-hot target
         student = np.array([[0.0, 0.0]])  # head logits equal -> uniform
-        loss = tr.kd_loss(ad.constant(student), teacher, head, tau=1.0)
+        loss = tr.kd_loss(ad.constant(student), tr.kd_target(head, teacher, 1.0), head, tau=1.0)
         assert float(loss.value) == pytest.approx(math.log(2), abs=1e-9)
 
     def test_gibbs_inequality(self):
@@ -107,26 +108,22 @@ class TestKdLoss:
         for _ in range(25):
             student = rng.standard_normal((2, 6))
             teacher = rng.standard_normal((2, 6))
-            loss = float(tr.kd_loss(ad.constant(student), teacher, head, tau=2.0).value)
             target = tr.kd_target(head, teacher, 2.0)
+            loss = float(tr.kd_loss(ad.constant(student), target, head, tau=2.0).value)
             entropy = float(np.mean(-(target * np.log(target)).sum(axis=-1)))
             assert loss >= entropy - 1e-12
 
-    def test_no_teacher_is_protocol_error(self):
-        head = make_head()
-        with pytest.raises(ProtocolError):
-            tr.kd_loss(ad.constant(np.zeros((1, 4))), None, head, tau=2.0)
-
     def test_shape_mismatch(self):
         head = make_head()
+        target = tr.kd_target(head, np.zeros((2, 4)), 2.0)
         with pytest.raises(ShapeError):
-            tr.kd_loss(ad.constant(np.zeros((1, 4))), np.zeros((2, 4)), head, tau=2.0)
+            tr.kd_loss(ad.constant(np.zeros((1, 4))), target, head, tau=2.0)
 
     @pytest.mark.parametrize("shape", [(1, 2), (4, 3), (4,)])
     def test_pinned_target_must_match_logits(self, shape):
         head = make_head(width=3, classes=2)
         with pytest.raises(ShapeError, match="distillation target"):
-            tr.kd_loss(ad.constant(np.ones((4, 3))), None, head, 2.0, target=np.full(shape, 0.5))
+            tr.kd_loss(ad.constant(np.ones((4, 3))), np.full(shape, 0.5), head, 2.0)
 
 
 class TestOrthLoss:
@@ -213,7 +210,6 @@ class TestTotalStepGradient:
     def test_gr_with_uniform_norms_matches_gr_off(self):
         bundle, params = self._bundle_and_params()
         snapshot = tr.TeacherSnapshot(
-            task_id=2,
             shared=None,
             row_norms={"a_s": np.full(4, 1.7)},
             prefix_task=None,
@@ -225,7 +221,7 @@ class TestTotalStepGradient:
 
     def test_specific_update_independent_of_lambda_kd(self):
         bundle, params = self._bundle_and_params()
-        snapshot = tr.TeacherSnapshot(2, None, {"a_s": np.ones(4)}, None)
+        snapshot = tr.TeacherSnapshot(None, {"a_s": np.ones(4)}, None)
         a = tr.total_step_gradient(bundle, params, tr.TrainConfig(lambda_kd=1.0), snapshot)
         b = tr.total_step_gradient(bundle, params, tr.TrainConfig(lambda_kd=9.0), snapshot)
         assert np.array_equal(a["a_t"], b["a_t"])
@@ -239,7 +235,7 @@ class TestTotalStepGradient:
 
     def test_head_takes_unreassigned_kd(self):
         bundle, params = self._bundle_and_params()
-        snapshot = tr.TeacherSnapshot(2, None, {"a_s": np.array([9.0, 1.0, 1.0, 1.0])}, None)
+        snapshot = tr.TeacherSnapshot(None, {"a_s": np.array([9.0, 1.0, 1.0, 1.0])}, None)
         cfg = tr.TrainConfig(gr=True, lambda_kd=5.0)
         out = tr.total_step_gradient(bundle, params, cfg, snapshot)
         expected_head = bundle.terms["ce"]["hw"] + 5.0 * bundle.terms["kd"]["hw"]
@@ -330,12 +326,12 @@ class TestTrainTask:
         store = clf.PrototypeStore()
         tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
         session = tr.TaskSession(model, stream.tasks[1], tcfg, nm.make_rng(1))
-        probe = stream.tasks[1].train_images[:2]
+        rows = np.arange(2)
+        probe = stream.tasks[1].train_images[rows]
         before = session.teacher_readout(probe)
         optimizer = tr.make_optimizer(tcfg)
-        labels = stream.tasks[1].train_labels_local[:2]
         for _ in range(4):
-            session.step(probe, labels, optimizer)
+            session.step(rows, optimizer)
         after = session.teacher_readout(probe)
         assert np.array_equal(before, after)
 
@@ -346,12 +342,12 @@ class TestTrainTask:
         store = clf.PrototypeStore()
         tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
         session = tr.TaskSession(model, stream.tasks[1], tcfg, nm.make_rng(1))
-        probe = stream.tasks[1].train_images[:2]
+        rows = np.arange(2)
+        probe = stream.tasks[1].train_images[rows]
         before = session.teacher_readout(probe)
         optimizer = tr.make_optimizer(tcfg)
-        labels = stream.tasks[1].train_labels_local[:2]
         for _ in range(4):
-            session.step(probe, labels, optimizer)
+            session.step(rows, optimizer)
         assert np.array_equal(before, session.teacher_readout(probe))
         assert not np.array_equal(
             session.snapshot.shared.pair(1, "q").down.value, model.shared.pair(1, "q").down.value
@@ -384,18 +380,20 @@ class TestTrainTask:
         fresh = session.teacher_readout(task.train_images[rows])
         assert np.array_equal(session.teacher_cls[rows], fresh)
 
-    def test_single_image_losses_equal_a_batch_of_one(self):
+    def test_kd_reads_the_teacher_at_the_batch_rows(self):
         stream, _, model, tcfg = build_micro()
         store = clf.PrototypeStore()
         tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
         task = stream.tasks[1]
         session = tr.TaskSession(model, task, tcfg, nm.make_rng(1))
-        labels = task.train_labels_local[:1]
-        one = session.losses(task.train_images[0], labels)
-        batch = session.losses(task.train_images[:1], labels)
-        assert all(one[k] is not None for k in ("ce", "kd", "orth"))
-        for k in ("ce", "kd", "orth"):
-            assert float(one[k].value) == float(batch[k].value), k
+        rows = [5, 0, 3, 2]
+        images = task.train_images[rows]
+        student = mdl.forward_features(
+            model, images, session.components, collect_transition_cls=True
+        ).cls_at_l
+        target = tr.kd_target(session.head, session.teacher_readout(images), tcfg.temperature)
+        fresh = tr.kd_loss(student, target, session.head, tcfg.temperature)
+        assert session.losses(rows)["kd"].value.tobytes() == fresh.value.tobytes()
 
     def test_shared_updates_respect_mean_preserving_rescale(self):
         # the applied row scalings must be exactly sigma(prev norms)
@@ -403,9 +401,7 @@ class TestTrainTask:
         store = clf.PrototypeStore()
         tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
         session = tr.TaskSession(model, stream.tasks[1], tcfg, nm.make_rng(1))
-        imgs = stream.tasks[1].train_images[:4]
-        labels = stream.tasks[1].train_labels_local[:4]
-        losses = session.losses(imgs, labels)
+        losses = session.losses(np.arange(4))
         bundle = ad.backward_per_term(losses, session.params)
         grads = tr.total_step_gradient(bundle, session.params, tcfg, session.snapshot)
         for pair in model.shared.pairs.values():
@@ -421,9 +417,7 @@ class TestTrainTask:
         store = clf.PrototypeStore()
         tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
         session = tr.TaskSession(model, stream.tasks[1], tcfg, nm.make_rng(1))
-        imgs = stream.tasks[1].train_images[:4]
-        labels = stream.tasks[1].train_labels_local[:4]
-        bundle = ad.backward_per_term(session.losses(imgs, labels), session.params)
+        bundle = ad.backward_per_term(session.losses(np.arange(4)), session.params)
         for p in session.params:
             if p.tag in ("specific-up", "specific-down", "block-weight"):
                 assert np.array_equal(bundle.grad("kd", p.name), np.zeros_like(p.value))
@@ -438,12 +432,7 @@ class TestTrainTask:
         trainable_names = {p.name for p in session.params if p.trainable}
         assert not any(name.startswith("task1.") for name in trainable_names)
         assert not any(".down" in name and name.startswith("shared") for name in trainable_names)
-        bundle = ad.backward_per_term(
-            session.losses(
-                stream.tasks[1].train_images[:2], stream.tasks[1].train_labels_local[:2]
-            ),
-            session.params,
-        )
+        bundle = ad.backward_per_term(session.losses(np.arange(2)), session.params)
         for term_grads in bundle.terms.values():
             for name in term_grads:
                 assert name in trainable_names
