@@ -273,7 +273,7 @@ class FiniteDifferenceReport:
 def finite_difference_check(
     forward: Callable[[], Tensor | Mapping[str, Tensor | None]],
     params: Iterable[Parameter],
-    step: float = 1e-5,
+    step: float,
 ) -> FiniteDifferenceReport | dict[str, FiniteDifferenceReport]:
     """Compare analytic gradients of a closure's loss terms to central differences.
 

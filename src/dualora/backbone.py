@@ -46,6 +46,8 @@ class BackboneConfig:
     def __post_init__(self):
         if self.num_blocks < 1 or self.width < 1 or self.heads < 1:
             raise ConfigError("num_blocks, width, and heads must be positive")
+        if not (np.isfinite(self.mlp_ratio) and self.mlp_hidden >= 1):
+            raise ConfigError(f"mlp_ratio {self.mlp_ratio} gives width {self.width} no MLP unit")
         if self.width % self.heads != 0:
             raise ConfigError(f"heads ({self.heads}) must divide width ({self.width})")
         if self.image_side < 1 or self.patch_side < 1 or self.channels < 1:

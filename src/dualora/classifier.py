@@ -2,11 +2,11 @@
 
 A class prototype is the mean final-block CLS feature of its training
 samples, extracted with the adapter combination in effect when its task
-finished. Scoring is one batched path: the prefix blocks run once per batch
-with a frozen copy of the current shared adapter and only the suffix is
-re-run per task, so a query costs l + (N - l) * t adapter-bearing block
-applications instead of N * t. Prototypes, single predictions and
-evaluation all go through it.
+finished. Features come from one batched path: the prefix blocks run once
+per batch with a frozen copy of the current shared adapter and only the
+suffix is re-run per task, so a query costs l + (N - l) * t adapter-bearing
+block applications instead of N * t. Scoring is one cosine matrix per batch,
+queries against every stored prototype; a single prediction is its one row.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import backbone as bb
 from . import model as mdl
-from .errors import DataError, InvalidInputError, ProtocolError
+from .errors import DataError, InvalidInputError, ProtocolError, ShapeError
 
 
 @dataclass
@@ -38,25 +38,22 @@ class PrototypeStore:
             key=lambda item: item[0],
         )
 
-    def __len__(self) -> int:
-        return len(self.vectors)
 
+def _cosine(feats: np.ndarray, protos: np.ndarray) -> np.ndarray:
+    """``(queries, prototypes)`` cosine similarities, with a zero vector on
+    either side scored -1 so a degenerate prototype can never win.
 
-def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, with any zero vector scored -1 so a degenerate
-    prototype can never win."""
-    return _cosine(a, b, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-
-
-def _cosine(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
-    """:func:`cosine_score` given the two norms."""
-    if na == 0.0 or nb == 0.0:
-        return -1.0
-    return float(a @ b) / (na * nb)
+    Multiply-and-sum, not ``feats @ protos.T``: in a BLAS product with a
+    transposed operand, a row's last bits depend on how many rows the product
+    has, so a query scored in a batch would differ from the query scored alone.
+    """
+    dots = (feats[:, None, :] * protos[None]).sum(-1)
+    norms = np.sqrt((protos * protos).sum(-1))[None] * np.sqrt((feats * feats).sum(-1))[:, None]
+    return np.divide(dots, norms, out=np.full_like(dots, -1.0), where=norms != 0.0)
 
 
 def _task_features(model: mdl.ContinualModel, images: np.ndarray, tasks, *, share_prefix=True):
-    """Yield each task's components with the CLS features of an image batch.
+    """Yield, task by task, the CLS features of an image batch.
 
     Blocks 1..k run once for the whole batch, then each task runs blocks
     k+1..N on the result, with k the model's shared prefix.
@@ -70,14 +67,14 @@ def _task_features(model: mdl.ContinualModel, images: np.ndarray, tasks, *, shar
     suffix = range(k + 1, model.num_blocks + 1)
     for components in tasks:
         state = mdl.run_blocks(model, prefix, suffix, task=components, shared=shared)
-        yield components, bb.extract_cls(model.backbone, state).value
+        yield bb.extract_cls(model.backbone, state).value
 
 
 def compute_prototypes(model: mdl.ContinualModel, store: PrototypeStore, task) -> None:
     """Mean per-class CLS features of the task's training data, using the
     shared adapter as of now plus the task's own (frozen) components."""
     components = model.components_for(task.task_id)
-    ((_, feats),) = _task_features(model, task.train_images, [components])
+    (feats,) = _task_features(model, task.train_images, [components])
     for class_id in task.classes:
         mask = task.train_labels == class_id
         if not mask.any():
@@ -85,41 +82,38 @@ def compute_prototypes(model: mdl.ContinualModel, store: PrototypeStore, task) -
         store.add(task.task_id, int(class_id), feats[mask].mean(axis=0))
 
 
-@dataclass
-class Prediction:
-    class_id: int
-    scores: dict[int, float]  # global class id -> cosine score
-
-
-def predict_batch(
+def score_batch(
     model: mdl.ContinualModel,
     store: PrototypeStore,
     images: np.ndarray,
     *,
     share_prefix: bool = True,
-) -> list[Prediction]:
-    """Score every seen class for each image of a batch and pick the best,
-    ties going to the lowest (task, class) pair. One image ``(channels, H, W)``
-    is taken as a batch of one."""
-    if np.ndim(images) == 3:
-        images = np.asarray(images)[None]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The column class ids, global ids in (task, class) order, and the
+    ``(B, columns)`` cosine scores of a batch ``(B, channels, H, W)`` against
+    the stored prototypes of every trained task. ``share_prefix=False`` runs
+    all N blocks per task: the reference that prefix sharing matches bitwise.
+    """
+    if np.ndim(images) != 4:
+        raise ShapeError(f"expected a batch (B, channels, H, W), got shape {np.shape(images)}")
     if not model.tasks:
         raise ProtocolError("no tasks trained yet")
-    if len(store) == 0:
-        raise ProtocolError("prototype store is empty")
-    preds = [Prediction(-1, {}) for _ in range(images.shape[0])]
-    best = [-np.inf] * len(preds)
+    items = [store.task_items(components.task_id) for components in model.tasks]
+    if not any(items):
+        raise ProtocolError("prototype store holds no prototype of a trained task")
+    columns, blocks = [], []
     features = _task_features(model, images, model.tasks, share_prefix=share_prefix)
-    for components, feats in features:
-        items = [(c, v, float(np.linalg.norm(v))) for c, v in store.task_items(components.task_id)]
-        for q, (pred, feat) in enumerate(zip(preds, feats)):
-            n_feat = float(np.linalg.norm(feat))
-            for class_id, proto, n_proto in items:
-                score = _cosine(proto, feat, n_proto, n_feat)
-                pred.scores[class_id] = score
-                if score > best[q]:
-                    pred.class_id, best[q] = class_id, score
-    return preds
+    for task_items, feats in zip(items, features):
+        if task_items:
+            columns += [c for c, _ in task_items]
+            blocks.append(_cosine(feats, np.stack([v for _, v in task_items])))
+    return np.array(columns), np.concatenate(blocks, axis=1)
+
+
+@dataclass
+class Prediction:
+    class_id: int
+    scores: dict[int, float]  # global class id -> cosine score
 
 
 def predict(
@@ -129,13 +123,10 @@ def predict(
     *,
     share_prefix: bool = True,
 ) -> Prediction:
-    """:func:`predict_batch` for one image.
-
-    ``share_prefix=False`` scores with a shared prefix of length 0, so each
-    task runs all N blocks; it exists to show that the shared-prefix path is
-    an exact optimization, not an approximation.
-    """
-    return predict_batch(model, store, np.asarray(image)[None], share_prefix=share_prefix)[0]
+    """The best-scoring seen class of one image ``(channels, H, W)``, ties
+    going to the lowest (task, class) pair, with the row of scores it won by."""
+    columns, (row,) = score_batch(model, store, np.asarray(image)[None], share_prefix=share_prefix)
+    return Prediction(int(columns[row.argmax()]), dict(zip(columns.tolist(), row.tolist())))
 
 
 def adapter_pass_count(position_l: int, num_blocks: int, num_tasks: int) -> int:
@@ -152,15 +143,12 @@ def adapter_pass_count(position_l: int, num_blocks: int, num_tasks: int) -> int:
 def evaluate(
     model: mdl.ContinualModel, store: PrototypeStore, images: np.ndarray, labels: np.ndarray
 ) -> float:
-    """Fraction of samples whose predicted global class matches the label.
-
-    One image ``(channels, H, W)`` with its label is taken as a batch of one.
-    """
-    if np.ndim(images) == 3:
-        images, labels = np.asarray(images)[None], np.atleast_1d(labels)
+    """Fraction of a batch whose best-scoring global class matches its label;
+    ``np.argmax`` takes the first maximum, so ties go to the lowest (task,
+    class) pair."""
     if images.shape[0] == 0:
         raise DataError("cannot evaluate on an empty sample set")
     if len(labels) != images.shape[0]:
         raise DataError(f"{len(labels)} labels for {images.shape[0]} images")
-    preds = predict_batch(model, store, images)
-    return sum(p.class_id == int(y) for p, y in zip(preds, labels)) / images.shape[0]
+    columns, scores = score_batch(model, store, images)
+    return int((columns[scores.argmax(1)] == np.asarray(labels)).sum()) / images.shape[0]

@@ -100,7 +100,8 @@ def _convert(key: str, value, kind: type):
     ``3.0`` becomes ``3``. A number field takes only a number that it holds
     exactly and a boolean field only ``true``, ``false``, 0 or 1; anything
     else raises ConfigError rather than being read as something else
-    (``bool("false")`` is true). A key whose preset default is null takes a
+    (``bool("false")`` is true), and a float field only a finite number (JSON
+    ``1e400`` parses as infinity). A key whose preset default is null takes a
     string or null."""
     if kind is type(None):
         if value is None or isinstance(value, str):
@@ -114,6 +115,7 @@ def _convert(key: str, value, kind: type):
         exact = isinstance(value, numbers.Integral) and value in (0, 1)
     elif kind in (int, float):
         exact = isinstance(value, numbers.Real) and not isinstance(value, bool) and converted == value
+        exact = exact and (kind is int or np.isfinite(converted))
     else:
         exact = converted is not None
     if not exact:
@@ -141,6 +143,13 @@ def split_config(cfg: Mapping) -> tuple[bb.BackboneConfig, tr.TrainConfig, dict]
     scfg = {
         k: _convert(k, v, type(DESK_PRESET[k])) for k, v in cfg.items() if k not in typed
     }
+    for key in ("num_tasks", "train_per_class", "test_per_class"):
+        if scfg[key] < 1:
+            raise ConfigError(f"config key {key!r} must be >= 1, got {scfg[key]}")
+    if scfg["num_tasks"] > scfg["num_classes"]:
+        raise ConfigError(
+            f"num_tasks ({scfg['num_tasks']}) exceeds num_classes ({scfg['num_classes']})"
+        )
     return bcfg, tcfg, scfg
 
 

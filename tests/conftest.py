@@ -1,4 +1,5 @@
 import atexit
+import contextlib
 import shutil
 import tempfile
 
@@ -62,10 +63,11 @@ def micro():
     return build_micro()
 
 
-@pytest.fixture
-def adapter_blocks(monkeypatch):
+@contextlib.contextmanager
+def recording_adapter_blocks():
     """Block indices of every ``block_forward`` call that carries adapter
-    deltas, in call order; one call covers every image of its batch."""
+    deltas, in call order, while the context is open; one call covers every
+    image of its batch."""
     calls = []
     block_forward = bb.block_forward
 
@@ -74,8 +76,16 @@ def adapter_blocks(monkeypatch):
             calls.append(i)
         return block_forward(backbone, state, i, deltas, **kwargs)
 
-    monkeypatch.setattr(bb, "block_forward", recording)
-    return calls
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bb, "block_forward", recording)
+        yield calls
+
+
+@pytest.fixture
+def adapter_blocks():
+    """:func:`recording_adapter_blocks` for the length of a test."""
+    with recording_adapter_blocks() as calls:
+        yield calls
 
 
 @pytest.fixture(scope="session")

@@ -222,7 +222,7 @@ class TestFiniteDifferenceCheck:
             return project(ad.leaf(w), rng.standard_normal(1))
 
         with pytest.raises(DeterminismError):
-            ad.finite_difference_check(closure, [w])
+            ad.finite_difference_check(closure, [w], step=1e-5)
 
     def test_bad_step_rejected(self):
         w = _param("w", [1.0])
@@ -305,7 +305,7 @@ class TestOneSweepCheck:
             return out
 
         with pytest.raises(DeterminismError, match="terms"):
-            ad.finite_difference_check(flaky, params)
+            ad.finite_difference_check(flaky, params, step=1e-5)
 
     def test_parameter_restored_when_mapping_closure_raises(self):
         params, closure = _three_term_closure()

@@ -32,6 +32,11 @@ class TestConfig:
             small_cfg(attach_set=("q", "z"))
         assert small_cfg(attach_set=("v", "q")).attach_set == ("q", "v")
 
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, float("inf"), float("nan")])
+    def test_mlp_needs_a_hidden_unit(self, ratio):
+        with pytest.raises(ConfigError):
+            small_cfg(mlp_ratio=ratio)
+
     def test_token_arithmetic(self):
         cfg = small_cfg(image_side=16, patch_side=8)
         assert cfg.num_patches == 4

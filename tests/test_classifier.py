@@ -2,16 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from dualora import adapters as adp
 from dualora import backbone as bb
 from dualora import classifier as clf
 from dualora import harness
 from dualora import model as mdl
 from dualora import numerics as nm
 from dualora import trainer as tr
-from dualora.errors import DataError, InvalidInputError, ProtocolError
+from dualora.errors import DataError, InvalidInputError, ProtocolError, ShapeError
 
-from conftest import build_micro
+from conftest import build_micro, recording_adapter_blocks
 
 
 class TestPrototypeStore:
@@ -31,17 +34,21 @@ class TestPrototypeStore:
 
 class TestCosineScore:
     def test_identical_vectors(self):
-        v = np.array([0.3, -0.4, 1.2])
-        assert clf.cosine_score(v, v) == pytest.approx(1.0)
+        v = np.array([[0.3, -0.4, 1.2]])
+        assert clf._cosine(v, v)[0, 0] == pytest.approx(1.0)
 
     def test_zero_vector_scores_worst(self):
-        assert clf.cosine_score(np.zeros(3), np.ones(3)) == -1.0
-        assert clf.cosine_score(np.ones(3), np.zeros(3)) == -1.0
+        feats = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+        protos = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        scores = clf._cosine(feats, protos)
+        assert scores[0].tolist() == [-1.0, -1.0]
+        assert scores[1, 1] == -1.0
+        assert scores[1, 0] == pytest.approx(6.0 / np.sqrt(3.0 * 14.0))
 
     def test_scale_invariance(self):
         rng = nm.make_rng(0)
-        a, b = rng.standard_normal(5), rng.standard_normal(5)
-        assert clf.cosine_score(a, b) == pytest.approx(clf.cosine_score(7.3 * a, b))
+        a, b = rng.standard_normal((3, 5)), rng.standard_normal((2, 5))
+        assert np.allclose(clf._cosine(a, b), clf._cosine(7.3 * a, b), rtol=1e-12, atol=0)
 
 
 class TestComputePrototypes:
@@ -201,6 +208,8 @@ class TestPredict:
         pred = clf.predict(model, probe, stream.tasks[0].test_images[0])
         assert pred.scores[3] == pred.scores[1]
         assert pred.class_id == 3
+        images = stream.tasks[0].test_images
+        assert clf.evaluate(model, probe, images, np.full(len(images), 3)) == 1.0
 
     def test_empty_store_rejected(self, trained_micro):
         model, stream = trained_micro["model"], trained_micro["stream"]
@@ -247,6 +256,14 @@ class TestEvaluate:
         model, store = trained_micro["model"], trained_micro["store"]
         with pytest.raises(DataError):
             clf.evaluate(model, store, np.zeros((0, 1, 8, 8)), np.zeros(0))
+
+    def test_single_image_rejected(self, trained_micro):
+        # a (channels, H, W) image with one label per channel must not pass
+        # for a batch; predict is the single-image entry point
+        model, store = trained_micro["model"], trained_micro["store"]
+        img = trained_micro["stream"].tasks[0].test_images[0]
+        with pytest.raises(ShapeError):
+            clf.evaluate(model, store, img, np.zeros(img.shape[0]))
 
     @pytest.mark.parametrize("offset", [-1, 1])
     def test_label_count_mismatch_rejected(self, trained_micro, offset):
@@ -297,41 +314,94 @@ class TestBatchedPath:
 
     def test_batched_scores_equal_per_image_scores_bitwise(self, trained_layout):
         model, store, images, _ = trained_layout
-        batch = clf.predict_batch(model, store, images)
-        assert len(batch) == images.shape[0]
-        for img, pred in zip(images, batch):
+        columns, scores = clf.score_batch(model, store, images)
+        assert scores.shape == (images.shape[0], len(store.vectors))
+        for img, row in zip(images, scores):
             one = clf.predict(model, store, img)
-            assert pred.class_id == one.class_id
-            assert list(pred.scores) == list(one.scores)
-            for key in one.scores:
-                assert pred.scores[key] == one.scores[key], key
+            assert one.class_id == columns[row.argmax()]
+            assert list(one.scores) == columns.tolist()
+            assert list(one.scores.values()) == row.tolist()
 
     def test_single_image_is_a_batch_of_one(self, trained_layout):
         model, store, images, labels = trained_layout
-        for img, y in zip(images[:3], labels[:3]):
-            one = clf.predict(model, store, img)
-            (pred,) = clf.predict_batch(model, store, img)
-            assert pred.class_id == one.class_id
-            assert pred.scores == one.scores
-            assert clf.evaluate(model, store, img, y) == float(one.class_id == int(y))
-            assert clf.evaluate(model, store, img, [y]) == float(one.class_id == int(y))
+        for i, y in enumerate(labels[:3]):
+            one = clf.predict(model, store, images[i])
+            columns, (row,) = clf.score_batch(model, store, images[i : i + 1])
+            assert dict(zip(columns.tolist(), row.tolist())) == one.scores
+            batch_of_one = clf.evaluate(model, store, images[i : i + 1], labels[i : i + 1])
+            assert batch_of_one == float(one.class_id == int(y))
 
     def test_scores_equal_cosine_score_of_every_pair_bitwise(self, trained_layout):
+        # the matrix holds, for each pair, the cosine of its definition:
+        # one multiply-sum over the pair and the two vectors' norms
         model, store, images, _ = trained_layout
-        batch = clf.predict_batch(model, store, images)
+        columns, scores = clf.score_batch(model, store, images)
+        column_of = {c: j for j, c in enumerate(columns.tolist())}
         checked = 0
-        for components, feats in clf._task_features(model, images, model.tasks):
-            for pred, feat in zip(batch, feats):
+        for components, feats in zip(model.tasks, clf._task_features(model, images, model.tasks)):
+            for q, feat in enumerate(feats):
                 for class_id, proto in store.task_items(components.task_id):
-                    assert pred.scores[class_id] == clf.cosine_score(proto, feat)
+                    norms = np.sqrt((proto * proto).sum()) * np.sqrt((feat * feat).sum())
+                    assert scores[q, column_of[class_id]] == (proto * feat).sum() / norms
                     checked += 1
-        assert checked == len(images) * len(store)
+        assert checked == scores.size == len(images) * len(store.vectors)
 
     def test_batch_counter_reports_the_per_query_formula(self, trained_layout, adapter_blocks):
         model, store, images, _ = trained_layout
-        clf.predict_batch(model, store, images)
+        clf.score_batch(model, store, images)
         expected = clf.adapter_pass_count(model.shared_prefix, model.num_blocks, len(model.tasks))
         assert len(adapter_blocks) == expected
+
+
+def scoring_layout(num_blocks, position_l, flip, num_tasks, seed):
+    """An untrained model and store with every up-projection, shared and
+    per-task, drawn non-zero so that each adapter moves the features; each
+    task holds two random prototypes."""
+    rng = nm.make_rng(seed)
+    bcfg = bb.BackboneConfig(
+        num_blocks=num_blocks, width=16, heads=2, image_side=8, patch_side=4, channels=1
+    )
+    model = mdl.build_model(
+        bb.init_backbone(bcfg, rng), position_l, 2, rng, flip_positions=flip
+    )
+    adapters = [model.shared] if model.shared is not None else []
+    store = clf.PrototypeStore()
+    for t in range(1, num_tasks + 1):
+        specific, weights = None, None
+        if model.specific_blocks:
+            specific, weights = adp.init_specific(
+                t, model.specific_blocks, bcfg.attach_set, 2, bcfg.width, rng
+            )
+            adapters.append(specific)
+        model.tasks.append(mdl.TaskComponents(t, specific, weights))
+        for c in (2 * t - 2, 2 * t - 1):
+            store.add(t, c, rng.standard_normal(bcfg.width))
+    for adapter in adapters:
+        for pair in adapter.pairs.values():
+            pair.up.value = rng.standard_normal(pair.up.value.shape)
+    return model, store, rng
+
+
+class TestScoringProperty:
+    @given(
+        st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+        st.booleans(),
+        st.integers(1, 3),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_shared_batched_and_counted_scores_over_layouts(self, nl, flip, tasks, batch, seed):
+        n, l = nl
+        model, store, rng = scoring_layout(n, l, flip, tasks, seed)
+        images = rng.uniform(0.0, 1.0, (batch, 1, 8, 8))
+        with recording_adapter_blocks() as calls:
+            columns, scores = clf.score_batch(model, store, images)
+        assert len(calls) == clf.adapter_pass_count(model.shared_prefix, n, tasks)
+        assert columns.tolist() == list(range(2 * tasks))
+        reference = clf.score_batch(model, store, images, share_prefix=False)[1]
+        assert scores.tobytes() == reference.tobytes()
+        for img, row in zip(images, scores):
+            assert list(clf.predict(model, store, img).scores.values()) == row.tolist()
 
 
 class TestInferenceRecordsNoTape:

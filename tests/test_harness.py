@@ -494,16 +494,34 @@ class TestCli:
             {"noise_std": -1},
             {"rank": 0},
             {"rank": 100},
+            {"num_tasks": -1},
+            {"num_tasks": 1e30},
+            {"train_per_class": -1},
+            {"test_per_class": -1},
+            {"mlp_ratio": -1},
+            {"mlp_ratio": 0},
+            '{"noise_std": 1e400}',  # JSON reads an out-of-range number as infinity
+            '{"learning_rate": -1e400}',
         ],
     )
     def test_rejected_input_exits_2_in_one_line(self, tmp_path, capsys, overrides):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(overrides))
+        cfg.write_text(overrides if isinstance(overrides, str) else json.dumps(overrides))
         out = tmp_path / "out"
         assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert not (out / "run_report.json").exists()
+
+    def test_gen_data_rejects_a_negative_count_in_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train_per_class": -1}))
+        out = tmp_path / "d.clld"
+        assert cli_main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert "train_per_class" in captured.err
+        assert not out.exists()
 
     def test_dataset_file_of_other_image_size_exits_2(self, tmp_path, capsys):
         path = tmp_path / "d.clld"
