@@ -271,31 +271,29 @@ class FiniteDifferenceReport:
 
 
 def finite_difference_check(
-    forward: Callable[[], Tensor | Mapping[str, Tensor | None]],
+    forward: Callable[[], Mapping[str, Tensor | None]],
     params: Iterable[Parameter],
     step: float,
-) -> FiniteDifferenceReport | dict[str, FiniteDifferenceReport]:
+) -> dict[str, FiniteDifferenceReport]:
     """Compare analytic gradients of a closure's loss terms to central differences.
 
-    The closure returns one scalar :class:`Tensor`, or a mapping from term
-    name to a scalar tensor or ``None`` (a term not computed). Every scalar of
-    every trainable parameter is perturbed by +-step once, and every term is
-    read from the same two forwards, so the closure runs ``2 + 2 * n`` times
-    for ``n`` checked scalars however many terms it returns. Each term's value
-    becomes a float right after its forward, so one tape is alive at a time.
-    The relative error uses denominator max(|analytic|, |numeric|, 1e-8).
-    Frozen parameters are skipped and excluded from the reported count. The
-    closure is evaluated twice up front; a different value or a different set
-    of present terms raises :class:`DeterminismError`. A perturbed scalar is
-    put back even when the closure raises.
+    The closure returns a mapping from term name to a scalar tensor or
+    ``None`` (a term not computed). Every scalar of every trainable parameter
+    is perturbed by +-step once, and every term is read from the same two
+    forwards, so the closure runs ``2 + 2 * n`` times for ``n`` checked
+    scalars however many terms it returns. Each term's value becomes a float
+    right after its forward, so one tape is alive at a time. The relative
+    error uses denominator max(|analytic|, |numeric|, 1e-8). Frozen
+    parameters are skipped and excluded from the reported count. The closure
+    is evaluated twice up front; a different value or a different set of
+    present terms raises :class:`DeterminismError`. A perturbed scalar is put
+    back even when the closure raises.
 
-    Returns one :class:`FiniteDifferenceReport` for a scalar closure, and a
-    dict of reports keyed by the terms that are not ``None`` for a mapping.
+    Returns a dict of reports keyed by the terms that are not ``None``.
     """
     if step <= 0:
         raise InvalidInputError(f"step must be positive, got {step}")
     first = forward()
-    single = not isinstance(first, Mapping)
     roots = _fd_terms(first)
     reference = _fd_values(first)
     again = _fd_values(forward())
@@ -334,25 +332,23 @@ def finite_difference_check(
         for term, err in p_worst.items():
             per_param[term][p.name] = err
             worst[term] = max(worst[term], err)
-    reports = {
+    return {
         term: FiniteDifferenceReport(
             max_rel_error=worst[term], num_checked=checked, per_param=per_param[term]
         )
         for term in analytic
     }
-    return reports[None] if single else reports
 
 
-def _fd_terms(out: Tensor | Mapping[str, Tensor | None]) -> dict:
-    """The present terms of a closure's result; a lone tensor is the term ``None``."""
-    if isinstance(out, Mapping):
-        roots = {term: root for term, root in out.items() if root is not None}
-    else:
-        roots = {None: out}
+def _fd_terms(out: Mapping[str, Tensor | None]) -> dict[str, Tensor]:
+    """The present terms of a closure's result."""
+    if not isinstance(out, Mapping):
+        raise GraphError(f"the closure must return a mapping of terms, got {type(out).__name__}")
+    roots = {term: root for term, root in out.items() if root is not None}
     if any(root.value.shape != () for root in roots.values()):
         raise GraphError("finite_difference_check needs scalar closure terms")
     return roots
 
 
-def _fd_values(out: Tensor | Mapping[str, Tensor | None]) -> dict:
+def _fd_values(out: Mapping[str, Tensor | None]) -> dict[str, float]:
     return {term: float(root.value) for term, root in _fd_terms(out).items()}

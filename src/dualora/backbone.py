@@ -175,21 +175,19 @@ def _extract_patches(image: np.ndarray, cfg: BackboneConfig) -> np.ndarray:
 
 
 def patch_embed(image: np.ndarray, backbone: Backbone) -> TokenState:
-    """Project patches, prepend the CLS token, and add positional encodings.
+    """Project patches of a ``(batch, channels, H, W)`` batch, prepend the CLS
+    token, and add positional encodings.
 
-    Accepts a batch ``(batch, channels, H, W)`` or a single image
-    ``(channels, H, W)``, which becomes a batch of one. Everything upstream
-    of the first block is constant with respect to the trainable parameters,
-    so the result enters the tape as a constant.
+    Everything upstream of the first block is constant with respect to the
+    trainable parameters, so the result enters the tape as a constant.
     """
     cfg = backbone.cfg
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim == 3:
-        image = image[None]
+    if image.ndim != 4:
+        raise ShapeError(f"expected a (batch, channels, H, W) batch, got shape {image.shape}")
     expected = (cfg.channels, cfg.image_side, cfg.image_side)
-    if image.ndim != 4 or image.shape[1:] != expected:
-        got = image.shape[1:] if image.ndim == 4 else image.shape  # per image when batched
-        raise ShapeError(f"expected image shape {expected}, got {got}")
+    if image.shape[1:] != expected:
+        raise ShapeError(f"expected image shape {expected}, got {image.shape[1:]}")
     patches = _extract_patches(image, cfg)
     tokens = patches @ backbone.param("embed.W").value
     cls = np.broadcast_to(backbone.param("cls").value, (image.shape[0], 1, cfg.width))
@@ -296,13 +294,15 @@ def attention_sublayer(backbone: Backbone, i: int, x: ad.Tensor, deltas: DeltaMa
     return ad.node(out, (x, *tensors), bwd)
 
 
-def mlp_sublayer(backbone: Backbone, i: int, x: ad.Tensor, cls_only: bool = False) -> ad.Tensor:
+def mlp_sublayer(backbone: Backbone, i: int, x: ad.Tensor) -> ad.Tensor:
     """``x + GELU(LN2(x) @ W1 + b1) @ W2 + b2`` of block ``i``, as one tape
-    node whose only parent is ``x``; GELU is the exact ``m * Phi(m)``. With
-    ``cls_only`` a batch of two or more runs on its CLS rows alone, as 2-D
-    products, and yields ``(batch, 1, d)``."""
+    node whose only parent is ``x``; GELU is the exact ``m * Phi(m)``.
+
+    Nothing but the CLS readout follows block N, so there a batch of two or
+    more runs on its CLS rows alone, as 2-D products, and yields
+    ``(batch, 1, d)``. A batch of one keeps every token."""
     w = _weights(backbone, i, _MLP_WEIGHTS)
-    readout = cls_only and x.value.shape[0] > 1
+    readout = i == backbone.cfg.num_blocks and x.value.shape[0] > 1
     v = x.value[:, 0, :] if readout else x.value
     h, xhat, inv = ad.layer_norm_values(v, w["ln2.g"], w["ln2.b"])
     m = h @ w["W1"] + w["b1"]
@@ -335,13 +335,13 @@ def mlp_sublayer(backbone: Backbone, i: int, x: ad.Tensor, cls_only: bool = Fals
 
 
 def block_forward(
-    backbone: Backbone, state: TokenState, i: int, deltas: DeltaMap | None = None, *, cls_only=False
+    backbone: Backbone, state: TokenState, i: int, deltas: DeltaMap | None = None
 ) -> TokenState:
     """Apply block ``i`` (1-based) to the token state.
 
     Each projection named in the config's attach set may carry an adapter
     (see :func:`attention_sublayer`). With no deltas supplied this is the pure
-    frozen block. Set ``cls_only`` when only the result's CLS row is read.
+    frozen block. Block N runs readout-only (see :func:`mlp_sublayer`).
     """
     if i < 1 or i > backbone.cfg.num_blocks:
         raise ConfigError(f"block index {i} out of range 1..{backbone.cfg.num_blocks}")
@@ -351,14 +351,12 @@ def block_forward(
         )
     if state.tokens.value.ndim != 3:
         raise ShapeError(f"token state must be (batch, tokens, width), got {state.tokens.shape}")
-    if state.tokens.value.shape[1] == 1:
-        raise ShapeError(f"block {state.block_index} ran readout-only; no block can follow it")
     deltas = deltas or {}
     unknown = set(deltas) - set(backbone.cfg.attach_set)
     if unknown:
         raise ConfigError(f"deltas supplied for unattached projections: {sorted(unknown)}")
     x = attention_sublayer(backbone, i, state.tokens, deltas)
-    x = mlp_sublayer(backbone, i, x, cls_only)
+    x = mlp_sublayer(backbone, i, x)
     return TokenState(tokens=x, block_index=i)
 
 

@@ -150,9 +150,7 @@ def run_blocks(
     None to run those blocks bare, e.g. to show a fresh adapter changes
     nothing). ``shared`` replaces the model's live shared adapter on the
     shared-role blocks; a :meth:`~adapters.Adapter.frozen_copy` there is
-    how the teacher prefix and inference run without gradients. Nothing but
-    the CLS readout follows block N, so block N runs readout-only and leaves
-    a ``(batch, 1, width)`` state; every earlier block keeps every token.
+    how the teacher prefix and inference run without gradients.
     """
     shared = shared if shared is not None else model.shared
     blocks = tuple(blocks)
@@ -170,7 +168,7 @@ def run_blocks(
                 deltas = _deltas(model, i, shared)
         elif task is not None and task.specific is not None:
             deltas = _deltas(model, i, task.specific, mu)
-        state = bb.block_forward(model.backbone, state, i, deltas, cls_only=i == model.num_blocks)
+        state = bb.block_forward(model.backbone, state, i, deltas)
     return state
 
 

@@ -55,18 +55,13 @@ def sample_orthogonal_rows(r: int, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def softmax_temperature(logits, tau: float) -> np.ndarray:
-    """Temperature-scaled softmax over the last axis of a 1-D logit vector or
-    a 2-D batch of them (one row each).
+    """Temperature-scaled softmax of each row of a 2-D batch of logits.
 
     Computed with max-subtraction so arbitrarily large logits cannot overflow.
     """
     if tau <= 0:
         raise InvalidInputError(f"temperature must be positive, got {tau}")
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim not in (1, 2):
-        raise ShapeError(f"logits must be 1-D or 2-D, got shape {z.shape}")
-    if not np.isfinite(z).all():
-        raise InvalidInputError("logits contain non-finite entries")
+    z = as_matrix(logits, "logits")
     z = z / tau
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)

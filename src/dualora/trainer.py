@@ -134,26 +134,21 @@ def _head_grads(g: np.ndarray, x: np.ndarray, head: Head, needs) -> tuple:
     )
 
 
-def _as_tensor(x) -> ad.Tensor:
-    return x if isinstance(x, ad.Tensor) else ad.constant(x)
-
-
-def local_ce_loss(cls, head: Head, labels) -> ad.Tensor:
+def local_ce_loss(cls: ad.Tensor, head: Head, labels: np.ndarray) -> ad.Tensor:
     """Mean cross-entropy of the head's logits of ``cls`` (b, d) against
-    local class indices, as one node."""
-    cls = _as_tensor(cls)
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    ``labels``, one local class index per row, as one node."""
+    labels = np.asarray(labels, dtype=np.int64)
+    x = cls.value
+    if x.ndim != 2:
+        raise ShapeError(f"CLS readout must be (batch, width), got {x.shape}")
+    if labels.shape != (x.shape[0],):
+        raise ShapeError(f"{labels.size} labels for a batch of {x.shape[0]}, shape {labels.shape}")
     n_classes = head.W.value.shape[-1]
     if labels.min() < 0 or labels.max() >= n_classes:
         raise InvalidInputError(
             f"labels must lie in [0, {n_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    x = cls.value
-    if x.ndim != 2:
-        raise ShapeError(f"CLS readout must be (batch, width), got {x.shape}")
-    if labels.shape != (x.shape[0],):
-        raise ShapeError(f"{labels.size} labels for a batch of {x.shape[0]}")
     n = labels.shape[0]
     rows = np.arange(n)
     logp = _log_softmax(head.logits_value(x))
@@ -176,7 +171,7 @@ def kd_target(head: Head, teacher_cls: np.ndarray, tau: float) -> np.ndarray:
     return numerics.softmax_temperature(head.logits_value(teacher_cls), tau)
 
 
-def kd_loss(student_cls, target: np.ndarray, head: Head, tau: float) -> ad.Tensor:
+def kd_loss(student_cls: ad.Tensor, target: np.ndarray, head: Head, tau: float) -> ad.Tensor:
     """Soft cross-entropy of the head's temperature-softened distribution of
     ``student_cls`` against ``target`` (see :func:`kd_target`), as one node.
 
@@ -184,7 +179,6 @@ def kd_loss(student_cls, target: np.ndarray, head: Head, tau: float) -> ad.Tenso
     """
     if tau <= 0:
         raise InvalidInputError(f"temperature must be positive, got {tau}")
-    student_cls = _as_tensor(student_cls)
     x = student_cls.value
     c = 1.0 / tau
     logp = _log_softmax(head.logits_value(x) * c)

@@ -71,10 +71,10 @@ def recording_adapter_blocks():
     calls = []
     block_forward = bb.block_forward
 
-    def recording(backbone, state, i, deltas=None, **kwargs):
+    def recording(backbone, state, i, deltas=None):
         if deltas:
             calls.append(i)
-        return block_forward(backbone, state, i, deltas, **kwargs)
+        return block_forward(backbone, state, i, deltas)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bb, "block_forward", recording)

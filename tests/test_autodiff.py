@@ -104,7 +104,7 @@ class TestOpGradients:
     helpers the fused nodes use."""
 
     def _check(self, build, params, tol=1e-6):
-        rep = ad.finite_difference_check(build, params, step=1e-5)
+        rep = ad.finite_difference_check(lambda: {"f": build()}, params, step=1e-5)["f"]
         assert rep.max_rel_error <= tol, rep.per_param
 
     def test_layer_norm(self):
@@ -192,8 +192,8 @@ class TestFiniteDifferenceCheck:
     def test_linear_model_near_exact(self):
         w = _param("w", [0.7, -1.3, 2.0])
         x = np.array([1.5, 0.5, -2.0])
-        rep = ad.finite_difference_check(lambda: project(ad.leaf(w), x), [w], step=1e-5)
-        assert rep.max_rel_error <= 1e-10
+        rep = ad.finite_difference_check(lambda: {"f": project(ad.leaf(w), x)}, [w], step=1e-5)
+        assert rep["f"].max_rel_error <= 1e-10
 
     def test_softmax_cross_entropy_head(self):
         rng = nm.make_rng(20)
@@ -201,16 +201,18 @@ class TestFiniteDifferenceCheck:
         x = rng.standard_normal((6, 4))
         labels = rng.integers(0, 3, 6)
         rep = ad.finite_difference_check(
-            lambda: tr.local_ce_loss(x, head, labels), head.parameters(), step=1e-5
+            lambda: {"ce": tr.local_ce_loss(ad.constant(x), head, labels)},
+            head.parameters(),
+            step=1e-5,
         )
-        assert rep.max_rel_error <= 1e-6
+        assert rep["ce"].max_rel_error <= 1e-6
 
     def test_frozen_parameter_skipped(self):
         w = _param("w", [1.0, 2.0])
         frozen = _param("f", [[3.0]], trainable=False)
         rep = ad.finite_difference_check(
-            lambda: project(_product(ad.leaf(w), ad.leaf(w)), 1.0), [w, frozen], step=1e-5
-        )
+            lambda: {"f": project(_product(ad.leaf(w), ad.leaf(w)), 1.0)}, [w, frozen], step=1e-5
+        )["f"]
         assert rep.num_checked == 2
         assert "f" not in rep.per_param
 
@@ -219,7 +221,7 @@ class TestFiniteDifferenceCheck:
         w = _param("w", [1.0])
 
         def closure():
-            return project(ad.leaf(w), rng.standard_normal(1))
+            return {"f": project(ad.leaf(w), rng.standard_normal(1))}
 
         with pytest.raises(DeterminismError):
             ad.finite_difference_check(closure, [w], step=1e-5)
@@ -227,14 +229,21 @@ class TestFiniteDifferenceCheck:
     def test_bad_step_rejected(self):
         w = _param("w", [1.0])
         with pytest.raises(InvalidInputError):
-            ad.finite_difference_check(lambda: project(ad.leaf(w), 1.0), [w], step=0.0)
+            ad.finite_difference_check(lambda: {"f": project(ad.leaf(w), 1.0)}, [w], step=0.0)
+
+    def test_lone_tensor_closure_rejected(self):
+        w = _param("w", [1.0])
+        with pytest.raises(GraphError, match="mapping of terms"):
+            ad.finite_difference_check(lambda: project(ad.leaf(w), 1.0), [w], step=1e-5)
 
     def test_check_leaves_parameters_bit_identical(self):
         rng = nm.make_rng(30)
         w = _param("w", rng.standard_normal((3, 3)))
         before = w.byte_hash()
         ad.finite_difference_check(
-            lambda: project(ad.softplus(_product(ad.leaf(w), ad.leaf(w))), 1.0), [w], step=1e-5
+            lambda: {"f": project(ad.softplus(_product(ad.leaf(w), ad.leaf(w))), 1.0)},
+            [w],
+            step=1e-5,
         )
         assert w.byte_hash() == before
 
@@ -246,7 +255,7 @@ class TestFiniteDifferenceCheck:
             calls.append(w.value.copy())
             if len(calls) > 2:  # the two determinism calls pass, the first perturbed one fails
                 raise RuntimeError("forward failed")
-            return project(ad.leaf(w), 1.0)
+            return {"f": project(ad.leaf(w), 1.0)}
 
         with pytest.raises(RuntimeError):
             ad.finite_difference_check(closure, [w], step=1e-3)
@@ -276,8 +285,9 @@ class TestOneSweepCheck:
         reports = ad.finite_difference_check(closure, params, step=1e-5)
         assert list(reports) == ["ce", "kd", "orth"]
         for term, rep in reports.items():
-            alone = ad.finite_difference_check(lambda: closure()[term], params, step=1e-5)
-            assert isinstance(alone, ad.FiniteDifferenceReport)
+            alone = ad.finite_difference_check(
+                lambda: {term: closure()[term]}, params, step=1e-5
+            )[term]
             assert repr(rep) == repr(alone), term
             assert rep.num_checked == 9 + 6 + 2
             assert rep.max_rel_error <= 1e-6

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,12 +81,12 @@ class TestPatchEmbed:
     def test_token_count(self):
         cfg = bb.BackboneConfig(num_blocks=1, width=8, heads=1, image_side=16, patch_side=8)
         backbone = bb.init_backbone(cfg, nm.make_rng(0))
-        state = bb.patch_embed(np.zeros((1, 16, 16)), backbone)
+        state = bb.patch_embed(np.zeros((1, 1, 16, 16)), backbone)
         assert state.tokens.shape == (1, 5, 8)
 
     def test_zero_image_gives_positions_plus_cls(self):
         backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
-        state = bb.patch_embed(np.zeros((1, 8, 8)), backbone)
+        state = bb.patch_embed(np.zeros((1, 1, 8, 8)), backbone)
         expected = backbone.positions.copy()
         expected[0] += backbone.param("cls").value
         assert np.array_equal(state.tokens.value, expected[None])
@@ -92,7 +94,7 @@ class TestPatchEmbed:
     def test_shape_mismatch(self):
         backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
         with pytest.raises(ShapeError):
-            bb.patch_embed(np.zeros((1, 8, 9)), backbone)
+            bb.patch_embed(np.zeros((1, 1, 8, 9)), backbone)
 
     def test_batch_shape_mismatch_names_per_image_shape(self):
         backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
@@ -102,23 +104,33 @@ class TestPatchEmbed:
     def test_single_image_is_a_batch_of_one(self):
         backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
         img = nm.make_rng(1).uniform(0, 1, (1, 8, 8))
-        single = bb.patch_embed(img, backbone).tokens.value
+        single = bb.patch_embed(img[None], backbone).tokens.value
         assert single.shape == (1, 5, 16)
-        assert np.array_equal(single, bb.patch_embed(img[None], backbone).tokens.value)
+        # oracle: cut the four 4x4 patches by hand, row-major
+        patches = [img[0, r : r + 4, c : c + 4].reshape(-1) for r in (0, 4) for c in (0, 4)]
+        embedded = patches @ backbone.param("embed.W").value
+        expected = np.vstack([backbone.param("cls").value, embedded])
+        assert np.allclose(single[0], expected + backbone.positions, atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (8, 8), (2, 1, 1, 8, 8)])
+    def test_unbatched_image_rejected(self, shape):
+        backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
+        with pytest.raises(ShapeError, match=r"\(batch, channels, H, W\)"):
+            bb.patch_embed(np.zeros(shape), backbone)
 
     def test_batch_matches_single(self):
         backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
         imgs = nm.make_rng(1).uniform(0, 1, (3, 1, 8, 8))
         batch = bb.patch_embed(imgs, backbone).tokens.value
         for i in range(3):
-            single = bb.patch_embed(imgs[i], backbone).tokens.value
-            assert np.allclose(batch[i], single, atol=1e-15)
+            single = bb.patch_embed(imgs[i : i + 1], backbone).tokens.value
+            assert np.allclose(batch[i], single[0], atol=1e-15)
 
 
 class TestBlockForward:
     def test_zero_delta_identity(self):
         backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
-        img = nm.make_rng(1).uniform(0, 1, (1, 8, 8))
+        img = nm.make_rng(1).uniform(0, 1, (1, 1, 8, 8))
         plain = bb.block_forward(backbone, bb.patch_embed(img, backbone), 1)
         shared = adp.init_shared((1,), ("q", "v"), 2, 16, nm.make_rng(3))  # up starts at zero
         zeros = {p: shared.pair(1, p).attach() for p in ("q", "v")}
@@ -127,20 +139,20 @@ class TestBlockForward:
 
     def test_deterministic(self):
         backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
-        img = nm.make_rng(2).uniform(0, 1, (1, 8, 8))
+        img = nm.make_rng(2).uniform(0, 1, (1, 1, 8, 8))
         a = bb.block_forward(backbone, bb.patch_embed(img, backbone), 1).tokens.value
         b = bb.block_forward(backbone, bb.patch_embed(img, backbone), 1).tokens.value
         assert np.array_equal(a, b)
 
     def test_out_of_order_block_rejected(self):
         backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
-        state = bb.patch_embed(np.zeros((1, 8, 8)), backbone)
+        state = bb.patch_embed(np.zeros((1, 1, 8, 8)), backbone)
         with pytest.raises(ShapeError):
             bb.block_forward(backbone, state, 2)
 
     def test_token_shape_preserved_through_blocks(self):
         backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
-        state = bb.patch_embed(nm.make_rng(3).uniform(0, 1, (1, 8, 8)), backbone)
+        state = bb.patch_embed(nm.make_rng(3).uniform(0, 1, (1, 1, 8, 8)), backbone)
         for i in (1, 2):
             state = bb.block_forward(backbone, state, i)
             assert state.tokens.shape == (1, 5, 16)
@@ -155,9 +167,9 @@ class TestBlockForward:
         )
         backbone = bb.init_backbone(cfg, nm.make_rng(5))
         # strip to a single CLS-like token by feeding the 1-patch image
-        img = nm.make_rng(6).uniform(0, 1, (1, 2, 2))
+        img = nm.make_rng(6).uniform(0, 1, (1, 1, 2, 2))
         state = bb.patch_embed(img, backbone)
-        assert state.tokens.shape == (1, 2, 4)  # 1 patch + CLS; take a manual 1-token path
+        assert state.tokens.shape == (1, 2, 4)  # 1 patch + CLS; keep the CLS row alone
 
         x = state.tokens.value[:, :1]  # single row
         p = {k: backbone.param(f"block1.{k}").value for k in
@@ -177,22 +189,22 @@ class TestBlockForward:
         m = m * 0.5 * (1 + erf(m / np.sqrt(2)))
         expected = y + m @ p["W2"] + p["b2"]
 
-        # block_forward refuses a one-token state, so run its two sublayers
-        out = bb.mlp_sublayer(backbone, 1, bb.attention_sublayer(backbone, 1, ad.constant(x), {}))
+        out = bb.block_forward(backbone, bb.TokenState(ad.constant(x), 0), 1).tokens
         assert np.allclose(out.value, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("cls_only", [False, True])
-    def test_unbatched_state_rejected(self, cls_only):
-        backbone, _, _ = _sublayer_setup(("q", "v"), False)
-        state = bb.TokenState(ad.constant(np.ones((5, 12))), 0)
-        with pytest.raises(ShapeError):
-            bb.block_forward(backbone, state, 1, cls_only=cls_only)
+    @pytest.mark.parametrize("readout", [False, True])
+    def test_unbatched_state_rejected(self, readout):
+        backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
+        i = backbone.cfg.num_blocks if readout else 1
+        state = bb.TokenState(ad.constant(np.ones((5, 16))), i - 1)
+        with pytest.raises(ShapeError, match=r"\(batch, tokens, width\)"):
+            bb.block_forward(backbone, state, i)
 
 
 class TestExtractCls:
     def test_returns_row_zero_of_normed_tokens(self):
         backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
-        img = nm.make_rng(7).uniform(0, 1, (1, 8, 8))
+        img = nm.make_rng(7).uniform(0, 1, (1, 1, 8, 8))
         state = bb.patch_embed(img, backbone)
         state = bb.block_forward(backbone, state, 1)
         cls = bb.extract_cls(backbone, state).value
@@ -204,7 +216,7 @@ class TestExtractCls:
 
     def test_unit_statistics_after_norm(self):
         backbone = bb.init_backbone(small_cfg(), nm.make_rng(0))
-        img = nm.make_rng(8).uniform(0, 1, (1, 8, 8))
+        img = nm.make_rng(8).uniform(0, 1, (1, 1, 8, 8))
         state = bb.block_forward(backbone, bb.patch_embed(img, backbone), 1)
         cls = bb.extract_cls(backbone, state).value
         assert abs(cls.mean()) <= 1e-9
@@ -220,7 +232,7 @@ class TestExtractCls:
             backbone.params[f"block{i}.bq"].value[:] = 0.0
             backbone.params[f"block{i}.Wk"].value[:] = 0.0
             backbone.params[f"block{i}.bk"].value[:] = 0.0
-        img = nm.make_rng(10).uniform(0, 1, (1, 8, 8))
+        img = nm.make_rng(10).uniform(0, 1, (1, 1, 8, 8))
         base = bb.patch_embed(img, backbone).tokens.value
         perm = base.copy()
         perm[:, 1:] = perm[:, 1:][:, ::-1]
@@ -298,6 +310,13 @@ def _sublayer_setup(attach, block_weights, seed=0):
     return backbone, specific, weights
 
 
+def _one_block_deeper(backbone):
+    """``backbone``'s weights under a config with one more block: its block N
+    is no longer the last one there, so it keeps every token."""
+    cfg = dataclasses.replace(backbone.cfg, num_blocks=backbone.cfg.num_blocks + 1)
+    return bb.Backbone(cfg=cfg, params=backbone.params, positions=backbone.positions)
+
+
 def _attachments(specific, weights):
     mu = weights.mu_tensor() if weights is not None else None
     return {p: specific.pair(1, p).attach(mu, 0) for p in specific.attach_set}
@@ -321,9 +340,9 @@ class TestFusedSublayers:
             out = bb.attention_sublayer(
                 backbone, 1, ad.leaf(x), _attachments(specific, weights)
             )
-            return project(out, c)
+            return {"f": project(out, c)}
 
-        rep = ad.finite_difference_check(closure, params, step=1e-5)
+        rep = ad.finite_difference_check(closure, params, step=1e-5)["f"]
         assert rep.num_checked == sum(p.size for p in params)
         assert rep.max_rel_error <= 1e-5, rep.per_param
 
@@ -334,10 +353,12 @@ class TestFusedSublayers:
         x = ad.Parameter("x", rng.standard_normal(TOKEN_SHAPES[tokens]), True, "head")
         c = rng.standard_normal(TOKEN_SHAPES[tokens])
 
-        def closure():
-            return project(bb.mlp_sublayer(backbone, 1, ad.leaf(x)), c)
+        inner = _one_block_deeper(backbone)
 
-        rep = ad.finite_difference_check(closure, [x], step=1e-5)
+        def closure():
+            return {"f": project(bb.mlp_sublayer(inner, 1, ad.leaf(x)), c)}
+
+        rep = ad.finite_difference_check(closure, [x], step=1e-5)["f"]
         assert rep.max_rel_error <= 1e-5, rep.per_param
 
     @pytest.mark.parametrize("tokens", sorted(TOKEN_SHAPES))
@@ -355,7 +376,7 @@ class TestFusedSublayers:
             backbone, 1, ad.constant(x), _attachments(specific, weights)
         ).value
         assert np.array_equal(attn, _reference_attention(backbone, 1, x, plain))
-        mlp = bb.mlp_sublayer(backbone, 1, ad.constant(attn)).value
+        mlp = bb.mlp_sublayer(_one_block_deeper(backbone), 1, ad.constant(attn)).value
         assert np.array_equal(mlp, _reference_mlp(backbone, 1, attn))
 
     def test_one_node_per_sublayer_with_adapter_parents_only(self):
@@ -383,14 +404,17 @@ READOUT_BATCHES = (2, 3, 4, 16, 19, 32, 100)
 
 
 class TestReadoutOnlyBlock:
+    """The one-block setup's block 1 is block N, so it runs readout-only; the
+    same weights one block deeper give the full block to compare with."""
+
     @pytest.mark.parametrize("batch", READOUT_BATCHES)
     @pytest.mark.parametrize("attach", [("q", "v"), ("q", "k", "v")])
     def test_cls_row_bitwise_equals_full_block(self, batch, attach):
         backbone, specific, weights = _sublayer_setup(attach, True)
         state = bb.TokenState(ad.constant(nm.make_rng(4).standard_normal((batch, 5, 12))), 0)
         deltas = _attachments(specific, weights)
-        full = bb.block_forward(backbone, state, 1, deltas).tokens.value
-        cls = bb.block_forward(backbone, state, 1, deltas, cls_only=True).tokens.value
+        full = bb.block_forward(_one_block_deeper(backbone), state, 1, deltas).tokens.value
+        cls = bb.block_forward(backbone, state, 1, deltas).tokens.value
         assert cls.shape == (batch, 1, 12)
         assert np.array_equal(cls[:, 0], full[:, 0])
 
@@ -399,8 +423,8 @@ class TestReadoutOnlyBlock:
         backbone, specific, weights = _sublayer_setup(("q", "v"), True)
         state = bb.TokenState(ad.constant(nm.make_rng(5).standard_normal(shape)), 0)
         deltas = _attachments(specific, weights)
-        full = bb.block_forward(backbone, state, 1, deltas).tokens.value
-        cls = bb.block_forward(backbone, state, 1, deltas, cls_only=True).tokens.value
+        full = bb.block_forward(_one_block_deeper(backbone), state, 1, deltas).tokens.value
+        cls = bb.block_forward(backbone, state, 1, deltas).tokens.value
         assert cls.shape == shape
         assert np.array_equal(cls, full)
 
@@ -411,10 +435,9 @@ class TestReadoutOnlyBlock:
         c = rng.standard_normal((3, 1, 12))
 
         def closure():
-            out = bb.mlp_sublayer(backbone, 1, ad.leaf(x), cls_only=True)
-            return project(out, c)
+            return {"f": project(bb.mlp_sublayer(backbone, 1, ad.leaf(x)), c)}
 
-        rep = ad.finite_difference_check(closure, [x], step=1e-5)
+        rep = ad.finite_difference_check(closure, [x], step=1e-5)["f"]
         assert rep.num_checked == x.size
         assert rep.max_rel_error <= 1e-5, rep.per_param
 
@@ -429,18 +452,29 @@ class TestReadoutOnlyBlock:
         g_cls = rng.standard_normal((batch, 1, 64))
         g_full = np.zeros((batch, 5, 64))
         g_full[:, :1] = g_cls
-        full = bb.mlp_sublayer(backbone, 1, x)
-        cls = bb.mlp_sublayer(backbone, 1, x, cls_only=True)
+        full = bb.mlp_sublayer(_one_block_deeper(backbone), 1, x)
+        cls = bb.mlp_sublayer(backbone, 1, x)
         assert np.array_equal(cls.value[:, 0], full.value[:, 0])
         (want,) = full.bwd(g_full, (True,))
         (got,) = cls.bwd(g_cls, (True,))
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
-    def test_block_rejects_a_readout_only_state(self):
+    def test_only_block_n_runs_readout_only(self):
         backbone = bb.init_backbone(small_cfg(), nm.make_rng(8))
         img = nm.make_rng(9).uniform(0, 1, (2, 1, 8, 8))
-        state = bb.block_forward(backbone, bb.patch_embed(img, backbone), 1, cls_only=True)
+        state = bb.block_forward(backbone, bb.patch_embed(img, backbone), 1)
+        assert state.tokens.value.shape == (2, 5, 16)
+        state = bb.block_forward(backbone, state, 2)
         assert state.tokens.value.shape == (2, 1, 16)
-        with pytest.raises(ShapeError):
-            bb.block_forward(backbone, state, 2)
+
+    def test_block_rejects_a_readout_only_state(self):
+        # a readout-only state is after block N, and no block follows block N
+        backbone = bb.init_backbone(small_cfg(), nm.make_rng(8))
+        img = nm.make_rng(9).uniform(0, 1, (2, 1, 8, 8))
+        state = bb.patch_embed(img, backbone)
+        for i in (1, 2):
+            state = bb.block_forward(backbone, state, i)
+        assert state.tokens.value.shape == (2, 1, 16)
+        with pytest.raises(ConfigError, match="out of range"):
+            bb.block_forward(backbone, state, 3)

@@ -57,7 +57,7 @@ class TestComputePrototypes:
         task = stream.tasks[0]
         components = model.components_for(1)
         img = task.train_images[0]
-        feat = mdl.forward_features(model, img, components).cls_final.value[0]
+        feat = mdl.forward_features(model, img[None], components).cls_final.value[0]
         store = clf.PrototypeStore()
         one = type(task)(
             task_id=1,
@@ -123,7 +123,7 @@ class TestPredict:
         task = stream.tasks[0]
         components = model.components_for(1)
         img = task.train_images[0]
-        feat = mdl.forward_features(model, img, components).cls_final.value[0]
+        feat = mdl.forward_features(model, img[None], components).cls_final.value[0]
         probe = clf.PrototypeStore()
         probe.add(1, 0, feat)
         pred = clf.predict(model, probe, img)

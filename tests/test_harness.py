@@ -6,6 +6,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -376,6 +378,18 @@ class TestGradcheck:
 
 
 class TestCli:
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # only a sweep needs the process pool; every other command starts without it
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        probe = (
+            "import sys, dualora.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_run_and_report(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(FAST))

@@ -50,14 +50,14 @@ class TestZeroInitTransparency:
         store = clf.PrototypeStore()
         tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
         session = tr.TaskSession(model, stream.tasks[1], tcfg, nm.make_rng(1))
-        img = stream.tasks[1].train_images[0]
+        img = stream.tasks[1].train_images[:1]
         with_task = mdl.forward_features(model, img, session.components).cls_final.value
         without = mdl.forward_features(model, img, None).cls_final.value
         assert np.array_equal(with_task, without)
 
     def test_fresh_shared_adapter_is_transparent(self):
         _, backbone, model, _ = build_micro()
-        img = nm.make_rng(5).uniform(0, 1, (1, 8, 8))
+        img = nm.make_rng(5).uniform(0, 1, (1, 1, 8, 8))
         state = bb.patch_embed(img, backbone)
         bare = bb.block_forward(backbone, state, 1).tokens.value
         routed = mdl.run_blocks(model, bb.patch_embed(img, backbone), (1,)).tokens.value
@@ -77,13 +77,13 @@ class TestRunPrefix:
 class TestCounter:
     def test_counts_only_adapter_bearing_blocks(self, adapter_blocks):
         stream, _, model, tcfg = build_micro()
-        img = stream.tasks[0].train_images[0]
+        img = stream.tasks[0].train_images[:1]
         mdl.forward_features(model, img, None)
         assert len(adapter_blocks) == 1  # only the shared block carries a delta
 
     def test_full_forward_counts_all_blocks(self, trained_micro, adapter_blocks):
         model = trained_micro["model"]
-        img = trained_micro["stream"].tasks[0].train_images[0]
+        img = trained_micro["stream"].tasks[0].train_images[:1]
         mdl.forward_features(model, img, model.components_for(1))
         assert len(adapter_blocks) == model.num_blocks
 

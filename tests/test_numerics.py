@@ -39,49 +39,57 @@ class TestSampleOrthogonalRows:
 class TestSoftmaxTemperature:
     def test_uniform_on_equal_logits(self):
         for tau in (0.5, 1.0, 2.0):
-            out = nm.softmax_temperature([3.0, 3.0, 3.0], tau)
+            out = nm.softmax_temperature([[3.0, 3.0, 3.0]], tau)
             assert np.allclose(out, 1.0 / 3.0, atol=1e-12)
 
     def test_analytic_sigmoid_value(self):
-        out = nm.softmax_temperature([2.0, 0.0], 2.0)
-        assert np.allclose(out, [0.7311, 0.2689], atol=1e-4)
+        out = nm.softmax_temperature([[2.0, 0.0]], 2.0)
+        assert np.allclose(out, [[0.7311, 0.2689]], atol=1e-4)
 
     def test_no_overflow_on_huge_logits(self):
-        out = nm.softmax_temperature([1000.0, 0.0], 1.0)
+        out = nm.softmax_temperature([[1000.0, 0.0]], 1.0)
         assert np.isfinite(out).all()
-        assert np.allclose(out, [1.0, 0.0])
+        assert np.allclose(out, [[1.0, 0.0]])
 
     def test_sums_to_one(self):
         rng = nm.make_rng(3)
         for _ in range(50):
-            out = nm.softmax_temperature(rng.normal(size=7) * 10, rng.uniform(0.1, 5))
-            assert abs(out.sum() - 1.0) <= 1e-9
+            out = nm.softmax_temperature(rng.normal(size=(2, 7)) * 10, rng.uniform(0.1, 5))
+            assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-9
             assert (out > 0).all()
 
     def test_shift_invariance(self):
-        z = np.array([0.3, -1.2, 2.0])
+        z = np.array([[0.3, -1.2, 2.0]])
         a = nm.softmax_temperature(z, 1.5)
         b = nm.softmax_temperature(z + 11.0, 1.5)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_monotone_in_logits(self):
-        base = nm.softmax_temperature([1.0, 0.0, -1.0], 1.0)
-        bumped = nm.softmax_temperature([1.5, 0.0, -1.0], 1.0)
-        assert bumped[0] > base[0]
+        base = nm.softmax_temperature([[1.0, 0.0, -1.0]], 1.0)
+        bumped = nm.softmax_temperature([[1.5, 0.0, -1.0]], 1.0)
+        assert bumped[0, 0] > base[0, 0]
 
     def test_bad_temperature(self):
         with pytest.raises(InvalidInputError):
-            nm.softmax_temperature([1.0, 2.0], 0.0)
+            nm.softmax_temperature([[1.0, 2.0]], 0.0)
 
     def test_rows_of_a_batch_match_single_vectors(self):
         z = nm.make_rng(4).normal(size=(5, 3)) * 4
         batch = nm.softmax_temperature(z, 2.0)
-        for row, out in zip(z, batch):
-            assert np.array_equal(out, nm.softmax_temperature(row, 2.0))
+        for i in range(len(z)):
+            assert np.array_equal(batch[i : i + 1], nm.softmax_temperature(z[i : i + 1], 2.0))
 
     def test_three_dimensional_logits_rejected(self):
         with pytest.raises(ShapeError):
             nm.softmax_temperature(np.zeros((2, 2, 2)), 1.0)
+
+    def test_one_dimensional_logits_rejected(self):
+        with pytest.raises(ShapeError, match="2-D"):
+            nm.softmax_temperature([1.0, 2.0], 1.0)
+
+    def test_non_finite_logits_rejected(self):
+        with pytest.raises(InvalidInputError):
+            nm.softmax_temperature([[1.0, np.inf]], 1.0)
 
 
 class TestRowL2Norms:

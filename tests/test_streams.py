@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from dualora import numerics as nm
 from dualora import streams as st
-from dualora.errors import DataError, FormatError, InvalidInputError
+from dualora.errors import DataError, FormatError, InputError, InvalidInputError
 
 
 def small_dataset(seed=0, noise=0.05, classes=4, n_train=5, n_test=3, side=8):
@@ -192,6 +194,41 @@ class TestDatasetFile:
             offset = self.HEADER + 4 * (ds.train_images.size + 2 * 64 + 3 * 8 + 5)
             with pytest.raises(FormatError, match=f"non-finite pixel.* offset {offset}$"):
                 st.load_dataset(path)
+
+
+@pytest.fixture(scope="module")
+def clld(tmp_path_factory):
+    """A small saved dataset's bytes, and a path to write corrupted copies to."""
+    path = tmp_path_factory.mktemp("clld") / "data.clld"
+    st.save_dataset(path, small_dataset(noise=0.1, classes=2, n_train=2, n_test=1, side=4))
+    return path.read_bytes(), path
+
+
+class TestCorruptFileProperty:
+    """A truncated or byte-changed file loads or raises an InputError, which
+    the CLI reports in one line; no other exception escapes the reader."""
+
+    @settings(max_examples=150)
+    @given(data=hs.data())
+    def test_truncated_file_raises_format_error(self, clld, data):
+        raw, path = clld
+        path.write_bytes(raw[: data.draw(hs.integers(0, len(raw) - 1), label="length")])
+        with pytest.raises(FormatError):
+            st.load_dataset(path)
+
+    @settings(max_examples=400)
+    @given(data=hs.data())
+    def test_changed_byte_loads_or_raises_an_input_error(self, clld, data):
+        raw, path = clld
+        changed = bytearray(raw)
+        at = data.draw(hs.integers(0, len(raw) - 1), label="offset")
+        changed[at] = data.draw(hs.integers(0, 255).filter(lambda v: v != raw[at]), label="byte")
+        path.write_bytes(bytes(changed))
+        try:
+            loaded = st.load_dataset(path)
+        except InputError:
+            return
+        assert isinstance(loaded, st.Dataset)
 
 
 class TestTaskStreamInvariants:

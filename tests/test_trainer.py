@@ -50,31 +50,47 @@ def identity_head(classes):
 
 class TestLocalCeLoss:
     def test_uniform_two_class_is_ln2(self):
-        loss = tr.local_ce_loss(np.array([[0.3, 0.3]]), identity_head(2), 0)
+        loss = tr.local_ce_loss(ad.constant([[0.3, 0.3]]), identity_head(2), [0])
         assert float(loss.value) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_huge_margin_goes_to_zero(self):
-        loss = tr.local_ce_loss(np.array([[60.0, 0.0]]), identity_head(2), 0)
+        loss = tr.local_ce_loss(ad.constant([[60.0, 0.0]]), identity_head(2), [0])
         assert float(loss.value) <= 1e-20
 
     def test_mean_reduction_over_duplicates(self):
         head = identity_head(2)
-        single = tr.local_ce_loss(np.array([[1.0, -0.5]]), head, [0])
-        double = tr.local_ce_loss(np.array([[1.0, -0.5], [1.0, -0.5]]), head, [0, 0])
+        single = tr.local_ce_loss(ad.constant([[1.0, -0.5]]), head, [0])
+        double = tr.local_ce_loss(ad.constant([[1.0, -0.5], [1.0, -0.5]]), head, [0, 0])
         assert float(single.value) == pytest.approx(float(double.value), abs=1e-15)
 
     def test_label_out_of_range(self):
         with pytest.raises(InvalidInputError):
-            tr.local_ce_loss(np.array([0.1, 0.2]), identity_head(2), 2)
+            tr.local_ce_loss(ad.constant([[0.1, 0.2]]), identity_head(2), [2])
 
     @pytest.mark.parametrize("labels", [0, [0, 1], [0, 1, 1, 0, 1]])
     def test_label_count_must_match_batch(self, labels):
         with pytest.raises(ShapeError, match=f"{np.size(labels)} labels for a batch of 4"):
-            tr.local_ce_loss(np.zeros((4, 2)), identity_head(2), labels)
+            tr.local_ce_loss(ad.constant(np.zeros((4, 2))), identity_head(2), labels)
+
+    @pytest.mark.parametrize("labels", [[], [0, 5, 1]])
+    def test_label_count_checked_before_label_range(self, labels):
+        # a wrong count is a bug (ShapeError), not bad input (InvalidInputError)
+        with pytest.raises(ShapeError, match="labels for a batch of 2"):
+            tr.local_ce_loss(ad.constant(np.zeros((2, 2))), identity_head(2), labels)
+
+    @pytest.mark.parametrize("label", [0, np.int64(1), np.array(0)])
+    def test_scalar_label_rejected(self, label):
+        with pytest.raises(ShapeError, match=r"shape \(\)"):
+            tr.local_ce_loss(ad.constant(np.zeros((1, 2))), identity_head(2), label)
+
+    def test_plain_array_readout_rejected(self):
+        # the readout is a tape tensor; a bare array has no node to hang on
+        with pytest.raises(AttributeError):
+            tr.local_ce_loss(np.zeros((1, 2)), identity_head(2), [0])
 
     def test_readout_width_must_fit_the_head(self):
         with pytest.raises(ShapeError, match="does not fit head"):
-            tr.local_ce_loss(np.zeros((2, 3)), identity_head(2), [0, 1])
+            tr.local_ce_loss(ad.constant(np.zeros((2, 3))), identity_head(2), [0, 1])
 
     def test_model_readout_with_fewer_labels_rejected(self):
         stream, _, model, _ = build_micro()
@@ -118,6 +134,12 @@ class TestKdLoss:
         target = tr.kd_target(head, np.zeros((2, 4)), 2.0)
         with pytest.raises(ShapeError):
             tr.kd_loss(ad.constant(np.zeros((1, 4))), target, head, tau=2.0)
+
+    def test_plain_array_student_rejected(self):
+        head = make_head()
+        target = tr.kd_target(head, np.zeros((2, 4)), 2.0)
+        with pytest.raises(AttributeError):
+            tr.kd_loss(np.zeros((2, 4)), target, head, tau=2.0)
 
     @pytest.mark.parametrize("shape", [(1, 2), (4, 3), (4,)])
     def test_pinned_target_must_match_logits(self, shape):
@@ -478,7 +500,7 @@ class TestDegenerateModes:
         task = stream.tasks[0]
 
         def raw_feature(img):
-            state = bb.patch_embed(img, backbone)
+            state = bb.patch_embed(img[None], backbone)
             for i in range(1, 5):
                 state = bb.block_forward(backbone, state, i)
             return bb.extract_cls(backbone, state).value[0]
