@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dualora import adapters as adp
 from dualora import autodiff as ad
@@ -184,9 +186,9 @@ class TestBlockForward:
         attn = (h @ p["Wv"] + p["bv"]) @ p["Wo"] + p["bo"]  # softmax over one key = 1
         y = x + attn
         h2 = ln(y, p["ln2.g"], p["ln2.b"])
-        from scipy.special import erf
         m = h2 @ p["W1"] + p["b1"]
-        m = m * 0.5 * (1 + erf(m / np.sqrt(2)))
+        c = float(np.sqrt(2.0 / np.pi))  # GELU, tanh form
+        m = m * (0.5 * (1.0 + np.tanh(m * (c + c * 0.044715 * (m * m)))))
         expected = y + m @ p["W2"] + p["b2"]
 
         out = bb.block_forward(backbone, bb.TokenState(ad.constant(x), 0), 1).tokens
@@ -282,11 +284,11 @@ def _reference_attention(backbone, i, x, deltas):
 
 
 def _reference_mlp(backbone, i, x):
-    from scipy.special import erf
-
     w = lambda name: backbone.param(f"block{i}.{name}").value
     m = _reference_ln(x, w("ln2.g"), w("ln2.b")) @ w("W1") + w("b1")
-    return x + ((m * (0.5 * (1.0 + erf(m / np.sqrt(2.0))))) @ w("W2") + w("b2"))
+    c = float(np.sqrt(2.0 / np.pi))  # GELU, tanh form
+    gelu = m * (0.5 * (1.0 + np.tanh(m * (c + c * 0.044715 * (m * m)))))
+    return x + (gelu @ w("W2") + w("b2"))
 
 
 def _sublayer_setup(attach, block_weights, seed=0):
@@ -478,3 +480,36 @@ class TestReadoutOnlyBlock:
         assert state.tokens.value.shape == (2, 1, 16)
         with pytest.raises(ConfigError, match="out of range"):
             bb.block_forward(backbone, state, 3)
+
+
+class TestMlpGradientProperty:
+    @given(
+        batch=st.integers(1, 4),
+        tokens=st.integers(2, 6),
+        width=st.integers(1, 24),
+        last=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_input_gradient_matches_central_differences(self, batch, tokens, width, last, seed):
+        # with ``last`` block 1 is block N, so a batch of two or more runs
+        # readout-only
+        rng = nm.make_rng(seed)
+        cfg = bb.BackboneConfig(
+            num_blocks=1 if last else 2, width=width, heads=1, image_side=2, patch_side=1
+        )
+        backbone = bb.init_backbone(cfg, rng)
+        # a gain up to 2 spreads the pre-activations over GELU's curved range
+        backbone.param("block1.ln2.g").value[:] = rng.uniform(0.5, 2.0, width)
+        for name in ("ln2.b", "b1", "b2"):
+            p = backbone.param(f"block1.{name}")
+            p.value[:] = 0.5 * rng.standard_normal(p.value.shape)
+        x = ad.Parameter("x", rng.standard_normal((batch, tokens, width)), True, "head")
+        rows = 1 if last and batch > 1 else tokens
+        c = rng.standard_normal((batch, rows, width))
+
+        def closure():
+            return {"f": project(bb.mlp_sublayer(backbone, 1, ad.leaf(x)), c)}
+
+        rep = ad.finite_difference_check(closure, [x], step=1e-5)["f"]
+        assert rep.num_checked == x.size
+        assert rep.max_rel_error <= 1e-5, rep.per_param

@@ -377,18 +377,38 @@ class TestGradcheck:
         assert groups["block-weight"] == 0.0
 
 
+def _fresh_python(code):
+    """Standard output of ``code`` run by a fresh interpreter that imports
+    this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
 class TestCli:
     def test_import_leaves_multiprocessing_unloaded(self):
         # only a sweep needs the process pool; every other command starts without it
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         probe = (
             "import sys, dualora.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        assert _fresh_python(probe) == "[]"
+
+    def test_import_adds_no_package_but_numpy(self):
+        # the package depends on numpy alone: past what the interpreter and
+        # numpy load, importing the CLI brings in dualora and the standard
+        # library only
+        probe = (
+            "import sys\n"
+            "tops = lambda: {m.partition('.')[0] for m in sys.modules}\n"
+            "import numpy\n"
+            "before = tops()\n"
+            "import dualora.cli\n"
+            "print(sorted(tops() - before - set(sys.stdlib_module_names)))"
         )
-        assert out.stdout.strip() == "[]"
+        assert _fresh_python(probe) == "['dualora']"
 
     def test_run_and_report(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
