@@ -9,12 +9,7 @@ block-weight overlap penalty; inference matches prototypes by cosine
 similarity with a shared-prefix evaluation.
 """
 
-from .adapters import (
-    Adapter,
-    BlockWeights,
-    init_shared,
-    init_specific,
-)
+from .adapters import Adapter, init_shared, init_specific
 from .autodiff import (
     GradientBundle,
     Parameter,
@@ -25,7 +20,7 @@ from .autodiff import (
 from .backbone import Backbone, BackboneConfig, TokenState, init_backbone
 from .classifier import PrototypeStore, adapter_pass_count, compute_prototypes, predict
 from .harness import gradcheck, run_ablation, run_experiment
-from .model import ContinualModel, TaskComponents, build_model, param_counts
+from .model import ContinualModel, build_model, param_counts
 from .numerics import (
     dimension_preserving_normalize,
     make_rng,

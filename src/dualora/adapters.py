@@ -7,10 +7,11 @@ by default) and trains only ``A``, which starts at zero so a fresh adapter is
 exactly transparent. Task-specific adapters train both matrices and are
 frozen when their task finishes.
 
-Block-wise weights hold one positive scaling factor per specific block.
-Positivity is guaranteed by storing an unconstrained vector ``rho`` and
-mapping it through softplus; the documented uniform(0, 2) initialization is
-drawn in scale space and inverted through the map.
+A task's adapter also holds its block-wise weights: one positive scaling
+factor per block it covers. Positivity is guaranteed by storing an
+unconstrained vector ``rho`` and mapping it through softplus; the documented
+uniform(0, 2) initialization is drawn in scale space and inverted through the
+map.
 
 Token convention is row-major, so the delta for input ``x`` is
 ``(x @ B.T) @ A.T`` (optionally scaled), matching a weight update ``A @ B``
@@ -108,15 +109,18 @@ class LowRankPair:
 
 @dataclass
 class Adapter:
-    """Low-rank pairs on a run of blocks, one per attached projection.
+    """Low-rank pairs on a run of blocks, one per attached projection, and
+    optionally the block-wise weights ``rho``, one entry per block.
 
     The shared adapter and every task's adapter are this type. They differ only
-    in which blocks they cover, whether ``B`` trains and when they freeze.
+    in which blocks they cover, whether ``B`` trains, whether they carry block
+    weights and when they freeze.
     """
 
     blocks: tuple[int, ...]
     attach_set: tuple[str, ...]
     pairs: dict[tuple[int, str], LowRankPair] = field(default_factory=dict)
+    rho: ad.Parameter | None = None
 
     def pair(self, block: int, proj: str) -> LowRankPair:
         if (block, proj) not in self.pairs:
@@ -130,7 +134,16 @@ class Adapter:
         out = []
         for key in sorted(self.pairs):
             out.extend((self.pairs[key].down, self.pairs[key].up))
+        if self.rho is not None:
+            out.append(self.rho)
         return out
+
+    def mu_tensor(self) -> ad.Tensor | None:
+        """The block weights (softplus of ``rho``) on the tape; None without."""
+        return None if self.rho is None else ad.softplus(ad.leaf(self.rho))
+
+    def mu_values(self) -> np.ndarray:
+        return np.logaddexp(0.0, self.rho.value)
 
     def frozen_copy(self) -> Adapter:
         """The adapter as it is now, with copied values that take no gradient.
@@ -143,7 +156,8 @@ class Adapter:
             return ad.Parameter(p.name, p.value.copy(), trainable=False, tag=p.tag)
 
         pairs = {k: LowRankPair(frozen(v.down), frozen(v.up)) for k, v in self.pairs.items()}
-        return Adapter(self.blocks, self.attach_set, pairs)
+        rho = frozen(self.rho) if self.rho is not None else None
+        return Adapter(self.blocks, self.attach_set, pairs, rho)
 
     def freeze(self) -> None:
         for p in self.parameters():
@@ -156,27 +170,6 @@ class Adapter:
         for p in self.parameters():
             digest.update(p.value.tobytes())
         return digest.hexdigest()
-
-
-@dataclass
-class BlockWeights:
-    """One positive scaling factor per specific block (softplus of ``rho``)."""
-
-    task_id: int
-    blocks: tuple[int, ...]
-    rho: ad.Parameter
-
-    def mu_tensor(self) -> ad.Tensor:
-        return ad.softplus(ad.leaf(self.rho))
-
-    def mu_values(self) -> np.ndarray:
-        return np.logaddexp(0.0, self.rho.value)
-
-    def freeze(self) -> None:
-        self.rho.trainable = False
-
-    def content_hash(self) -> str:
-        return hashlib.sha256(self.rho.value.tobytes()).hexdigest()
 
 
 def init_shared(
@@ -231,11 +224,13 @@ def init_specific(
     rng: np.random.Generator,
     *,
     block_weights: bool = True,
-) -> tuple[Adapter, BlockWeights | None]:
-    """Create task ``task_id``'s adapter (zero up, Gaussian down) and weights.
+) -> Adapter:
+    """Create task ``task_id``'s adapter: zero up, Gaussian down and, with
+    ``block_weights``, one scaling factor per block.
 
     Down-projections draw i.i.d. N(0, 1/rank); scaling factors draw
-    uniform(0, 2) and are stored through the softplus inverse.
+    uniform(0, 2) and are stored through the softplus inverse. An empty
+    ``blocks`` gives an empty adapter and draws nothing.
     """
     if rank < 1:
         raise InvalidRankError(f"rank must be >= 1, got {rank}")
@@ -255,36 +250,28 @@ def init_specific(
                 tag="specific-up",
             )
             adapter.pairs[(i, p)] = LowRankPair(down=down, up=up)
-    weights = None
     if block_weights and adapter.blocks:
         mu = rng.uniform(0.0, 2.0, size=len(adapter.blocks))
         mu = np.clip(mu, 1e-9, None)  # a zero draw has no softplus preimage
         rho = np.log(np.expm1(mu))
-        weights = BlockWeights(
-            task_id=task_id,
-            blocks=adapter.blocks,
-            rho=ad.Parameter(f"task{task_id}.blockw", rho, trainable=True, tag="block-weight"),
-        )
-    return adapter, weights
+        adapter.rho = ad.Parameter(f"task{task_id}.blockw", rho, trainable=True, tag="block-weight")
+    return adapter
 
 
 def specific_delta(
     adapter: Adapter,
-    weights: BlockWeights | None,
     x: ad.Tensor,
     block: int,
     proj: str,
     mu: ad.Tensor | None = None,
 ) -> ad.Tensor:
-    """Delta of a task adapter, scaled by that block's factor when present.
+    """Delta of a task adapter, scaled by that block's factor when it has
+    block weights.
 
     ``mu`` may carry the precomputed softplus tensor for the whole block
     vector; otherwise it is derived here.
     """
-    pair = adapter.pair(block, proj)
-    if weights is None:
-        return pair.attach().delta(x)
     if mu is None:
-        mu = weights.mu_tensor()
-    return pair.attach(mu, weights.blocks.index(block)).delta(x)
-
+        mu = adapter.mu_tensor()
+    index = adapter.blocks.index(block) if mu is not None else 0
+    return adapter.pair(block, proj).attach(mu, index).delta(x)

@@ -65,16 +65,16 @@ def _task_features(model: mdl.ContinualModel, images: np.ndarray, tasks, *, shar
     k = model.shared_prefix if share_prefix else 0
     prefix = mdl.run_prefix(model, images, k, shared=shared)
     suffix = range(k + 1, model.num_blocks + 1)
-    for components in tasks:
-        state = mdl.run_blocks(model, prefix, suffix, task=components, shared=shared)
+    for adapter in tasks:
+        state = mdl.run_blocks(model, prefix, suffix, task=adapter, shared=shared)
         yield bb.extract_cls(model.backbone, state).value
 
 
 def compute_prototypes(model: mdl.ContinualModel, store: PrototypeStore, task) -> None:
     """Mean per-class CLS features of the task's training data, using the
-    shared adapter as of now plus the task's own (frozen) components."""
-    components = model.components_for(task.task_id)
-    (feats,) = _task_features(model, task.train_images, [components])
+    shared adapter as of now plus the task's own (frozen) adapter."""
+    adapter = model.components_for(task.task_id)
+    (feats,) = _task_features(model, task.train_images, [adapter])
     for class_id in task.classes:
         mask = task.train_labels == class_id
         if not mask.any():
@@ -98,7 +98,7 @@ def score_batch(
         raise ShapeError(f"expected a batch (B, channels, H, W), got shape {np.shape(images)}")
     if not model.tasks:
         raise ProtocolError("no tasks trained yet")
-    items = [store.task_items(components.task_id) for components in model.tasks]
+    items = [store.task_items(t) for t in range(1, len(model.tasks) + 1)]
     if not any(items):
         raise ProtocolError("prototype store holds no prototype of a trained task")
     columns, blocks = [], []

@@ -29,6 +29,7 @@ from . import model as mdl
 from . import streams
 from . import trainer as tr
 from .errors import ConfigError, DataError
+from .numerics import make_rng
 
 
 def _defaults(cls) -> dict:
@@ -220,9 +221,8 @@ class RunReport:
 def _spawn_generators(seed: int, num_tasks: int):
     root = np.random.SeedSequence(seed)
     s_data, s_backbone, s_model, s_train = root.spawn(4)
-    task_seqs = s_train.spawn(num_tasks)
-    gen = lambda s: np.random.Generator(np.random.PCG64(s))
-    return gen(s_data), gen(s_backbone), gen(s_model), [gen(s) for s in task_seqs]
+    task_rngs = [make_rng(s) for s in s_train.spawn(num_tasks)]
+    return make_rng(s_data), make_rng(s_backbone), make_rng(s_model), task_rngs
 
 
 def build_run(cfg: Mapping, seed: int):

@@ -6,7 +6,7 @@ adapter and blocks l+1..N carry the current task's specific adapter. The
 point (and therefore the early-exit readout) at block ``l``.
 
 Forward passes run on the autodiff tape. The teacher prefix and inference
-pass a frozen copy of the shared adapter, so with every task's components
+pass a frozen copy of the shared adapter, so with every task's adapter
 frozen they record no tape at all.
 """
 
@@ -23,21 +23,12 @@ from .errors import ConfigError, InvalidInputError, MissingAdapterError, Protoco
 
 
 @dataclass
-class TaskComponents:
-    """Everything learned for one task that survives training."""
-
-    task_id: int
-    specific: adp.Adapter | None
-    block_weights: adp.BlockWeights | None
-
-
-@dataclass
 class ContinualModel:
     backbone: bb.Backbone
     position_l: int
     flip_positions: bool = False
     shared: adp.Adapter | None = None
-    tasks: list[TaskComponents] = field(default_factory=list)
+    tasks: list[adp.Adapter] = field(default_factory=list)  # task t at t - 1
 
     @property
     def num_blocks(self) -> int:
@@ -49,15 +40,11 @@ class ContinualModel:
 
     @property
     def shared_blocks(self) -> tuple[int, ...]:
-        n, l = self.num_blocks, self.position_l
-        rng_ = range(l + 1, n + 1) if self.flip_positions else range(1, l + 1)
-        return tuple(rng_)
+        return tuple(i for i in range(1, self.num_blocks + 1) if self.is_shared_block(i))
 
     @property
     def specific_blocks(self) -> tuple[int, ...]:
-        n, l = self.num_blocks, self.position_l
-        rng_ = range(1, l + 1) if self.flip_positions else range(l + 1, n + 1)
-        return tuple(rng_)
+        return tuple(i for i in range(1, self.num_blocks + 1) if not self.is_shared_block(i))
 
     @property
     def shared_prefix(self) -> int:
@@ -68,11 +55,10 @@ class ContinualModel:
     def is_shared_block(self, i: int) -> bool:
         return (i <= self.position_l) != self.flip_positions
 
-    def components_for(self, task_id: int) -> TaskComponents:
-        for c in self.tasks:
-            if c.task_id == task_id:
-                return c
-        raise MissingAdapterError(f"no adapter trained for task {task_id}")
+    def components_for(self, task_id: int) -> adp.Adapter:
+        if not 1 <= task_id <= len(self.tasks):
+            raise MissingAdapterError(f"no adapter trained for task {task_id}")
+        return self.tasks[task_id - 1]
 
 
 def build_model(
@@ -114,12 +100,8 @@ def param_counts(model: ContinualModel) -> dict:
     first = model.tasks[0]
     counts = {
         "shared": sum(p.size for p in shared if p.trainable),
-        "specific_per_task": (
-            sum(p.size for p in first.specific.parameters()) if first.specific is not None else 0
-        ),
-        "block_weights_per_task": (
-            first.block_weights.rho.size if first.block_weights is not None else 0
-        ),
+        "specific_per_task": sum(pair.down.size + pair.up.size for pair in first.pairs.values()),
+        "block_weights_per_task": first.rho.size if first.rho is not None else 0,
         "backbone": model.backbone.param_count(),
     }
     counts["total"] = counts["shared"] + len(model.tasks) * (
@@ -141,7 +123,7 @@ def run_blocks(
     state: bb.TokenState,
     blocks,
     *,
-    task: TaskComponents | None = None,
+    task: adp.Adapter | None = None,
     shared: adp.Adapter | None = None,
 ) -> bb.TokenState:
     """Apply a contiguous run of blocks with their routed adapter deltas.
@@ -155,19 +137,15 @@ def run_blocks(
     shared = shared if shared is not None else model.shared
     blocks = tuple(blocks)
     mu = None
-    if (
-        task is not None
-        and task.block_weights is not None
-        and any(not model.is_shared_block(i) for i in blocks)
-    ):
-        mu = task.block_weights.mu_tensor()
+    if task is not None and any(not model.is_shared_block(i) for i in blocks):
+        mu = task.mu_tensor()
     for i in blocks:
         deltas = {}
         if model.is_shared_block(i):
             if shared is not None:
                 deltas = _deltas(model, i, shared)
-        elif task is not None and task.specific is not None:
-            deltas = _deltas(model, i, task.specific, mu)
+        elif task is not None:
+            deltas = _deltas(model, i, task, mu)
         state = bb.block_forward(model.backbone, state, i, deltas)
     return state
 
@@ -189,7 +167,7 @@ class ForwardResult:
 def forward_features(
     model: ContinualModel,
     images: np.ndarray,
-    task: TaskComponents | None,
+    task: adp.Adapter | None,
     *,
     collect_transition_cls: bool = False,
 ) -> ForwardResult:
@@ -213,13 +191,13 @@ def transition_cls_with(
     images: np.ndarray,
     *,
     shared: adp.Adapter | None = None,
-    prefix_task: TaskComponents | None = None,
+    prefix_task: adp.Adapter | None = None,
 ) -> np.ndarray:
     """CLS readout at the transition point, as plain values (no gradients).
 
     The teacher pass uses this with the previous task's snapshot: a frozen
     copy of the shared adapter when the prefix is shared, or the previous
-    task's frozen components when positions are flipped.
+    task's frozen adapter when positions are flipped.
     """
     l = model.position_l
     if l < 1:

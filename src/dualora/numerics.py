@@ -20,7 +20,7 @@ from .errors import InvalidInputError, InvalidRankError, ShapeError
 DEGENERATE_SUM = 1e-12
 
 
-def make_rng(seed: int) -> np.random.Generator:
+def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
     """Create the package-wide deterministic generator (PCG64) for a seed."""
     return np.random.Generator(np.random.PCG64(seed))
 

@@ -7,7 +7,7 @@ terms are backpropagated separately so the distillation gradient on each
 shared up-projection can be rescaled row-wise by the previous task's row
 norms before the terms are combined.
 
-After a task trains, its specific adapter and block weights freeze, its
+After a task trains, its adapter (pairs and block weights) freezes, its
 temporary classifier head is discarded, and class prototypes are computed
 for inference.
 """
@@ -76,7 +76,7 @@ class TeacherSnapshot:
 
     shared: adp.Adapter | None  # frozen copy of the shared adapter
     row_norms: dict[str, np.ndarray]  # per shared up-projection parameter
-    prefix_task: mdl.TaskComponents | None  # teacher prefix when positions are flipped
+    prefix_task: adp.Adapter | None  # teacher prefix when positions are flipped
 
 
 @dataclass
@@ -314,12 +314,11 @@ def make_optimizer(cfg: TrainConfig):
 @dataclass
 class TaskTrainResult:
     epoch_log: list[dict]
-    step_records: list[dict]
     duration_s: float
 
 
 class TaskSession:
-    """One task's training state: snapshot, fresh components, head, params."""
+    """One task's training state: snapshot, fresh adapter, head, params."""
 
     def __init__(self, model: mdl.ContinualModel, task, cfg: TrainConfig, rng):
         if cfg.position_l != model.position_l or cfg.flip_positions != model.flip_positions:
@@ -356,35 +355,23 @@ class TaskSession:
                 ),
             )
 
-        specific, weights = None, None
-        if model.specific_blocks:
-            specific, weights = adp.init_specific(
-                self.t,
-                model.specific_blocks,
-                model.backbone.cfg.attach_set,
-                cfg.rank,
-                model.width,
-                rng,
-                block_weights=cfg.bw,
-            )
-        self.components = mdl.TaskComponents(
-            task_id=self.t,
-            specific=specific,
-            block_weights=weights,
+        self.adapter = adp.init_specific(
+            self.t,
+            model.specific_blocks,
+            model.backbone.cfg.attach_set,
+            cfg.rank,
+            model.width,
+            rng,
+            block_weights=cfg.bw,
         )
-        model.tasks.append(self.components)
+        model.tasks.append(self.adapter)
         self.head = init_head(model.width, len(task.classes), self.t, rng)
-        self.previous_mu = [
-            c.block_weights.mu_values() for c in model.tasks[: -1] if c.block_weights is not None
-        ]
+        self.previous_mu = [a.mu_values() for a in model.tasks[:-1] if a.rho is not None]
 
         self.params: list[ad.Parameter] = []
         if model.shared is not None:
             self.params.extend(model.shared.parameters())
-        if specific is not None:
-            self.params.extend(specific.parameters())
-        if weights is not None:
-            self.params.append(weights.rho)
+        self.params.extend(self.adapter.parameters())
         self.params.extend(self.head.parameters())
         # the teacher is frozen for the whole task, so its readout of the
         # task's training images is taken once; steps index into it
@@ -413,7 +400,7 @@ class TaskSession:
         the target as a constant by design.
         """
         result = mdl.forward_features(
-            self.model, self.task.train_images[rows], self.components,
+            self.model, self.task.train_images[rows], self.adapter,
             collect_transition_cls=self.kd_active,
         )
         ce = local_ce_loss(result.cls_final, self.head, self.labels_local[rows])
@@ -425,7 +412,7 @@ class TaskSession:
             kd = kd_loss(result.cls_at_l, target, self.head, self.cfg.temperature)
         orth = None
         if self.orth_active and self.previous_mu:
-            orth = orth_loss(self.components.block_weights.mu_tensor(), self.previous_mu)
+            orth = orth_loss(self.adapter.mu_tensor(), self.previous_mu)
         return {"ce": ce, "kd": kd, "orth": orth}
 
     def step(self, rows, optimizer) -> dict:
@@ -444,10 +431,7 @@ class TaskSession:
         }
 
     def finish(self, store: clf.PrototypeStore) -> None:
-        if self.components.specific is not None:
-            self.components.specific.freeze()
-        if self.components.block_weights is not None:
-            self.components.block_weights.freeze()
+        self.adapter.freeze()
         self.head = None  # discarded; inference is prototype-based
         clf.compute_prototypes(self.model, store, self.task)
 
@@ -466,7 +450,6 @@ def train_task(
     optimizer = make_optimizer(cfg)
     n = task.num_train
     epoch_log: list[dict] = []
-    step_records: list[dict] = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         sums = {"loss_ce": 0.0, "loss_kd": 0.0, "loss_orth": 0.0, "loss_total": 0.0}
@@ -474,7 +457,6 @@ def train_task(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             rec = session.step(idx, optimizer)
-            step_records.append(rec)
             for k in sums:
                 sums[k] += rec[k]
             steps += 1
@@ -482,8 +464,4 @@ def train_task(
         entry.update({k: sums[k] / steps for k in sums})
         epoch_log.append(entry)
     session.finish(store)
-    return TaskTrainResult(
-        epoch_log=epoch_log,
-        step_records=step_records,
-        duration_s=time.perf_counter() - started,
-    )
+    return TaskTrainResult(epoch_log=epoch_log, duration_s=time.perf_counter() - started)

@@ -118,15 +118,11 @@ def test_05_freezing_and_frozen_backbone():
             tr.train_task(model, store, task, tcfg, rng_task)
             assert backbone.byte_hash() == backbone_hash, f"backbone moved in task {task.task_id}"
             assert down_hash() == b_s_hash, f"fixed down-projection moved in task {task.task_id}"
-            for tid, (spec_hash, bw_hash) in frozen_hashes.items():
-                comp = model.components_for(tid)
-                assert comp.specific.content_hash() == spec_hash, f"task {tid} adapter moved"
-                assert comp.block_weights.content_hash() == bw_hash, f"task {tid} weights moved"
-            comp = model.components_for(task.task_id)
-            frozen_hashes[task.task_id] = (
-                comp.specific.content_hash(),
-                comp.block_weights.content_hash(),
-            )
+            for tid, adapter_hash in frozen_hashes.items():
+                adapter = model.components_for(tid)
+                assert adapter.rho is not None
+                assert adapter.content_hash() == adapter_hash, f"task {tid} adapter moved"
+            frozen_hashes[task.task_id] = model.components_for(task.task_id).content_hash()
 
 
 def test_06_zero_init_transparency():
@@ -140,7 +136,7 @@ def test_06_zero_init_transparency():
             rows = np.arange(tcfg.batch_size)
             images = task.train_images[rows]
             with_task = session.head.logits_value(
-                mdl.forward_features(model, images, session.components).cls_final.value
+                mdl.forward_features(model, images, session.adapter).cls_final.value
             )
             without = session.head.logits_value(
                 mdl.forward_features(model, images, None).cls_final.value
@@ -196,9 +192,11 @@ def test_09_protocol_degeneracies():
         )
         store = clf.PrototypeStore()
         result = tr.train_task(model, store, stream.tasks[0], tcfg, task_rngs[0])
-        for rec in result.step_records:
-            assert rec["loss_kd"] == 0.0
-            assert rec["loss_orth"] == 0.0
+        # both terms are nonnegative at every step, so an epoch mean of 0.0
+        # means every step's term was 0.0
+        for entry in result.epoch_log:
+            assert entry["loss_kd"] == 0.0
+            assert entry["loss_orth"] == 0.0
         report = harness.run_experiment(
             {**DESK_FAST, "num_tasks": 1, "epochs": 2}, seed=0
         )
@@ -245,7 +243,9 @@ def test_11_orthogonal_vs_random_down_projection():
 
 def test_12_parameter_accounting():
     with _report(12, "one rank-10 pair on a 768-wide projection counts exactly 15360 trainable scalars"):
-        specific, _ = adp.init_specific(1, (12,), ("q",), 10, 768, nm.make_rng(0))
+        specific = adp.init_specific(
+            1, (12,), ("q",), 10, 768, nm.make_rng(0), block_weights=False
+        )
         assert sum(p.size for p in specific.parameters()) == 15360
         shared = adp.init_shared(range(1, 7), ("q", "v"), 10, 768, nm.make_rng(0))
         assert sum(p.size for p in shared.parameters() if p.trainable) == 6 * 2 * 10 * 768

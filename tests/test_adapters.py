@@ -12,16 +12,29 @@ from dualora.errors import InvalidInputError, InvalidRankError, ProtocolError
 
 
 def assert_hash_sees_every_entry(adapter):
-    """Changing any one entry of any down or up matrix changes the hash, and
-    restoring it restores the hash."""
+    """Changing any one entry of any down or up matrix, or of the block
+    weights, changes the hash, and restoring it restores the hash."""
     base = adapter.content_hash()
-    for pair in adapter.pairs.values():
-        for mat in (pair.down.value, pair.up.value):
-            for idx in np.ndindex(mat.shape):
-                old = mat[idx]
-                mat[idx] = old + 1.0
-                assert adapter.content_hash() != base, idx
-                mat[idx] = old
+    mats = [m for pair in adapter.pairs.values() for m in (pair.down.value, pair.up.value)]
+    if adapter.rho is not None:
+        mats.append(adapter.rho.value)
+    for mat in mats:
+        for idx in np.ndindex(mat.shape):
+            old = mat[idx]
+            mat[idx] = old + 1.0
+            assert adapter.content_hash() != base, idx
+            mat[idx] = old
+    assert adapter.content_hash() == base
+
+
+def assert_hash_sees_every_byte_of_rho(adapter):
+    """Flipping any one byte of the block weights changes the hash."""
+    base = adapter.content_hash()
+    raw = adapter.rho.value.view(np.uint8)
+    for i in range(raw.size):
+        raw[i] ^= 0xFF
+        assert adapter.content_hash() != base, i
+        raw[i] ^= 0xFF
     assert adapter.content_hash() == base
 
 
@@ -92,40 +105,71 @@ class TestInitShared:
 
 class TestInitSpecific:
     def test_zero_up_means_zero_delta(self):
-        specific, weights = adp.init_specific(1, (2,), ("q", "v"), 2, 8, nm.make_rng(0))
+        specific = adp.init_specific(1, (2,), ("q", "v"), 2, 8, nm.make_rng(0))
         x = ad.constant(nm.make_rng(1).standard_normal((5, 8)))
-        delta = adp.specific_delta(specific, weights, x, 2, "q")
+        delta = adp.specific_delta(specific, x, 2, "q")
         assert np.array_equal(delta.value, np.zeros((5, 8)))
 
     def test_block_weights_in_open_interval(self):
         for seed in range(20):
-            _, weights = adp.init_specific(1, (2, 3, 4), ("q",), 2, 8, nm.make_rng(seed))
-            mu = weights.mu_values()
+            specific = adp.init_specific(1, (2, 3, 4), ("q",), 2, 8, nm.make_rng(seed))
+            mu = specific.mu_values()
             assert (mu > 0).all() and (mu < 2).all()
 
     def test_down_projection_scale(self):
         rank = 4
-        specific, _ = adp.init_specific(1, (2,), ("q",), rank, 512, nm.make_rng(7))
+        specific = adp.init_specific(1, (2,), ("q",), rank, 512, nm.make_rng(7))
         std = specific.pairs[(2, "q")].down.value.std()
         assert abs(std - 1 / np.sqrt(rank)) < 0.1
 
     def test_same_seed_identical(self):
-        a, wa = adp.init_specific(2, (3,), ("q",), 2, 8, nm.make_rng(9))
-        b, wb = adp.init_specific(2, (3,), ("q",), 2, 8, nm.make_rng(9))
+        a = adp.init_specific(2, (3,), ("q",), 2, 8, nm.make_rng(9))
+        b = adp.init_specific(2, (3,), ("q",), 2, 8, nm.make_rng(9))
         assert a.content_hash() == b.content_hash()
-        assert wa.content_hash() == wb.content_hash()
-        c, _ = adp.init_specific(2, (3,), ("q",), 2, 8, nm.make_rng(10))
+        assert np.array_equal(a.rho.value, b.rho.value)
+        c = adp.init_specific(2, (3,), ("q",), 2, 8, nm.make_rng(10))
         assert c.content_hash() != a.content_hash()
 
     def test_content_hash_sees_every_entry(self):
-        specific, _ = adp.init_specific(1, (2, 3), ("q", "v"), 2, 4, nm.make_rng(11))
+        specific = adp.init_specific(1, (2, 3), ("q", "v"), 2, 4, nm.make_rng(11))
+        assert specific.rho is not None
         assert_hash_sees_every_entry(specific)
+        assert_hash_sees_every_byte_of_rho(specific)
 
     def test_without_block_weights(self):
-        specific, weights = adp.init_specific(
-            1, (2,), ("q",), 2, 8, nm.make_rng(0), block_weights=False
-        )
-        assert weights is None
+        specific = adp.init_specific(1, (2,), ("q",), 2, 8, nm.make_rng(0), block_weights=False)
+        assert specific.rho is None and specific.mu_tensor() is None
+        assert [p.tag for p in specific.parameters()] == ["specific-down", "specific-up"]
+
+    def test_block_weights_follow_the_pairs(self):
+        specific = adp.init_specific(1, (2, 3), ("q",), 2, 8, nm.make_rng(0))
+        assert specific.rho.name == "task1.blockw" and specific.rho.value.shape == (2,)
+        assert specific.parameters()[-1] is specific.rho
+
+    def test_empty_blocks_draw_nothing(self):
+        rng = nm.make_rng(0)
+        state = rng.bit_generator.state
+        specific = adp.init_specific(1, (), ("q",), 2, 8, rng)
+        assert specific.parameters() == [] and specific.rho is None
+        assert rng.bit_generator.state == state
+
+    def test_freeze_makes_block_weights_untrainable(self):
+        specific = adp.init_specific(1, (2, 3), ("q",), 2, 8, nm.make_rng(0))
+        assert specific.rho.trainable
+        specific.freeze()
+        assert not specific.rho.trainable
+        assert not any(p.trainable for p in specific.parameters())
+
+    def test_frozen_copy_copies_block_weights(self):
+        specific = adp.init_specific(1, (2, 3), ("q",), 2, 8, nm.make_rng(0))
+        snap = specific.frozen_copy()
+        assert snap.rho is not specific.rho and not snap.rho.trainable
+        assert (snap.rho.name, snap.rho.tag) == (specific.rho.name, specific.rho.tag)
+        assert np.array_equal(snap.rho.value, specific.rho.value)
+        assert not np.shares_memory(snap.rho.value, specific.rho.value)
+        assert snap.content_hash() == specific.content_hash()
+        specific.rho.value[0] += 1.0
+        assert snap.content_hash() != specific.content_hash()
 
     def test_rank_zero_rejected(self):
         with pytest.raises(InvalidRankError):
@@ -159,27 +203,27 @@ class TestDeltas:
             shared.pair(3, "q").attach().delta(ad.constant(np.zeros((2, 8))))
 
     def test_specific_scalar_with_mu(self):
-        specific, weights = adp.init_specific(1, (2,), ("q",), 1, 1, nm.make_rng(0))
+        specific = adp.init_specific(1, (2,), ("q",), 1, 1, nm.make_rng(0))
         specific.pairs[(2, "q")].up.value[:] = 1.0
         specific.pairs[(2, "q")].down.value[:] = 2.0
-        weights.rho.value[:] = np.log(np.expm1(3.0))  # mu == 3
-        out = adp.specific_delta(specific, weights, ad.constant([[5.0]]), 2, "q")
+        specific.rho.value[:] = np.log(np.expm1(3.0))  # mu == 3
+        out = adp.specific_delta(specific, ad.constant([[5.0]]), 2, "q")
         assert out.value == pytest.approx(30.0)
 
     def test_doubling_mu_doubles_delta(self):
-        specific, weights = adp.init_specific(1, (2,), ("q",), 2, 8, nm.make_rng(5))
+        specific = adp.init_specific(1, (2,), ("q",), 2, 8, nm.make_rng(5))
         specific.pairs[(2, "q")].up.value[:] = nm.make_rng(6).standard_normal((8, 2))
         x = ad.constant(nm.make_rng(7).standard_normal((3, 8)))
-        weights.rho.value[:] = np.log(np.expm1(0.7))
-        one = adp.specific_delta(specific, weights, x, 2, "q").value
-        weights.rho.value[:] = np.log(np.expm1(1.4))
-        two = adp.specific_delta(specific, weights, x, 2, "q").value
+        specific.rho.value[:] = np.log(np.expm1(0.7))
+        one = adp.specific_delta(specific, x, 2, "q").value
+        specific.rho.value[:] = np.log(np.expm1(1.4))
+        two = adp.specific_delta(specific, x, 2, "q").value
         assert np.allclose(two, 2 * one, atol=1e-12)
 
     def test_mu_positive_under_any_rho(self):
-        _, weights = adp.init_specific(1, (2, 3), ("q",), 2, 8, nm.make_rng(8))
-        weights.rho.value[:] = [-40.0, 40.0]
-        assert (weights.mu_values() > 0).all()
+        specific = adp.init_specific(1, (2, 3), ("q",), 2, 8, nm.make_rng(8))
+        specific.rho.value[:] = [-40.0, 40.0]
+        assert (specific.mu_values() > 0).all()
 
 
 def closed_form(n, l, flip, fix_b, bw, attach, r, d):
@@ -207,12 +251,9 @@ def model_with_tasks(num_tasks, *, position_l=1, flip=False, fix_b=True, bw=True
     )
     rng = nm.make_rng(2)
     for t in range(1, num_tasks + 1):
-        specific, weights = None, None
-        if model.specific_blocks:
-            specific, weights = adp.init_specific(
-                t, model.specific_blocks, bcfg.attach_set, rank, bcfg.width, rng, block_weights=bw
-            )
-        model.tasks.append(mdl.TaskComponents(t, specific, weights))
+        model.tasks.append(adp.init_specific(
+            t, model.specific_blocks, bcfg.attach_set, rank, bcfg.width, rng, block_weights=bw
+        ))
     return model
 
 

@@ -304,12 +304,12 @@ def _sublayer_setup(attach, block_weights, seed=0):
             p.value[:] = rng.uniform(0.5, 1.5, p.value.shape) if ".g" in name else (
                 0.1 * rng.standard_normal(p.value.shape)
             )
-    specific, weights = adp.init_specific(
+    specific = adp.init_specific(
         1, (1,), cfg.attach_set, 2, 12, rng, block_weights=block_weights
     )
     for pair in specific.pairs.values():
         pair.up.value[:] = 0.5 * rng.standard_normal(pair.up.value.shape)
-    return backbone, specific, weights
+    return backbone, specific
 
 
 def _one_block_deeper(backbone):
@@ -319,8 +319,8 @@ def _one_block_deeper(backbone):
     return bb.Backbone(cfg=cfg, params=backbone.params, positions=backbone.positions)
 
 
-def _attachments(specific, weights):
-    mu = weights.mu_tensor() if weights is not None else None
+def _attachments(specific):
+    mu = specific.mu_tensor()
     return {p: specific.pair(1, p).attach(mu, 0) for p in specific.attach_set}
 
 
@@ -332,15 +332,15 @@ class TestFusedSublayers:
     @pytest.mark.parametrize("attach", [("q", "v"), ("q", "k", "v")])
     @pytest.mark.parametrize("block_weights", [True, False])
     def test_attention_matches_finite_differences(self, tokens, attach, block_weights):
-        backbone, specific, weights = _sublayer_setup(attach, block_weights)
+        backbone, specific = _sublayer_setup(attach, block_weights)
         rng = nm.make_rng(1)
         x = ad.Parameter("x", rng.standard_normal(TOKEN_SHAPES[tokens]), True, "head")
         c = rng.standard_normal(TOKEN_SHAPES[tokens])
-        params = [x] + specific.parameters() + ([weights.rho] if block_weights else [])
+        params = [x] + specific.parameters()
 
         def closure():
             out = bb.attention_sublayer(
-                backbone, 1, ad.leaf(x), _attachments(specific, weights)
+                backbone, 1, ad.leaf(x), _attachments(specific)
             )
             return {"f": project(out, c)}
 
@@ -350,7 +350,7 @@ class TestFusedSublayers:
 
     @pytest.mark.parametrize("tokens", sorted(TOKEN_SHAPES))
     def test_mlp_matches_finite_differences(self, tokens):
-        backbone, _, _ = _sublayer_setup(("q", "v"), False)
+        backbone, _ = _sublayer_setup(("q", "v"), False)
         rng = nm.make_rng(2)
         x = ad.Parameter("x", rng.standard_normal(TOKEN_SHAPES[tokens]), True, "head")
         c = rng.standard_normal(TOKEN_SHAPES[tokens])
@@ -367,25 +367,25 @@ class TestFusedSublayers:
     @pytest.mark.parametrize("attach", [("q", "v"), ("q", "k", "v")])
     @pytest.mark.parametrize("block_weights", [True, False])
     def test_forward_bitwise_equals_plain_numpy(self, tokens, attach, block_weights):
-        backbone, specific, weights = _sublayer_setup(attach, block_weights)
+        backbone, specific = _sublayer_setup(attach, block_weights)
         x = nm.make_rng(3).standard_normal(TOKEN_SHAPES[tokens])
-        scale = weights.mu_values()[0] if block_weights else None
+        scale = specific.mu_values()[0] if block_weights else None
         plain = {
             p: (pair.down.value, pair.up.value, scale)
             for (_, p), pair in specific.pairs.items()
         }
         attn = bb.attention_sublayer(
-            backbone, 1, ad.constant(x), _attachments(specific, weights)
+            backbone, 1, ad.constant(x), _attachments(specific)
         ).value
         assert np.array_equal(attn, _reference_attention(backbone, 1, x, plain))
         mlp = bb.mlp_sublayer(_one_block_deeper(backbone), 1, ad.constant(attn)).value
         assert np.array_equal(mlp, _reference_mlp(backbone, 1, attn))
 
     def test_one_node_per_sublayer_with_adapter_parents_only(self):
-        backbone, specific, weights = _sublayer_setup(("q", "v"), True)
+        backbone, specific = _sublayer_setup(("q", "v"), True)
         specific.pairs[(1, "v")].down.trainable = False  # a frozen tensor is no parent
         x = ad.leaf(ad.Parameter("x", np.ones((1, 5, 12)), True, "head"))
-        deltas = _attachments(specific, weights)
+        deltas = _attachments(specific)
         state = bb.block_forward(backbone, bb.TokenState(x, 0), 1, deltas)
         mlp = state.tokens
         (attn,) = mlp.parents
@@ -394,11 +394,10 @@ class TestFusedSublayers:
         assert all(a is b for a, b in zip(attn.parents, expected))
 
     def test_frozen_pass_keeps_no_backward_context(self):
-        backbone, specific, weights = _sublayer_setup(("q", "v"), True)
+        backbone, specific = _sublayer_setup(("q", "v"), True)
         specific.freeze()
-        weights.freeze()
         state = bb.TokenState(ad.constant(np.ones((2, 5, 12))), 0)
-        out = bb.block_forward(backbone, state, 1, _attachments(specific, weights)).tokens
+        out = bb.block_forward(backbone, state, 1, _attachments(specific)).tokens
         assert out.parents == () and out.bwd is None and not out.requires_grad
 
 
@@ -412,9 +411,9 @@ class TestReadoutOnlyBlock:
     @pytest.mark.parametrize("batch", READOUT_BATCHES)
     @pytest.mark.parametrize("attach", [("q", "v"), ("q", "k", "v")])
     def test_cls_row_bitwise_equals_full_block(self, batch, attach):
-        backbone, specific, weights = _sublayer_setup(attach, True)
+        backbone, specific = _sublayer_setup(attach, True)
         state = bb.TokenState(ad.constant(nm.make_rng(4).standard_normal((batch, 5, 12))), 0)
-        deltas = _attachments(specific, weights)
+        deltas = _attachments(specific)
         full = bb.block_forward(_one_block_deeper(backbone), state, 1, deltas).tokens.value
         cls = bb.block_forward(backbone, state, 1, deltas).tokens.value
         assert cls.shape == (batch, 1, 12)
@@ -422,16 +421,16 @@ class TestReadoutOnlyBlock:
 
     @pytest.mark.parametrize("shape", [(1, 5, 12), (1, 2, 12)])
     def test_one_image_keeps_every_token(self, shape):
-        backbone, specific, weights = _sublayer_setup(("q", "v"), True)
+        backbone, specific = _sublayer_setup(("q", "v"), True)
         state = bb.TokenState(ad.constant(nm.make_rng(5).standard_normal(shape)), 0)
-        deltas = _attachments(specific, weights)
+        deltas = _attachments(specific)
         full = bb.block_forward(_one_block_deeper(backbone), state, 1, deltas).tokens.value
         cls = bb.block_forward(backbone, state, 1, deltas).tokens.value
         assert cls.shape == shape
         assert np.array_equal(cls, full)
 
     def test_mlp_matches_finite_differences(self):
-        backbone, _, _ = _sublayer_setup(("q", "v"), False)
+        backbone, _ = _sublayer_setup(("q", "v"), False)
         rng = nm.make_rng(6)
         x = ad.Parameter("x", rng.standard_normal((3, 5, 12)), True, "head")
         c = rng.standard_normal((3, 1, 12))

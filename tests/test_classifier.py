@@ -55,9 +55,9 @@ class TestComputePrototypes:
     def test_single_sample_prototype_equals_feature(self, trained_micro):
         model, stream = trained_micro["model"], trained_micro["stream"]
         task = stream.tasks[0]
-        components = model.components_for(1)
+        adapter = model.components_for(1)
         img = task.train_images[0]
-        feat = mdl.forward_features(model, img[None], components).cls_final.value[0]
+        feat = mdl.forward_features(model, img[None], adapter).cls_final.value[0]
         store = clf.PrototypeStore()
         one = type(task)(
             task_id=1,
@@ -121,9 +121,9 @@ class TestPredict:
             trained_micro["store"],
         )
         task = stream.tasks[0]
-        components = model.components_for(1)
+        adapter = model.components_for(1)
         img = task.train_images[0]
-        feat = mdl.forward_features(model, img[None], components).cls_final.value[0]
+        feat = mdl.forward_features(model, img[None], adapter).cls_final.value[0]
         probe = clf.PrototypeStore()
         probe.add(1, 0, feat)
         pred = clf.predict(model, probe, img)
@@ -338,9 +338,10 @@ class TestBatchedPath:
         columns, scores = clf.score_batch(model, store, images)
         column_of = {c: j for j, c in enumerate(columns.tolist())}
         checked = 0
-        for components, feats in zip(model.tasks, clf._task_features(model, images, model.tasks)):
+        features = clf._task_features(model, images, model.tasks)
+        for task_id, feats in enumerate(features, start=1):
             for q, feat in enumerate(feats):
-                for class_id, proto in store.task_items(components.task_id):
+                for class_id, proto in store.task_items(task_id):
                     norms = np.sqrt((proto * proto).sum()) * np.sqrt((feat * feat).sum())
                     assert scores[q, column_of[class_id]] == (proto * feat).sum() / norms
                     checked += 1
@@ -367,13 +368,9 @@ def scoring_layout(num_blocks, position_l, flip, num_tasks, seed):
     adapters = [model.shared] if model.shared is not None else []
     store = clf.PrototypeStore()
     for t in range(1, num_tasks + 1):
-        specific, weights = None, None
-        if model.specific_blocks:
-            specific, weights = adp.init_specific(
-                t, model.specific_blocks, bcfg.attach_set, 2, bcfg.width, rng
-            )
-            adapters.append(specific)
-        model.tasks.append(mdl.TaskComponents(t, specific, weights))
+        specific = adp.init_specific(t, model.specific_blocks, bcfg.attach_set, 2, bcfg.width, rng)
+        adapters.append(specific)
+        model.tasks.append(specific)
         for c in (2 * t - 2, 2 * t - 1):
             store.add(t, c, rng.standard_normal(bcfg.width))
     for adapter in adapters:

@@ -43,6 +43,19 @@ class TestRouting:
         with pytest.raises(MissingAdapterError):
             model.components_for(1)
 
+    @pytest.mark.parametrize("task_id", [0, 3])
+    def test_lookup_outside_trained_tasks(self, trained_micro, task_id):
+        # task 0 must not wrap round to the last task's adapter
+        model = trained_micro["model"]
+        assert len(model.tasks) == 2
+        with pytest.raises(MissingAdapterError):
+            model.components_for(task_id)
+
+    def test_task_t_is_the_t_th_adapter(self, trained_micro):
+        model = trained_micro["model"]
+        assert all(model.components_for(t) is model.tasks[t - 1] for t in (1, 2))
+        assert model.tasks[0].pairs[(2, "q")].down.name == "task1.b2.q.down"
+
 
 class TestZeroInitTransparency:
     def test_fresh_task_adds_exactly_nothing(self, micro):
@@ -51,7 +64,7 @@ class TestZeroInitTransparency:
         tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
         session = tr.TaskSession(model, stream.tasks[1], tcfg, nm.make_rng(1))
         img = stream.tasks[1].train_images[:1]
-        with_task = mdl.forward_features(model, img, session.components).cls_final.value
+        with_task = mdl.forward_features(model, img, session.adapter).cls_final.value
         without = mdl.forward_features(model, img, None).cls_final.value
         assert np.array_equal(with_task, without)
 

@@ -283,36 +283,42 @@ class TestTrainTask:
         stream, _, model, tcfg = micro
         store = clf.PrototypeStore()
         result = tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
-        for rec in result.step_records:
-            assert rec["loss_kd"] == 0.0
-            assert rec["loss_orth"] == 0.0
+        # both terms are nonnegative, so a zero epoch mean is zero at every step
+        for entry in result.epoch_log:
+            assert entry["loss_kd"] == 0.0
+            assert entry["loss_orth"] == 0.0
 
     def test_zero_learning_rate_leaves_parameters_bit_identical(self):
         stream, _, model, tcfg = build_micro(train_overrides={"learning_rate": 0.0})
         store = clf.PrototypeStore()
         tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
         before_shared = model.shared.content_hash()
-        before_t1 = model.tasks[0].specific.content_hash()
+        before_t1 = model.tasks[0].content_hash()
         tr.train_task(model, store, stream.tasks[1], tcfg, nm.make_rng(1))
         assert model.shared.content_hash() == before_shared
-        assert model.tasks[0].specific.content_hash() == before_t1
-        assert model.tasks[1].specific.content_hash() is not None
+        assert model.tasks[0].content_hash() == before_t1
+        assert model.tasks[1].content_hash() is not None
 
-    def test_loss_composition_every_step(self, trained_micro):
-        cfg = trained_micro["cfg"]
-        for log in trained_micro["logs"]:
-            for rec in log.step_records:
+    def test_loss_composition_every_step(self):
+        stream, _, model, cfg = build_micro()
+        store = clf.PrototypeStore()
+        for task in stream.tasks:
+            session = tr.TaskSession(model, task, cfg, nm.make_rng(task.task_id))
+            optimizer = tr.make_optimizer(cfg)
+            for start in range(0, task.num_train, cfg.batch_size):
+                rec = session.step(np.arange(start, task.num_train)[: cfg.batch_size], optimizer)
                 recombined = (
                     rec["loss_ce"]
                     + cfg.lambda_kd * rec["loss_kd"]
                     + cfg.lambda_orth * rec["loss_orth"]
                 )
                 assert abs(rec["loss_total"] - recombined) <= 1e-12
+            session.finish(store)
 
     def test_second_task_exercises_kd_and_orth(self, trained_micro):
         second = trained_micro["logs"][1]
-        assert any(rec["loss_kd"] != 0.0 for rec in second.step_records)
-        assert any(rec["loss_orth"] != 0.0 for rec in second.step_records)
+        assert any(entry["loss_kd"] != 0.0 for entry in second.epoch_log)
+        assert any(entry["loss_orth"] != 0.0 for entry in second.epoch_log)
 
     def test_epoch_log_schema(self, trained_micro):
         for log in trained_micro["logs"]:
@@ -328,20 +334,19 @@ class TestTrainTask:
         hashes = {
             "backbone": backbone.byte_hash(),
             "b_s": _shared_down_hash(model),
-            "task1": model.tasks[0].specific.content_hash(),
-            "task1_bw": model.tasks[0].block_weights.content_hash(),
+            "task1": model.tasks[0].content_hash(),
         }
+        assert model.tasks[0].rho is not None  # the hash covers the block weights
         tr.train_task(model, store, stream.tasks[1], tcfg, nm.make_rng(1))
         assert backbone.byte_hash() == hashes["backbone"]
         assert _shared_down_hash(model) == hashes["b_s"]
-        assert model.tasks[0].specific.content_hash() == hashes["task1"]
-        assert model.tasks[0].block_weights.content_hash() == hashes["task1_bw"]
-        hashes["task2"] = model.tasks[1].specific.content_hash()
+        assert model.tasks[0].content_hash() == hashes["task1"]
+        hashes["task2"] = model.tasks[1].content_hash()
         tr.train_task(model, store, stream.tasks[2], tcfg, nm.make_rng(2))
         assert backbone.byte_hash() == hashes["backbone"]
         assert _shared_down_hash(model) == hashes["b_s"]
-        assert model.tasks[0].specific.content_hash() == hashes["task1"]
-        assert model.tasks[1].specific.content_hash() == hashes["task2"]
+        assert model.tasks[0].content_hash() == hashes["task1"]
+        assert model.tasks[1].content_hash() == hashes["task2"]
 
     def test_teacher_constant_within_task(self):
         stream, _, model, tcfg = build_micro()
@@ -411,7 +416,7 @@ class TestTrainTask:
         rows = [5, 0, 3, 2]
         images = task.train_images[rows]
         student = mdl.forward_features(
-            model, images, session.components, collect_transition_cls=True
+            model, images, session.adapter, collect_transition_cls=True
         ).cls_at_l
         target = tr.kd_target(session.head, session.teacher_readout(images), tcfg.temperature)
         fresh = tr.kd_loss(student, target, session.head, tcfg.temperature)
@@ -478,10 +483,10 @@ class TestDegenerateModes:
         store = clf.PrototypeStore()
         for task in stream.tasks:
             result = tr.train_task(model, store, task, tcfg, nm.make_rng(task.task_id))
-            for rec in result.step_records:
-                assert rec["loss_kd"] == 0.0 and rec["loss_orth"] == 0.0
-        assert all(c.block_weights is None for c in model.tasks)
-        assert all(c.specific is not None for c in model.tasks)
+            for entry in result.epoch_log:
+                assert entry["loss_kd"] == 0.0 and entry["loss_orth"] == 0.0
+        assert all(adapter.rho is None for adapter in model.tasks)
+        assert all(adapter.pairs for adapter in model.tasks)
 
     def test_two_separable_classes_reach_full_train_accuracy(self):
         # oracle: nearest-class-mean on raw frozen-backbone features already
