@@ -10,6 +10,13 @@ All weights are drawn once at init and permanently frozen. Designated
 attention projections (any subset of q, k, v) accept an additive delta
 computed from the same normalized input the projection consumes, which is
 where low-rank adapters attach.
+
+Each product with a frozen weight is one 2-D product over all batch × token
+rows, reshaped back afterwards; numpy would run a ``(batch, tokens, width)``
+stack as one small product per image. With the weight as a C-contiguous right
+operand, a row's bits do not depend on the row count (two rows or more), so
+the forward matches per-image products bit for bit. The backward's transposed
+weights do not have that property; see ``mlp_sublayer`` for where it matters.
 """
 
 from __future__ import annotations
@@ -188,7 +195,8 @@ def patch_embed(image: np.ndarray, backbone: Backbone) -> TokenState:
     if image.shape[1:] != expected:
         raise ShapeError(f"expected image shape {expected}, got {image.shape[1:]}")
     patches = _extract_patches(image, cfg)
-    tokens = patches @ backbone.param("embed.W").value
+    tokens = patches.reshape(-1, cfg.patch_dim) @ backbone.param("embed.W").value
+    tokens = tokens.reshape(image.shape[0], cfg.num_patches, cfg.width)
     cls = np.broadcast_to(backbone.param("cls").value, (image.shape[0], 1, cfg.width))
     tokens = np.concatenate([cls, tokens], axis=1) + backbone.positions
     return TokenState(tokens=ad.constant(tokens), block_index=0)
@@ -225,9 +233,10 @@ def attention_sublayer(backbone: Backbone, i: int, x: ad.Tensor, deltas: DeltaMa
     need_h = x.requires_grad
 
     h, xhat, inv = ad.layer_norm_values(x.value, w["ln1.g"], w["ln1.b"])
+    rows = h.reshape(-1, d)
     proj, saved, need = {}, {}, {}
     for p in PROJECTIONS:
-        out = h @ w[f"W{p}"] + w[f"b{p}"]
+        out = (rows @ w[f"W{p}"]).reshape(h.shape) + w[f"b{p}"]
         att = deltas.get(p)
         if att is not None:
             delta, saved[p] = att.forward(h)
@@ -249,8 +258,7 @@ def attention_sublayer(backbone: Backbone, i: int, x: ad.Tensor, deltas: DeltaMa
     att_w = e / e.sum(axis=-1, keepdims=True)
     mixed = (att_w @ v).swapaxes(-3, -2)  # (..., tokens, heads, dh)
     heads_shape = mixed.shape
-    mixed = mixed.reshape(heads_shape[:-2] + (d,))
-    out = x.value + (mixed @ w["Wo"] + w["bo"])
+    out = x.value + ((mixed.reshape(-1, d) @ w["Wo"]).reshape(h.shape) + w["bo"])
     if not (need_h or tensors):
         return ad.constant(out)
 
@@ -258,7 +266,7 @@ def attention_sublayer(backbone: Backbone, i: int, x: ad.Tensor, deltas: DeltaMa
         return a.swapaxes(-3, -2).reshape(h.shape)
 
     def bwd(g, needs):
-        g_av = (g @ w["Wo"].T).reshape(heads_shape).swapaxes(-2, -3)
+        g_av = (g.reshape(-1, d) @ w["Wo"].T).reshape(heads_shape).swapaxes(-2, -3)
         g_proj = {}
         if need["v"]:
             g_proj["v"] = merge(att_w.swapaxes(-1, -2) @ g_av)
@@ -280,7 +288,7 @@ def attention_sublayer(backbone: Backbone, i: int, x: ad.Tensor, deltas: DeltaMa
                 continue
             gp = g_proj[p]
             if need_h:
-                term = gp @ w[f"W{p}"].T
+                term = (gp.reshape(-1, d) @ w[f"W{p}"].T).reshape(h.shape)
                 g_h = term if g_h is None else g_h + term
             att = deltas.get(p)
             if att is None:
@@ -307,15 +315,16 @@ def mlp_sublayer(backbone: Backbone, i: int, x: ad.Tensor) -> ad.Tensor:
     Nothing but the CLS readout follows block N, so there a batch of two or
     more runs on its CLS rows alone, as 2-D products, and yields
     ``(batch, 1, d)``. A batch of one keeps every token."""
+    d = backbone.cfg.width
     w = _weights(backbone, i, _MLP_WEIGHTS)
     readout = i == backbone.cfg.num_blocks and x.value.shape[0] > 1
     v = x.value[:, 0, :] if readout else x.value
     h, xhat, inv = ad.layer_norm_values(v, w["ln2.g"], w["ln2.b"])
-    m = h @ w["W1"] + w["b1"]
+    m = h.reshape(-1, d) @ w["W1"] + w["b1"]  # (rows, hidden)
     m2 = m * m
     t = np.tanh(m * (_GELU_C + _GELU_C3 * m2))
     phi = 0.5 * (1.0 + t)
-    out = v + ((m * phi) @ w["W2"] + w["b2"])
+    out = v + ((m * phi) @ w["W2"] + w["b2"]).reshape(v.shape)
     if readout:
         out = out[:, None, :]
     if not x.requires_grad:
@@ -327,15 +336,16 @@ def mlp_sublayer(backbone: Backbone, i: int, x: ad.Tensor) -> ad.Tensor:
         if slope is None:
             slope = phi + (0.5 * m) * (1.0 - t * t) * (_GELU_C + 3.0 * _GELU_C3 * m2)
         if not readout:
-            g_h = ((g @ w["W2"].T) * slope) @ w["W1"].T
-            return (g + ad.layer_norm_input_grad(g_h, w["ln2.g"], xhat, inv),)
+            g_h = ((g.reshape(-1, d) @ w["W2"].T) * slope) @ w["W1"].T
+            return (g + ad.layer_norm_input_grad(g_h.reshape(h.shape), w["ln2.g"], xhat, inv),)
         # the rows of a product with a transposed operand depend on the row
-        # count, so these keep the full-token shapes to match that path bitwise
+        # count, so these keep the full-token row count to match that path bitwise
         g_x = np.zeros_like(x.value)
         g_x[:, 0] = g[:, 0]
         s = np.zeros(x.value.shape[:2] + slope.shape[-1:])
         s[:, 0] = slope
-        g_h = (((g_x @ w["W2"].T) * s) @ w["W1"].T)[:, 0]
+        g_h = ((g_x.reshape(-1, d) @ w["W2"].T) * s.reshape(-1, s.shape[-1])) @ w["W1"].T
+        g_h = g_h.reshape(x.value.shape)[:, 0]
         g_x[:, 0] += ad.layer_norm_input_grad(g_h, w["ln2.g"], xhat, inv)
         return (g_x,)
 

@@ -102,8 +102,9 @@ def _load_report(path) -> dict:
         raise FormatError(f"report file {path} is not valid JSON: {e}") from e
     acc = data.get("accuracy") if isinstance(data, dict) else None
     per_task = acc.get("per_task") if isinstance(acc, dict) else None
-    if not isinstance(per_task, list) or not all(
-        isinstance(v, (int, float)) for v in [acc.get("average"), acc.get("final"), *per_task]
+    # type(), not isinstance(): JSON's true and false load as bool, a subclass of int
+    if not (isinstance(per_task, list) and per_task) or not all(
+        type(v) in (int, float) for v in [acc.get("average"), acc.get("final"), *per_task]
     ):
         raise FormatError(f"report file {path} holds no run report accuracy record")
     return data

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -291,12 +292,12 @@ def _reference_mlp(backbone, i, x):
     return x + (gelu @ w("W2") + w("b2"))
 
 
-def _sublayer_setup(attach, block_weights, seed=0):
+def _sublayer_setup(attach, block_weights, seed=0, width=12, heads=2, rank=2):
     """One block with non-trivial norms and biases and a non-zero task adapter.
-    Head width 6 makes the attention scale 1/sqrt(6) inexact."""
+    The default head width 6 makes the attention scale 1/sqrt(6) inexact."""
     rng = nm.make_rng(seed)
     cfg = bb.BackboneConfig(
-        num_blocks=1, width=12, heads=2, image_side=4, patch_side=2, attach_set=attach
+        num_blocks=1, width=width, heads=heads, image_side=4, patch_side=2, attach_set=attach
     )
     backbone = bb.init_backbone(cfg, rng)
     for name, p in backbone.params.items():
@@ -305,7 +306,7 @@ def _sublayer_setup(attach, block_weights, seed=0):
                 0.1 * rng.standard_normal(p.value.shape)
             )
     specific = adp.init_specific(
-        1, (1,), cfg.attach_set, 2, 12, rng, block_weights=block_weights
+        1, (1,), cfg.attach_set, rank, width, rng, block_weights=block_weights
     )
     for pair in specific.pairs.values():
         pair.up.value[:] = 0.5 * rng.standard_normal(pair.up.value.shape)
@@ -322,6 +323,12 @@ def _one_block_deeper(backbone):
 def _attachments(specific):
     mu = specific.mu_tensor()
     return {p: specific.pair(1, p).attach(mu, 0) for p in specific.attach_set}
+
+
+def _plain_deltas(specific):
+    """The adapter as ``_reference_attention`` reads it."""
+    scale = None if specific.rho is None else specific.mu_values()[0]
+    return {p: (pair.down.value, pair.up.value, scale) for (_, p), pair in specific.pairs.items()}
 
 
 TOKEN_SHAPES = {"batched": (3, 5, 12), "single": (5, 12)}
@@ -369,15 +376,10 @@ class TestFusedSublayers:
     def test_forward_bitwise_equals_plain_numpy(self, tokens, attach, block_weights):
         backbone, specific = _sublayer_setup(attach, block_weights)
         x = nm.make_rng(3).standard_normal(TOKEN_SHAPES[tokens])
-        scale = specific.mu_values()[0] if block_weights else None
-        plain = {
-            p: (pair.down.value, pair.up.value, scale)
-            for (_, p), pair in specific.pairs.items()
-        }
         attn = bb.attention_sublayer(
             backbone, 1, ad.constant(x), _attachments(specific)
         ).value
-        assert np.array_equal(attn, _reference_attention(backbone, 1, x, plain))
+        assert np.array_equal(attn, _reference_attention(backbone, 1, x, _plain_deltas(specific)))
         mlp = bb.mlp_sublayer(_one_block_deeper(backbone), 1, ad.constant(attn)).value
         assert np.array_equal(mlp, _reference_mlp(backbone, 1, attn))
 
@@ -512,3 +514,139 @@ class TestMlpGradientProperty:
         rep = ad.finite_difference_check(closure, [x], step=1e-5)["f"]
         assert rep.num_checked == x.size
         assert rep.max_rel_error <= 1e-5, rep.per_param
+
+
+# every non-empty attach set, in PROJECTIONS order
+ATTACH_SETS = [a for n in (1, 2, 3) for a in itertools.combinations(bb.PROJECTIONS, n)]
+
+
+def _central_differences(f, p, step=1e-5):
+    """The gradient of the scalar ``f()`` with respect to ``p``, one entry at a time."""
+    flat = p.value.reshape(-1)
+    out = np.empty(flat.size)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        hi = f()
+        flat[i] = orig - step
+        lo = f()
+        flat[i] = orig
+        out[i] = (hi - lo) / (2.0 * step)
+    return out.reshape(p.value.shape)
+
+
+class TestAttentionGradientProperty:
+    @given(
+        batch=st.integers(1, 4),
+        tokens=st.integers(2, 6),
+        # at widths 1 and 2 a layer norm maps every token to one of at most two
+        # rows, so keys can coincide; q's and k's gradients are then zero up to
+        # rounding noise, which no relative error can tell from a fault
+        width_heads=st.integers(3, 24).flatmap(
+            lambda w: st.tuples(st.just(w), st.sampled_from([h for h in range(1, w + 1) if w % h == 0]))
+        ),
+        attach=st.sampled_from(ATTACH_SETS),
+        block_weights=st.booleans(),
+        input_grad=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gradients_match_central_differences(
+        self, batch, tokens, width_heads, attach, block_weights, input_grad, seed
+    ):
+        width, heads = width_heads
+        backbone, specific = _sublayer_setup(attach, block_weights, seed, width, heads, rank=2)
+        rng = nm.make_rng(seed + 1)
+        x = ad.Parameter("x", rng.standard_normal((batch, tokens, width)), input_grad, "head")
+        c = rng.standard_normal((batch, tokens, width))
+
+        def loss():
+            return project(bb.attention_sublayer(backbone, 1, ad.leaf(x), _attachments(specific)), c)
+
+        analytic = ad.backward(loss())
+        checked = [p for p in [x] + specific.parameters() if p.trainable]
+        assert sorted(analytic) == sorted(p.name for p in checked)
+        for p in checked:
+            numeric = _central_differences(lambda: float(loss().value), p)
+            # error relative to the parameter's largest entry: an entry near
+            # zero carries the differences' rounding noise, about 1e-10 here
+            scale = max(np.max(np.abs(analytic[p.name])), np.max(np.abs(numeric)))
+            assert np.max(np.abs(analytic[p.name] - numeric)) <= 1e-6 * scale, p.name
+
+
+PREMISE_BATCHES = (2, 16, 32, 100)
+
+
+class TestBatchedProducts:
+    """Each frozen weight multiplies all batch x token rows of a sublayer in
+    one 2-D product. At the desk shape (width 64, heads 4, 5 tokens) a row of
+    such a product with the weight as its right operand has the bits of the
+    same row in the per-image products of the references; in the backward the
+    weight enters transposed, and the rows move by a bounded amount."""
+
+    @pytest.mark.parametrize("batch", PREMISE_BATCHES)
+    @pytest.mark.parametrize("rank", [4, 2])
+    def test_sublayer_forwards_bitwise_equal_per_image_products(self, batch, rank):
+        backbone, specific = _sublayer_setup(("q", "k", "v"), True, width=64, heads=4, rank=rank)
+        x = nm.make_rng(10).standard_normal((batch, 5, 64))
+        attn = bb.attention_sublayer(backbone, 1, ad.constant(x), _attachments(specific)).value
+        assert np.array_equal(attn, _reference_attention(backbone, 1, x, _plain_deltas(specific)))
+        mlp = bb.mlp_sublayer(_one_block_deeper(backbone), 1, ad.constant(attn)).value
+        assert np.array_equal(mlp, _reference_mlp(backbone, 1, attn))
+
+    @pytest.mark.parametrize("batch", PREMISE_BATCHES)
+    def test_patch_embed_bitwise_equals_per_image_products(self, batch):
+        backbone = bb.init_backbone(bb.BackboneConfig(), nm.make_rng(0))
+        images = nm.make_rng(11).uniform(0, 1, (batch, 1, 16, 16))
+        patches = bb._extract_patches(images, backbone.cfg)  # (batch, 4, 64)
+        cls = np.broadcast_to(backbone.param("cls").value, (batch, 1, 64))
+        embedded = patches @ backbone.param("embed.W").value
+        want = np.concatenate([cls, embedded], axis=1) + backbone.positions
+        assert np.array_equal(bb.patch_embed(images, backbone).tokens.value, want)
+
+    @staticmethod
+    def _assert_within_1e12(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def _batched_and_per_image(self, sublayer, x, g):
+        """``sublayer``'s backward on the batch, and the per-image backwards
+        stacked (input gradient) or summed (adapter tensors). A readout-only
+        node reads the first token rows of ``g`` alone."""
+
+        def grads(xs, gs):
+            node = sublayer(ad.leaf(ad.Parameter("x", xs, True, "head")))
+            needs = tuple(p.requires_grad for p in node.parents)
+            return node.bwd(gs[:, : node.value.shape[1]], needs)
+
+        batched = grads(x, g)
+        per_image = [grads(x[b : b + 1], g[b : b + 1]) for b in range(x.shape[0])]
+        want = [np.concatenate([p[0] for p in per_image])]
+        want += [sum(p[j] for p in per_image) for j in range(1, len(batched))]
+        return batched, want
+
+    @pytest.mark.parametrize("attach", [("q", "v"), ("q", "k", "v")])
+    def test_attention_backward_within_1e12_of_per_image(self, attach):
+        backbone, specific = _sublayer_setup(attach, True, width=64, heads=4, rank=4)
+        deltas = _attachments(specific)
+        x, g = nm.make_rng(12).standard_normal((2, 16, 5, 64))
+        batched, want = self._batched_and_per_image(
+            lambda t: bb.attention_sublayer(backbone, 1, t, deltas), x, g
+        )
+        assert len(batched) == 1 + len(specific.parameters())
+        for got, w in zip(batched, want):
+            self._assert_within_1e12(got, w)
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_mlp_backward_within_1e12_of_per_image(self, last):
+        # with ``last`` the batch runs readout-only, an image alone keeps
+        # every token, and the gradient reaches the CLS rows alone
+        backbone, _ = _sublayer_setup(("q", "v"), False, width=64, heads=4)
+        if not last:
+            backbone = _one_block_deeper(backbone)
+        x, g = nm.make_rng(13).standard_normal((2, 16, 5, 64))
+        if last:
+            g[:, 1:] = 0.0
+        (got,), (want,) = self._batched_and_per_image(
+            lambda t: bb.mlp_sublayer(backbone, 1, t), x, g
+        )
+        self._assert_within_1e12(got, want)

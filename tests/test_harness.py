@@ -18,7 +18,7 @@ from dualora import harness
 from dualora import numerics as nm
 from dualora import streams as st
 from dualora.cli import main as cli_main
-from dualora.errors import ConfigError, DataError, GraphError, InvalidRankError
+from dualora.errors import ConfigError, DataError, FormatError, GraphError, InvalidRankError
 
 # a config small enough that a full run takes well under a second
 FAST = dict(
@@ -464,6 +464,23 @@ class TestCli:
     def test_report_without_accuracy_exits_2(self, tmp_path, capsys):
         path = tmp_path / "r.json"
         path.write_text(json.dumps({"seed": 0}))
+        assert cli_main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "accuracy",
+        [
+            {"per_task": [True, False], "average": True, "final": False},
+            {"per_task": [], "average": 1.0, "final": 1.0},
+        ],
+        ids=["booleans", "no-tasks"],
+    )
+    def test_report_with_malformed_accuracy_exits_2(self, tmp_path, capsys, accuracy):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"seed": 0, "accuracy": accuracy}))
+        with pytest.raises(FormatError, match="no run report accuracy record"):
+            cli._load_report(path)
         assert cli_main(["report", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
