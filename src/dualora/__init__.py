@@ -10,13 +10,7 @@ similarity with a shared-prefix evaluation.
 """
 
 from .adapters import Adapter, init_shared, init_specific
-from .autodiff import (
-    GradientBundle,
-    Parameter,
-    Tensor,
-    backward_per_term,
-    finite_difference_check,
-)
+from .autodiff import Parameter, Tensor, backward_per_term, finite_difference_check
 from .backbone import Backbone, BackboneConfig, TokenState, init_backbone
 from .classifier import PrototypeStore, adapter_pass_count, compute_prototypes, predict
 from .harness import gradcheck, run_ablation, run_experiment

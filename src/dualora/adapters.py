@@ -234,6 +234,8 @@ def init_specific(
     """
     if rank < 1:
         raise InvalidRankError(f"rank must be >= 1, got {rank}")
+    if rank > width:
+        raise InvalidRankError(f"rank {rank} exceeds projection width {width}")
     adapter = Adapter(tuple(blocks), _ordered(attach_set))
     for i in adapter.blocks:
         for p in adapter.attach_set:

@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
 A forward pass builds an implicit tape of :class:`Tensor` nodes. Each loss
-term (``ce``, ``kd``, ``orth``) is a scalar node on that shared tape, and
-:func:`backward_per_term` walks the tape once per term so the gradient of
-each loss with respect to every trainable parameter is attributed exactly,
-never approximated by differencing combined gradients.
+term is a scalar node on that shared tape, and :func:`backward_per_term`
+walks the tape once per term so the gradient of each term with respect to
+every trainable parameter is attributed exactly, never approximated by
+differencing combined gradients. How the terms are combined is left to the
+caller.
 
 Gradients are only computed along paths that reach a trainable leaf; frozen
 parameters participate in the chain rule by value but never receive (or
@@ -24,14 +25,12 @@ nodes and a loss term one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DeterminismError, GraphError, InvalidInputError
-
-LOSS_TERMS = ("ce", "kd", "orth")
 
 PARAMETER_TAGS = (
     "shared-up",
@@ -216,49 +215,29 @@ def backward(root: Tensor) -> dict[str, np.ndarray]:
     return out
 
 
-@dataclass
-class GradientBundle:
-    """Per-loss-term gradients keyed by parameter name.
-
-    Terms that were not computed this step are simply absent; :meth:`grad`
-    reads them as exact zeros.
-    """
-
-    params: dict[str, Parameter]
-    terms: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
-
-    def grad(self, term: str, name: str) -> np.ndarray:
-        if term not in LOSS_TERMS:
-            raise GraphError(f"unknown loss term {term!r}")
-        if name not in self.params:
-            raise GraphError(f"unknown parameter {name!r}")
-        g = self.terms.get(term, {}).get(name)
-        if g is None:
-            return np.zeros_like(self.params[name].value)
-        return g
-
-
 def backward_per_term(
     losses: Mapping[str, Tensor | None], params: Sequence[Parameter]
-) -> GradientBundle:
-    """Attribute gradients of each loss term separately on the shared tape."""
-    by_name: dict[str, Parameter] = {}
+) -> dict[str, dict[str, np.ndarray]]:
+    """Gradients of each loss term separately on the shared tape.
+
+    Returns ``{term: {parameter name: gradient}}``. A term given as None is
+    left out, and so is any parameter a term does not reach.
+    """
+    names: set[str] = set()
     for p in params:
-        if p.name in by_name:
+        if p.name in names:
             raise GraphError(f"duplicate parameter name {p.name!r}")
-        by_name[p.name] = p
-    bundle = GradientBundle(params=by_name)
+        names.add(p.name)
+    out: dict[str, dict[str, np.ndarray]] = {}
     for term, loss in losses.items():
-        if term not in LOSS_TERMS:
-            raise GraphError(f"unknown loss term {term!r}")
         if loss is None:
             continue
         grads = backward(loss)
         for name in grads:
-            if name not in by_name:
+            if name not in names:
                 raise GraphError(f"tape produced gradient for unknown parameter {name!r}")
-        bundle.terms[term] = grads
-    return bundle
+        out[term] = grads
+    return out
 
 
 @dataclass

@@ -341,6 +341,35 @@ ABLATION_AXES = {
 }
 
 
+def _openblas(name: str):
+    """OpenBLAS's ``name`` function (``"set_num_threads"``, ``"get_num_threads"``)
+    from the library this process has loaded, or None when none is found."""
+    import ctypes
+
+    signatures = {"set_num_threads": ([ctypes.c_int], None), "get_num_threads": ([], ctypes.c_int)}
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = signatures[name]
+                return fn
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: the pool already runs one worker per CPU, so each
+    worker's BLAS takes one thread, not one per core."""
+    set_threads = _openblas("set_num_threads")
+    if set_threads is not None:
+        set_threads(1)
+
+
 def run_ablation(
     config: Mapping | None,
     axes: Sequence[str] | Mapping[str, list],
@@ -352,11 +381,11 @@ def run_ablation(
     """Cross-product sweep over the requested axes at fixed seeds.
 
     Every (combination, seed) run is one job of a fork-based process pool with
-    one worker per usable CPU, at most one per job. Each worker writes its own
-    run directory; reports come back in job order, so the summary does not
-    depend on the pool. A sweep without runs, or with two runs of the same
-    name (and so the same directory), raises ConfigError before any worker
-    starts.
+    one worker per usable CPU, at most one per job, and one BLAS thread per
+    worker. Each worker writes its own run directory; reports come back in
+    job order, so the summary does not depend on the pool. A sweep without
+    runs, or with two runs of the same name (and so the same directory),
+    raises ConfigError before any worker starts.
 
     Returns the reports and the summary CSV text (one row per combination per
     seed: axis columns, seed, A_T, A_bar, params_pct, pass_count).
@@ -380,7 +409,7 @@ def run_ablation(
             _, values = ABLATION_AXES[name]
             if name == "l-sweep":
                 n = int(base["num_blocks"])
-                values = [0, n // 2, n]
+                values = list(dict.fromkeys([0, n // 2, n]))  # [0, 1] when n is 1
         axis_values.append(list(values))
 
     combos: list[tuple] = [()]
@@ -413,7 +442,9 @@ def run_ablation(
     # Forked workers inherit the parent's imported modules, so one starts in
     # milliseconds where a spawned worker would import numpy and dualora again.
     workers = min(len(jobs), len(os.sched_getaffinity(0)))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+    with ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=_one_blas_thread
+    ) as pool:
         reports = list(pool.map(run_experiment, *zip(*jobs)))
     for row, report in zip(rows, reports):
         row.update(

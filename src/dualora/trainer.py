@@ -71,15 +71,6 @@ class TrainConfig:
 
 
 @dataclass
-class TeacherSnapshot:
-    """End-of-previous-task state the distillation target is computed from."""
-
-    shared: adp.Adapter | None  # frozen copy of the shared adapter
-    row_norms: dict[str, np.ndarray]  # per shared up-projection parameter
-    prefix_task: adp.Adapter | None  # teacher prefix when positions are flipped
-
-
-@dataclass
 class Head:
     """Temporary per-task linear classifier, discarded after training."""
 
@@ -134,9 +125,26 @@ def _head_grads(g: np.ndarray, x: np.ndarray, head: Head, needs) -> tuple:
     )
 
 
+def _soft_ce(x_node: ad.Tensor, target: np.ndarray, head: Head, tau: float) -> ad.Tensor:
+    """Mean soft-target cross-entropy of the head's logits of ``x_node``,
+    softened by ``tau``, against the constant ``target``, as one node."""
+    x = x_node.value
+    c = 1.0 / tau
+    logp = _log_softmax(head.logits_value(x) * c)
+    n = logp.shape[0]
+    value = (target * logp).sum(axis=-1).sum() * (1.0 / n) * -1.0
+
+    def bwd(g, needs):
+        gl = (g * -1.0 * (1.0 / n)) * target
+        return _head_grads(_log_softmax_grad(gl, logp) * c, x, head, needs)
+
+    return ad.node(value, (x_node, ad.leaf(head.W), ad.leaf(head.b)), bwd)
+
+
 def local_ce_loss(cls: ad.Tensor, head: Head, labels: np.ndarray) -> ad.Tensor:
     """Mean cross-entropy of the head's logits of ``cls`` (b, d) against
-    ``labels``, one local class index per row, as one node."""
+    ``labels``, one local class index per row, as one node: the soft-target
+    cross-entropy of :func:`kd_loss` with a one-hot target at temperature 1."""
     labels = np.asarray(labels, dtype=np.int64)
     x = cls.value
     if x.ndim != 2:
@@ -149,17 +157,7 @@ def local_ce_loss(cls: ad.Tensor, head: Head, labels: np.ndarray) -> ad.Tensor:
             f"labels must lie in [0, {n_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    n = labels.shape[0]
-    rows = np.arange(n)
-    logp = _log_softmax(head.logits_value(x))
-    value = logp[rows, labels].sum() * (1.0 / n) * -1.0
-
-    def bwd(g, needs):
-        gp = np.zeros_like(logp)
-        gp[rows, labels] = g * -1.0 * (1.0 / n)
-        return _head_grads(_log_softmax_grad(gp, logp), x, head, needs)
-
-    return ad.node(value, (cls, ad.leaf(head.W), ad.leaf(head.b)), bwd)
+    return _soft_ce(cls, np.eye(n_classes)[labels], head, 1.0)
 
 
 def kd_target(head: Head, teacher_cls: np.ndarray, tau: float) -> np.ndarray:
@@ -179,19 +177,10 @@ def kd_loss(student_cls: ad.Tensor, target: np.ndarray, head: Head, tau: float) 
     """
     if tau <= 0:
         raise InvalidInputError(f"temperature must be positive, got {tau}")
-    x = student_cls.value
-    c = 1.0 / tau
-    logp = _log_softmax(head.logits_value(x) * c)
-    if target.shape != logp.shape:
-        raise ShapeError(f"distillation target {target.shape} does not match logits {logp.shape}")
-    n = logp.shape[0]
-    value = (target * logp).sum(axis=-1).sum() * (1.0 / n) * -1.0
-
-    def bwd(g, needs):
-        gl = (g * -1.0 * (1.0 / n)) * target
-        return _head_grads(_log_softmax_grad(gl, logp) * c, x, head, needs)
-
-    return ad.node(value, (student_cls, ad.leaf(head.W), ad.leaf(head.b)), bwd)
+    logits = student_cls.value.shape[:-1] + head.b.value.shape
+    if target.shape != logits:
+        raise ShapeError(f"distillation target {target.shape} does not match logits {logits}")
+    return _soft_ce(student_cls, target, head, tau)
 
 
 def orth_loss(mu: ad.Tensor, previous: list[np.ndarray]) -> ad.Tensor:
@@ -231,35 +220,37 @@ def reassign_gradient(kd_grad: np.ndarray, prev_row_norms: np.ndarray) -> np.nda
 
 
 def total_step_gradient(
-    bundle: ad.GradientBundle,
+    grads: dict[str, dict[str, np.ndarray]],
     params: list[ad.Parameter],
     cfg: TrainConfig,
-    snapshot: TeacherSnapshot | None,
+    row_norms: dict[str, np.ndarray] | None,
 ) -> dict[str, np.ndarray]:
-    """Combine per-term gradients into one update gradient per parameter.
+    """Combine per-term gradients (see :func:`autodiff.backward_per_term`)
+    into one update gradient per trainable parameter.
 
     Shared up-projections take ce + lambda_kd * (reassigned) kd; the head and
     trainable shared down-projections take ce + lambda_kd * kd unmodified;
     specific adapters and block weights take ce + lambda_orth * orth.
-    Reassignment touches only the kd term and only shared up-projections.
+    Reassignment touches only the kd term and only shared up-projections,
+    scaling rows by ``row_norms``, the previous task's row norms by
+    parameter name. A term is added only where it reached the parameter.
     """
-    kd_present = "kd" in bundle.terms
-    if kd_present and cfg.gr and snapshot is None:
-        raise ProtocolError("gradient reassignment needs a teacher snapshot")
+    ce, kd, orth = (grads.get(term, {}) for term in ("ce", "kd", "orth"))
     out: dict[str, np.ndarray] = {}
     for p in params:
         if not p.trainable:
             continue
-        ce = bundle.grad("ce", p.name)
-        if p.tag == "shared-up":
-            kd = bundle.grad("kd", p.name)
-            if cfg.gr and snapshot is not None:
-                kd = reassign_gradient(kd, snapshot.row_norms[p.name])
-            g = ce + cfg.lambda_kd * kd
-        elif p.tag in ("head", "shared-down"):
-            g = ce + cfg.lambda_kd * bundle.grad("kd", p.name)
-        else:  # specific-up, specific-down, block-weight
-            g = ce + cfg.lambda_orth * bundle.grad("orth", p.name)
+        g = ce[p.name] if p.name in ce else np.zeros_like(p.value)
+        if p.tag in ("specific-up", "specific-down", "block-weight"):
+            if p.name in orth:
+                g = g + cfg.lambda_orth * orth[p.name]
+        elif p.name in kd:
+            g_kd = kd[p.name]
+            if p.tag == "shared-up" and cfg.gr:
+                if row_norms is None:
+                    raise ProtocolError("gradient reassignment needs the previous row norms")
+                g_kd = reassign_gradient(g_kd, row_norms[p.name])
+            g = g + cfg.lambda_kd * g_kd
         out[p.name] = g
     return out
 
@@ -318,7 +309,7 @@ class TaskTrainResult:
 
 
 class TaskSession:
-    """One task's training state: snapshot, fresh adapter, head, params."""
+    """One task's training state: teacher, fresh adapter, head, params."""
 
     def __init__(self, model: mdl.ContinualModel, task, cfg: TrainConfig, rng):
         if cfg.position_l != model.position_l or cfg.flip_positions != model.flip_positions:
@@ -338,22 +329,14 @@ class TaskSession:
         self.kd_active = bool(cfg.kd and self.t > 1 and cfg.position_l >= 1)
         self.orth_active = bool(cfg.bw and self.t > 1 and model.specific_blocks)
 
-        self.snapshot = None
-        if self.kd_active:
-            self.snapshot = TeacherSnapshot(
-                shared=model.shared.frozen_copy() if model.shared is not None else None,
-                row_norms=(
-                    {
-                        pair.up.name: numerics.row_l2_norms(pair.up.value)
-                        for pair in model.shared.pairs.values()
-                    }
-                    if model.shared is not None
-                    else {}
-                ),
-                prefix_task=(
-                    model.components_for(self.t - 1) if model.flip_positions else None
-                ),
-            )
+        self.teacher = None  # frozen copy of the shared adapter the previous task left
+        self.row_norms = None  # row norms of the teacher's up-projections, by name
+        if self.kd_active and model.shared is not None:
+            self.teacher = model.shared.frozen_copy()
+            self.row_norms = {
+                pair.up.name: numerics.row_l2_norms(pair.up.value)
+                for pair in self.teacher.pairs.values()
+            }
 
         self.adapter = adp.init_specific(
             self.t,
@@ -378,14 +361,13 @@ class TaskSession:
         self.teacher_cls = self.teacher_readout(task.train_images) if self.kd_active else None
 
     def teacher_readout(self, images) -> np.ndarray:
-        """Transition CLS values under the snapshot; constant within the task."""
-        if self.snapshot is None:
-            raise ProtocolError("no teacher snapshot for the first task")
+        """Transition CLS values under the teacher; constant within the task.
+        A flipped layout runs the previous task's frozen adapter on the prefix."""
+        if not self.kd_active:
+            raise ProtocolError("no teacher: distillation is off for this task")
+        prefix_task = self.model.components_for(self.t - 1) if self.model.flip_positions else None
         return mdl.transition_cls_with(
-            self.model,
-            images,
-            shared=self.snapshot.shared,
-            prefix_task=self.snapshot.prefix_task,
+            self.model, images, shared=self.teacher, prefix_task=prefix_task
         )
 
     def losses(
@@ -417,8 +399,9 @@ class TaskSession:
 
     def step(self, rows, optimizer) -> dict:
         losses = self.losses(rows)
-        bundle = ad.backward_per_term(losses, self.params)
-        grads = total_step_gradient(bundle, self.params, self.cfg, self.snapshot)
+        grads = total_step_gradient(
+            ad.backward_per_term(losses, self.params), self.params, self.cfg, self.row_norms
+        )
         optimizer.step({p.name: p for p in self.params}, grads)
         ce = float(losses["ce"].value)
         kd = float(losses["kd"].value) if losses["kd"] is not None else 0.0

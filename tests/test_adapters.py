@@ -175,6 +175,10 @@ class TestInitSpecific:
         with pytest.raises(InvalidRankError):
             adp.init_specific(1, (2,), ("q",), 0, 8, nm.make_rng(0))
 
+    def test_rank_exceeding_width_rejected(self):
+        with pytest.raises(InvalidRankError, match="exceeds projection width 8"):
+            adp.init_specific(1, (2,), ("q",), 9, 8, nm.make_rng(0))
+
 
 class TestDeltas:
     def test_shared_delta_zero_at_init(self):

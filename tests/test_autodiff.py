@@ -56,9 +56,8 @@ class TestBackward:
         p = _param("p", [1.0, 2.0])
         q = _param("q", [3.0])
         loss = project(_product(ad.leaf(p), ad.leaf(p)), 1.0)
-        bundle = ad.backward_per_term({"ce": loss}, [p, q])
-        assert "q" not in bundle.terms.get("ce", {})
-        assert np.array_equal(bundle.grad("ce", "q"), np.zeros(1))
+        grads = ad.backward_per_term({"ce": loss}, [p, q])
+        assert list(grads["ce"]) == ["p"]
 
     def test_frozen_leaf_gets_no_gradient(self):
         p = _param("p", [2.0], trainable=False)
@@ -85,12 +84,6 @@ class TestBackward:
         p = _param("p", [1.0, 2.0])
         with pytest.raises(GraphError):
             ad.backward(ad.leaf(p))
-
-    def test_unknown_term_rejected(self):
-        p = _param("p", [1.0])
-        loss = project(ad.leaf(p), 1.0)
-        with pytest.raises(GraphError):
-            ad.backward_per_term({"extra": loss}, [p])
 
     def test_duplicate_parameter_name_rejected(self):
         p1, p2 = _param("p", [1.0]), _param("p", [2.0])
@@ -163,29 +156,26 @@ class TestAttribution:
         lam1, lam2 = 5.0, 1e-4
         total = _weighted_sum([(losses["ce"], 1.0), (losses["kd"], lam1), (losses["orth"], lam2)])
         combined = ad.backward(total)
-        bundle = ad.backward_per_term(losses, list(params))
+        grads = ad.backward_per_term(losses, list(params))
         for p in params:
-            expected = (
-                bundle.grad("ce", p.name)
-                + lam1 * bundle.grad("kd", p.name)
-                + lam2 * bundle.grad("orth", p.name)
-            )
+            expected = np.zeros_like(p.value)
+            for term, lam in (("ce", 1.0), ("kd", lam1), ("orth", lam2)):
+                if p.name in grads[term]:
+                    expected = expected + lam * grads[term][p.name]
             assert np.abs(combined.get(p.name, np.zeros_like(p.value)) - expected).max() <= 1e-12
 
     def test_term_isolation(self):
         params, losses = self._toy_losses()
         w1, w2, mu = params
-        bundle = ad.backward_per_term(losses, list(params))
-        assert w2.name not in bundle.terms.get("kd", {})
-        assert mu.name not in bundle.terms.get("kd", {})
-        assert w1.name not in bundle.terms.get("orth", {})
-        assert w2.name not in bundle.terms.get("orth", {})
-        assert mu.name in bundle.terms.get("orth", {})
+        grads = ad.backward_per_term(losses, list(params))
+        assert set(grads["ce"]) == {w1.name, w2.name}
+        assert set(grads["kd"]) == {w1.name}
+        assert set(grads["orth"]) == {mu.name}
 
-    def test_absent_term_reads_zero(self):
+    def test_absent_term_is_left_out(self):
         params, losses = self._toy_losses()
-        bundle = ad.backward_per_term({"ce": losses["ce"], "kd": None, "orth": None}, list(params))
-        assert np.array_equal(bundle.grad("kd", params[0].name), np.zeros_like(params[0].value))
+        grads = ad.backward_per_term({"ce": losses["ce"], "kd": None, "orth": None}, list(params))
+        assert list(grads) == ["ce"]
 
 
 class TestFiniteDifferenceCheck:

@@ -20,6 +20,18 @@ from dualora import streams as st
 from dualora.cli import main as cli_main
 from dualora.errors import ConfigError, DataError, FormatError, GraphError, InvalidRankError
 
+
+def _report_blas_threads(overrides, seed, run_dir):
+    """Stands in for ``run_experiment`` in a pool worker: the worker's BLAS
+    thread count, reported as its accuracy."""
+    threads = harness._openblas("get_num_threads")()
+    return types.SimpleNamespace(
+        accuracy=types.SimpleNamespace(final=threads, average=threads),
+        param_counts={"backbone_ratio": 0.0},
+        adapter_pass_count=0,
+    )
+
+
 # a config small enough that a full run takes well under a second
 FAST = dict(
     num_blocks=2,
@@ -298,15 +310,34 @@ class TestRunAblation:
         made = []
 
         class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers, mp_context, initializer):
                 made.append((max_workers, mp_context.get_start_method()))
-                super().__init__(max_workers, mp_context=mp_context)
+                super().__init__(max_workers, mp_context=mp_context, initializer=initializer)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         harness.run_ablation(FAST, {"kd": [True]}, seeds=[0])
         harness.run_ablation(FAST, ["l-sweep"], seeds=[0])
         cpus = len(os.sched_getaffinity(0))
         assert made == [(1, "fork"), (min(3, cpus), "fork")]
+
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        get_threads = harness._openblas("get_num_threads")
+        if get_threads is None:
+            pytest.skip("no OpenBLAS thread getter in this build")
+        set_threads = harness._openblas("set_num_threads")
+        monkeypatch.setattr(harness, "run_experiment", _report_blas_threads)
+        before = get_threads()
+        set_threads(2)  # so the workers inherit more than one thread
+        try:
+            _, summary = harness.run_ablation(FAST, {"rank": [1, 2]}, seeds=[0, 1])
+            assert get_threads() == 2  # the parent keeps its own setting
+        finally:
+            set_threads(before)
+        assert [row["A_T"] for row in csv.DictReader(io.StringIO(summary))] == ["1"] * 4
+
+    def test_default_l_sweep_on_one_block_runs_each_position_once(self):
+        _, summary = harness.run_ablation({**FAST, "num_blocks": 1}, ["l-sweep"], seeds=[0])
+        assert [row["l-sweep"] for row in csv.DictReader(io.StringIO(summary))] == ["0", "1"]
 
     @pytest.mark.parametrize(
         "axes, error, message",
@@ -545,6 +576,7 @@ class TestCli:
             {"noise_std": -1},
             {"rank": 0},
             {"rank": 100},
+            {"position_l": 0, "rank": 100},  # every block per-task: no shared adapter
             {"num_tasks": -1},
             {"num_tasks": 1e30},
             {"train_per_class": -1},

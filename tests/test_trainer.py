@@ -205,7 +205,7 @@ class TestReassignGradient:
 
 
 class TestTotalStepGradient:
-    def _bundle_and_params(self):
+    def _grads_and_params(self):
         rng = nm.make_rng(3)
         params = [
             ad.Parameter("a_s", rng.standard_normal((4, 2)), True, "shared-up"),
@@ -213,55 +213,61 @@ class TestTotalStepGradient:
             ad.Parameter("mu", rng.standard_normal(2), True, "block-weight"),
             ad.Parameter("hw", rng.standard_normal((4, 2)), True, "head"),
         ]
-        bundle = ad.GradientBundle(params={p.name: p for p in params})
-        bundle.terms["ce"] = {p.name: rng.standard_normal(p.value.shape) for p in params}
-        bundle.terms["kd"] = {
-            "a_s": rng.standard_normal((4, 2)),
-            "hw": rng.standard_normal((4, 2)),
+        grads = {
+            "ce": {p.name: rng.standard_normal(p.value.shape) for p in params},
+            "kd": {"a_s": rng.standard_normal((4, 2)), "hw": rng.standard_normal((4, 2))},
+            "orth": {"mu": rng.standard_normal(2)},
         }
-        bundle.terms["orth"] = {"mu": rng.standard_normal(2)}
-        return bundle, params
+        return grads, params
 
     def test_zero_weights_give_pure_ce(self):
-        bundle, params = self._bundle_and_params()
+        grads, params = self._grads_and_params()
         cfg = tr.TrainConfig(lambda_kd=0.0, lambda_orth=0.0, gr=False)
-        out = tr.total_step_gradient(bundle, params, cfg, None)
+        out = tr.total_step_gradient(grads, params, cfg, None)
         for p in params:
-            assert np.array_equal(out[p.name], bundle.terms["ce"][p.name])
+            assert np.array_equal(out[p.name], grads["ce"][p.name])
 
     def test_gr_with_uniform_norms_matches_gr_off(self):
-        bundle, params = self._bundle_and_params()
-        snapshot = tr.TeacherSnapshot(
-            shared=None,
-            row_norms={"a_s": np.full(4, 1.7)},
-            prefix_task=None,
-        )
-        on = tr.total_step_gradient(bundle, params, tr.TrainConfig(gr=True), snapshot)
-        off = tr.total_step_gradient(bundle, params, tr.TrainConfig(gr=False), snapshot)
+        grads, params = self._grads_and_params()
+        row_norms = {"a_s": np.full(4, 1.7)}
+        on = tr.total_step_gradient(grads, params, tr.TrainConfig(gr=True), row_norms)
+        off = tr.total_step_gradient(grads, params, tr.TrainConfig(gr=False), row_norms)
         for p in params:
             assert np.array_equal(on[p.name], off[p.name])
 
     def test_specific_update_independent_of_lambda_kd(self):
-        bundle, params = self._bundle_and_params()
-        snapshot = tr.TeacherSnapshot(None, {"a_s": np.ones(4)}, None)
-        a = tr.total_step_gradient(bundle, params, tr.TrainConfig(lambda_kd=1.0), snapshot)
-        b = tr.total_step_gradient(bundle, params, tr.TrainConfig(lambda_kd=9.0), snapshot)
+        grads, params = self._grads_and_params()
+        row_norms = {"a_s": np.ones(4)}
+        a = tr.total_step_gradient(grads, params, tr.TrainConfig(lambda_kd=1.0), row_norms)
+        b = tr.total_step_gradient(grads, params, tr.TrainConfig(lambda_kd=9.0), row_norms)
         assert np.array_equal(a["a_t"], b["a_t"])
         assert np.array_equal(a["mu"], b["mu"])
         assert not np.array_equal(a["a_s"], b["a_s"])
 
-    def test_missing_snapshot_with_kd_gradient_is_protocol_error(self):
-        bundle, params = self._bundle_and_params()
+    def test_missing_row_norms_with_kd_gradient_is_protocol_error(self):
+        grads, params = self._grads_and_params()
         with pytest.raises(ProtocolError):
-            tr.total_step_gradient(bundle, params, tr.TrainConfig(gr=True), None)
+            tr.total_step_gradient(grads, params, tr.TrainConfig(gr=True), None)
 
     def test_head_takes_unreassigned_kd(self):
-        bundle, params = self._bundle_and_params()
-        snapshot = tr.TeacherSnapshot(None, {"a_s": np.array([9.0, 1.0, 1.0, 1.0])}, None)
+        grads, params = self._grads_and_params()
+        row_norms = {"a_s": np.array([9.0, 1.0, 1.0, 1.0])}
         cfg = tr.TrainConfig(gr=True, lambda_kd=5.0)
-        out = tr.total_step_gradient(bundle, params, cfg, snapshot)
-        expected_head = bundle.terms["ce"]["hw"] + 5.0 * bundle.terms["kd"]["hw"]
+        out = tr.total_step_gradient(grads, params, cfg, row_norms)
+        expected_head = grads["ce"]["hw"] + 5.0 * grads["kd"]["hw"]
         assert np.array_equal(out["hw"], expected_head)
+
+    def test_term_added_only_where_it_reached(self):
+        # a term that did not reach a parameter adds nothing, not even a
+        # zero: a negative zero from ce keeps its sign (0.0 + -0.0 is 0.0)
+        grads, params = self._grads_and_params()
+        grads["ce"]["a_t"] = np.full((4, 2), -0.0)
+        del grads["ce"]["mu"]
+        cfg = tr.TrainConfig()
+        out = tr.total_step_gradient(grads, params, cfg, {"a_s": np.ones(4)})
+        assert np.signbit(out["a_t"]).all()
+        assert np.array_equal(out["mu"], cfg.lambda_orth * grads["orth"]["mu"])
+        assert list(out) == [p.name for p in params]
 
 
 class TestTrainTask:
@@ -377,7 +383,7 @@ class TestTrainTask:
             session.step(rows, optimizer)
         assert np.array_equal(before, session.teacher_readout(probe))
         assert not np.array_equal(
-            session.snapshot.shared.pair(1, "q").down.value, model.shared.pair(1, "q").down.value
+            session.teacher.pair(1, "q").down.value, model.shared.pair(1, "q").down.value
         )
 
     def test_teacher_readout_runs_once_per_task(self, monkeypatch):
@@ -429,13 +435,13 @@ class TestTrainTask:
         tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
         session = tr.TaskSession(model, stream.tasks[1], tcfg, nm.make_rng(1))
         losses = session.losses(np.arange(4))
-        bundle = ad.backward_per_term(losses, session.params)
-        grads = tr.total_step_gradient(bundle, session.params, tcfg, session.snapshot)
+        per_term = ad.backward_per_term(losses, session.params)
+        grads = tr.total_step_gradient(per_term, session.params, tcfg, session.row_norms)
         for pair in model.shared.pairs.values():
             name = pair.up.name
-            kd = bundle.grad("kd", name)
-            sigma = nm.dimension_preserving_normalize(session.snapshot.row_norms[name])
-            expected = bundle.grad("ce", name) + tcfg.lambda_kd * (kd * sigma[:, None])
+            kd = per_term["kd"][name]
+            sigma = nm.dimension_preserving_normalize(session.row_norms[name])
+            expected = per_term["ce"][name] + tcfg.lambda_kd * (kd * sigma[:, None])
             assert np.allclose(grads[name], expected, atol=0)
             assert abs(sigma.mean() - 1.0) <= 1e-9
 
@@ -444,12 +450,35 @@ class TestTrainTask:
         store = clf.PrototypeStore()
         tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
         session = tr.TaskSession(model, stream.tasks[1], tcfg, nm.make_rng(1))
-        bundle = ad.backward_per_term(session.losses(np.arange(4)), session.params)
+        grads = ad.backward_per_term(session.losses(np.arange(4)), session.params)
+        tags = {p.name: p.tag for p in session.params}
+        kd_tags = {tags[name] for name in grads["kd"]}
+        assert kd_tags == {"shared-up", "head"}
+        assert {tags[name] for name in grads["orth"]} == {"block-weight"}
+
+    def test_flipped_kd_reaches_the_task_adapter_and_is_dropped(self):
+        # Flipped, the transition readout sits after the task's own adapter,
+        # so kd's gradient reaches its up-projections. Specific parameters take
+        # ce + lambda_orth * orth, so kd trains only the head, which the task
+        # discards.
+        stream, _, model, tcfg = build_micro(train_overrides={"flip_positions": True})
+        store = clf.PrototypeStore()
+        tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
+        session = tr.TaskSession(model, stream.tasks[1], tcfg, nm.make_rng(1))
+        grads = ad.backward_per_term(session.losses(np.arange(4)), session.params)
+        ups = [p.name for p in session.params if p.tag == "specific-up"]
+        assert ups and all(np.abs(grads["kd"][name]).max() > 1e-6 for name in ups)
+        assert not any(name.startswith("shared.") for name in grads["kd"])
+        total = tr.total_step_gradient(grads, session.params, tcfg, session.row_norms)
         for p in session.params:
             if p.tag in ("specific-up", "specific-down", "block-weight"):
-                assert np.array_equal(bundle.grad("kd", p.name), np.zeros_like(p.value))
-            if p.tag != "block-weight":
-                assert np.array_equal(bundle.grad("orth", p.name), np.zeros_like(p.value))
+                expected = grads["ce"][p.name]
+                if p.name in grads["orth"]:
+                    expected = expected + tcfg.lambda_orth * grads["orth"][p.name]
+                assert np.array_equal(total[p.name], expected), p.name
+        head_w = session.head.W.name
+        expected_head = grads["ce"][head_w] + tcfg.lambda_kd * grads["kd"][head_w]
+        assert np.array_equal(total[head_w], expected_head)
 
     def test_optimizer_never_touches_frozen_parameters(self):
         stream, backbone, model, tcfg = build_micro()
@@ -459,8 +488,8 @@ class TestTrainTask:
         trainable_names = {p.name for p in session.params if p.trainable}
         assert not any(name.startswith("task1.") for name in trainable_names)
         assert not any(".down" in name and name.startswith("shared") for name in trainable_names)
-        bundle = ad.backward_per_term(session.losses(np.arange(2)), session.params)
-        for term_grads in bundle.terms.values():
+        grads = ad.backward_per_term(session.losses(np.arange(2)), session.params)
+        for term_grads in grads.values():
             for name in term_grads:
                 assert name in trainable_names
 
