@@ -16,8 +16,7 @@ GRADCHECK_TOLERANCE = 1e-4
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, default=None, help="JSON config overriding the preset")
-    p.add_argument("--preset", choices=sorted(harness.PRESETS), default="desk")
+    p.add_argument("--config", type=Path, default=None, help="JSON config overriding the defaults")
     p.add_argument("--seed", default="0", help="integer >= 0")
     _add_out(p)
 
@@ -38,7 +37,7 @@ def _seed(text: str) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = harness.resolve_config(_load(args), args.preset)
+    cfg = harness.resolve_config(_load(args))
     bcfg, _, scfg = harness.split_config(cfg)
     dataset = harness.synthetic_dataset(bcfg, scfg, make_rng(_seed(args.seed)))
     out = args.out or Path("dataset.clld")
@@ -49,9 +48,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_run(args) -> int:
     out = args.out or Path("run_out")
-    report = harness.run_experiment(_load(args), _seed(args.seed), out_dir=out, preset=args.preset)
-    acc = report.accuracy
-    print(f"final accuracy A_T = {acc.final:.4f}, average A_bar = {acc.average:.4f}")
+    acc = harness.run_experiment(_load(args), _seed(args.seed), out_dir=out)["accuracy"]
+    print(f"final accuracy A_T = {acc['final']:.4f}, average A_bar = {acc['average']:.4f}")
     print(f"report: {Path(out) / 'run_report.json'}")
     return 0
 
@@ -63,16 +61,14 @@ def cmd_ablate(args) -> int:
     texts = [args.seed] if args.seeds is None else args.seeds.split(",")
     seeds = [_seed(s) for s in texts]
     out = args.out or Path("ablation_out")
-    reports, summary = harness.run_ablation(
-        _load(args), axes, seeds, out_dir=out, preset=args.preset
-    )
+    reports, summary = harness.run_ablation(_load(args), axes, seeds, out_dir=out)
     print(summary, end="")
     print(f"{len(reports)} runs; summary: {Path(out) / 'summary.csv'}")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    report = harness.gradcheck(_load(args), _seed(args.seed), preset=args.preset)
+    report = harness.gradcheck(_load(args), _seed(args.seed))
     for term in report["terms_checked"]:
         info = report["terms"][term]
         print(f"{term}: max rel error {info['max_rel_error']:.3e} over {info['num_checked']} scalars")
@@ -93,7 +89,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def _load_report(path) -> dict:
-    """The run report at ``path``; FormatError when the file is not one."""
+    """The run report at ``path``; FormatError when the file is not one, or
+    when a field that ``cmd_report`` prints could not be printed."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
@@ -107,6 +104,13 @@ def _load_report(path) -> dict:
         type(v) in (int, float) for v in [acc.get("average"), acc.get("final"), *per_task]
     ):
         raise FormatError(f"report file {path} holds no run report accuracy record")
+    params = data.get("params", {"total": 0, "backbone_ratio": 0.0})
+    if not isinstance(params, dict) or not all(
+        type(params.get(k)) in (int, float) for k in ("total", "backbone_ratio")
+    ):
+        raise FormatError(f"report file {path} holds a malformed 'params' block")
+    if type(data.get("adapter_pass_count", 0)) is not int:
+        raise FormatError(f"report file {path} holds a non-integer 'adapter_pass_count'")
     return data
 
 

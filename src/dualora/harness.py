@@ -12,11 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import numbers
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -54,28 +55,10 @@ DESK_PRESET: dict = {
     "dataset_path": None,
 }
 
-# Full-size layout for reference; nothing in the test suite runs it.
-PAPER_PRESET: dict = {
-    **DESK_PRESET,
-    "num_blocks": 12,
-    "width": 768,
-    "heads": 12,
-    "image_side": 224,
-    "patch_side": 16,
-    "channels": 3,
-    "rank": 10,
-    "position_l": 6,
-    "num_classes": 100,
-    "num_tasks": 20,
-}
 
-PRESETS = {"desk": DESK_PRESET, "paper": PAPER_PRESET}
-
-def resolve_config(overrides: Mapping | None = None, preset: str = "desk") -> dict:
-    """Merge overrides onto a preset, rejecting unknown keys."""
-    if preset not in PRESETS:
-        raise ConfigError(f"unknown preset {preset!r}, expected one of {sorted(PRESETS)}")
-    cfg = dict(PRESETS[preset])
+def resolve_config(overrides: Mapping | None = None) -> dict:
+    """Merge overrides onto the desk defaults, rejecting unknown keys."""
+    cfg = dict(DESK_PRESET)
     overrides = dict(overrides or {})
     unknown = sorted(set(overrides) - set(cfg))
     if unknown:
@@ -101,24 +84,27 @@ def _convert(key: str, value, kind: type):
     ``3.0`` becomes ``3``. A number field takes only a number that it holds
     exactly and a boolean field only ``true``, ``false``, 0 or 1; anything
     else raises ConfigError rather than being read as something else
-    (``bool("false")`` is true), and a float field only a finite number (JSON
-    ``1e400`` parses as infinity). A key whose preset default is null takes a
-    string or null."""
+    (``bool("false")`` is true). A number must also be finite as a float (JSON
+    ``1e400`` parses as infinity). A string field takes a string, a tuple field
+    a string or a list of strings (not an object, whose keys ``tuple`` would
+    read), and a key whose default is null a string or null."""
     if kind is type(None):
         if value is None or isinstance(value, str):
             return value
         raise ConfigError(f"config key {key!r} expects a string or null, got {value!r}")
     try:
         converted = kind(value)
+        finite = kind not in (int, float) or math.isfinite(converted)
     except (TypeError, ValueError, OverflowError):
-        converted = None
+        converted, finite = None, False
     if kind is bool:
         exact = isinstance(value, numbers.Integral) and value in (0, 1)
     elif kind in (int, float):
-        exact = isinstance(value, numbers.Real) and not isinstance(value, bool) and converted == value
-        exact = exact and (kind is int or np.isfinite(converted))
+        exact = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        exact = exact and finite and converted == value
     else:
-        exact = converted is not None
+        items = value if kind is tuple and isinstance(value, list) else [value]
+        exact = all(isinstance(v, str) for v in items)
     if not exact:
         raise ConfigError(f"config key {key!r} expects {kind.__name__}, got {value!r}")
     return converted
@@ -133,7 +119,7 @@ def _typed(cls, cfg: Mapping):
 def split_config(cfg: Mapping) -> tuple[bb.BackboneConfig, tr.TrainConfig, dict]:
     """Validate a resolved config into typed pieces: the fields of
     ``BackboneConfig`` and ``TrainConfig`` name their keys, and every other key
-    belongs to the data stream, converted to the type of its preset default."""
+    belongs to the data stream, converted to the type of its default."""
     bcfg = _typed(bb.BackboneConfig, cfg)
     tcfg = _typed(tr.TrainConfig, cfg)
     if tcfg.position_l > bcfg.num_blocks:
@@ -174,48 +160,6 @@ def atomic_write(path, data: str | bytes) -> None:
     with open(tmp, mode) as f:
         f.write(data)
     os.replace(tmp, path)
-
-
-@dataclass
-class AccuracyRecord:
-    per_task: list[float]
-
-    @property
-    def average(self) -> float:
-        return float(np.mean(self.per_task))
-
-    @property
-    def final(self) -> float:
-        return self.per_task[-1]
-
-
-@dataclass
-class RunReport:
-    config: dict
-    seed: int
-    accuracy: AccuracyRecord
-    param_counts: dict
-    adapter_pass_count: int
-    epoch_log: list[dict]
-    timings: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "accuracy": {
-                "per_task": self.accuracy.per_task,
-                "average": self.accuracy.average,
-                "final": self.accuracy.final,
-            },
-            "params": self.param_counts,
-            "adapter_pass_count": self.adapter_pass_count,
-            "loss_log": "loss_log.jsonl",
-            "timings": self.timings,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _spawn_generators(seed: int, num_tasks: int):
@@ -269,20 +213,15 @@ def build_run(cfg: Mapping, seed: int):
     return tcfg, stream, model, task_rngs
 
 
-def run_experiment(
-    config: Mapping | None,
-    seed: int,
-    out_dir=None,
-    *,
-    preset: str = "desk",
-) -> RunReport:
+def run_experiment(config: Mapping | None, seed: int, out_dir=None) -> dict:
     """Train the full task sequence and evaluate after every task.
 
     Accuracy after task t is measured over the union of test sets of tasks
-    1..t. Writes the report JSON and the per-epoch loss log (JSON lines)
-    into ``out_dir`` when given.
+    1..t. Returns the report as the dict ``run_report.json`` holds, and writes
+    that file and the per-epoch loss log (JSON lines) into ``out_dir`` when
+    given.
     """
-    cfg = resolve_config(config, preset)
+    cfg = resolve_config(config)
     started = time.perf_counter()
     tcfg, stream, model, task_rngs = build_run(cfg, seed)
     store = clf.PrototypeStore()
@@ -299,26 +238,31 @@ def run_experiment(
         labels = np.concatenate([t.test_labels for t in seen])
         per_task_acc.append(clf.evaluate(model, store, images, labels))
 
-    report = RunReport(
-        config=cfg,
-        seed=seed,
-        accuracy=AccuracyRecord(per_task=per_task_acc),
-        param_counts=mdl.param_counts(model),
-        adapter_pass_count=clf.adapter_pass_count(
+    report = {
+        "config": cfg,
+        "seed": seed,
+        "accuracy": {
+            "per_task": per_task_acc,
+            "average": float(np.mean(per_task_acc)),
+            "final": per_task_acc[-1],
+        },
+        "params": mdl.param_counts(model),
+        "adapter_pass_count": clf.adapter_pass_count(
             model.shared_prefix, model.num_blocks, len(stream.tasks)
         ),
-        epoch_log=epoch_log,
-        timings={
+        "loss_log": "loss_log.jsonl",
+        "timings": {
             "total_s": time.perf_counter() - started,
             "per_task_s": task_times,
         },
-    )
+    }
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         lines = "".join(json.dumps(e, sort_keys=True) + "\n" for e in epoch_log)
         atomic_write(out_dir / "loss_log.jsonl", lines)
-        atomic_write(out_dir / "run_report.json", report.to_json())
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        atomic_write(out_dir / "run_report.json", text)
     return report
 
 
@@ -375,9 +319,7 @@ def run_ablation(
     axes: Sequence[str] | Mapping[str, list],
     seeds: Sequence[int],
     out_dir=None,
-    *,
-    preset: str = "desk",
-) -> tuple[list[RunReport], str]:
+) -> tuple[list[dict], str]:
     """Cross-product sweep over the requested axes at fixed seeds.
 
     Every (combination, seed) run is one job of a fork-based process pool with
@@ -390,7 +332,7 @@ def run_ablation(
     Returns the reports and the summary CSV text (one row per combination per
     seed: axis columns, seed, A_T, A_bar, params_pct, pass_count).
     """
-    base = resolve_config(config, preset)
+    base = resolve_config(config)
     if isinstance(axes, Mapping):
         requested = {str(k): list(v) for k, v in axes.items()}
     else:
@@ -449,10 +391,10 @@ def run_ablation(
     for row, report in zip(rows, reports):
         row.update(
             {
-                "A_T": report.accuracy.final,
-                "A_bar": report.accuracy.average,
-                "params_pct": 100.0 * report.param_counts["backbone_ratio"],
-                "pass_count": report.adapter_pass_count,
+                "A_T": report["accuracy"]["final"],
+                "A_bar": report["accuracy"]["average"],
+                "params_pct": 100.0 * report["params"]["backbone_ratio"],
+                "pass_count": report["adapter_pass_count"],
             }
         )
 
@@ -494,13 +436,7 @@ GRADCHECK_PRESET: dict = {
 GRADCHECK_SETTLE_STEPS = 5
 
 
-def gradcheck(
-    config: Mapping | None,
-    seed: int,
-    *,
-    step: float = 3e-4,
-    preset: str = "desk",
-) -> dict:
+def gradcheck(config: Mapping | None, seed: int, *, step: float = 3e-4) -> dict:
     """Verify analytic gradients of every active loss term on a micro run.
 
     Trains the first task, enters the second, takes a few optimizer steps so
@@ -509,7 +445,7 @@ def gradcheck(
     distillation target is pinned at the linearization point, matching its
     constant-target semantics.
     """
-    cfg = resolve_config({**GRADCHECK_PRESET, **(config or {})}, preset)
+    cfg = resolve_config({**GRADCHECK_PRESET, **(config or {})})
     tcfg, stream, model, task_rngs = build_run(cfg, seed)
     store = clf.PrototypeStore()
     check_task_idx = 1 if len(stream.tasks) > 1 else 0

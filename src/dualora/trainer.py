@@ -329,9 +329,11 @@ class TaskSession:
         self.kd_active = bool(cfg.kd and self.t > 1 and cfg.position_l >= 1)
         self.orth_active = bool(cfg.bw and self.t > 1 and model.specific_blocks)
 
+        # A flipped layout runs the shared blocks after the transition point, so
+        # the teacher prefix never reads them and kd never reaches them.
         self.teacher = None  # frozen copy of the shared adapter the previous task left
         self.row_norms = None  # row norms of the teacher's up-projections, by name
-        if self.kd_active and model.shared is not None:
+        if self.kd_active and not model.flip_positions:
             self.teacher = model.shared.frozen_copy()
             self.row_norms = {
                 pair.up.name: numerics.row_l2_norms(pair.up.value)

@@ -198,8 +198,8 @@ def test_09_protocol_degeneracies():
         report = harness.run_experiment(
             {**DESK_FAST, "num_tasks": 1, "epochs": 2}, seed=0
         )
-        acc = report.accuracy
-        assert acc.average == acc.final == acc.per_task[0]
+        acc = report["accuracy"]
+        assert acc["average"] == acc["final"] == acc["per_task"][0]
 
 
 def test_10_desk_directional_experiment():
@@ -207,11 +207,11 @@ def test_10_desk_directional_experiment():
         started = time.perf_counter()
         full, specific = [], []
         for seed in range(5):
-            full.append(harness.run_experiment(None, seed).accuracy.final)
+            full.append(harness.run_experiment(None, seed)["accuracy"]["final"])
             specific.append(
                 harness.run_experiment(
                     {"position_l": 0, "kd": False, "gr": False, "bw": False}, seed
-                ).accuracy.final
+                )["accuracy"]["final"]
             )
         mean_full, mean_specific = float(np.mean(full)), float(np.mean(specific))
         elapsed = time.perf_counter() - started

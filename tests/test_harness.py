@@ -8,13 +8,16 @@ import os
 import re
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from dualora import cli, errors
+from dualora import backbone as bb
 from dualora import harness
+from dualora import trainer as tr
 from dualora import numerics as nm
 from dualora import streams as st
 from dualora.cli import main as cli_main
@@ -25,11 +28,11 @@ def _report_blas_threads(overrides, seed, run_dir):
     """Stands in for ``run_experiment`` in a pool worker: the worker's BLAS
     thread count, reported as its accuracy."""
     threads = harness._openblas("get_num_threads")()
-    return types.SimpleNamespace(
-        accuracy=types.SimpleNamespace(final=threads, average=threads),
-        param_counts={"backbone_ratio": 0.0},
-        adapter_pass_count=0,
-    )
+    return {
+        "accuracy": {"final": threads, "average": threads},
+        "params": {"backbone_ratio": 0.0},
+        "adapter_pass_count": 0,
+    }
 
 
 # a config small enough that a full run takes well under a second
@@ -50,9 +53,22 @@ FAST = dict(
 )
 
 
-def without_timings(report) -> dict:
-    """A report's dict without ``timings``, the one part that varies between runs."""
-    return {k: v for k, v in report.to_dict().items() if k != "timings"}
+def without_timings(report: dict) -> dict:
+    """A report without ``timings``, the one part that varies between runs."""
+    return {k: v for k, v in report.items() if k != "timings"}
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_section(title: str) -> str:
+    """The text of README's ``## <title>`` section."""
+    return README.read_text(encoding="utf-8").split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_paper_config() -> dict:
+    """The full-size layout, as README's Configuration section gives it."""
+    return json.loads(readme_section("Configuration").split("```json\n", 1)[1].split("```", 1)[0])
 
 
 class TestConfig:
@@ -65,16 +81,13 @@ class TestConfig:
         assert cfg["rank"] == 7
         assert cfg["num_blocks"] == harness.DESK_PRESET["num_blocks"]
 
-    def test_unknown_preset(self):
-        with pytest.raises(ConfigError):
-            harness.resolve_config(None, preset="mega")
-
     def test_position_beyond_depth_rejected(self):
         with pytest.raises(ConfigError):
             harness.split_config(harness.resolve_config({"num_blocks": 2, "position_l": 3}))
 
     def test_paper_preset_documented_shape(self):
-        cfg = harness.resolve_config(None, preset="paper")
+        # README's paper layout is a config file that `--config` takes
+        cfg = harness.resolve_config(readme_paper_config())
         bcfg, tcfg, _ = harness.split_config(cfg)
         assert bcfg.num_blocks == 12 and bcfg.width == 768
         assert tcfg.rank == 10 and tcfg.position_l == 6
@@ -91,17 +104,16 @@ class TestConfig:
         assert scfg["noise_std"] == 0.0 and type(scfg["noise_std"]) is float
         assert scfg["class_shuffle"] is True and scfg["dataset_path"] == "d"
 
-    @pytest.mark.parametrize("preset", sorted(harness.PRESETS))
-    def test_preset_keys_split_into_disjoint_parts(self, preset):
-        cfg = harness.resolve_config(None, preset=preset)
+    @pytest.mark.parametrize("paper", [False, True], ids=["desk", "paper"])
+    def test_preset_keys_split_into_disjoint_parts(self, paper):
+        cfg = harness.resolve_config(readme_paper_config() if paper else None)
         bcfg, tcfg, scfg = harness.split_config(cfg)
         parts = [{f.name for f in dataclasses.fields(c)} for c in (bcfg, tcfg)] + [set(scfg)]
         assert sum(len(p) for p in parts) == len(cfg)
         assert set().union(*parts) == set(cfg)
 
     def test_readme_configuration_table_names_every_key(self):
-        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        section = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        section = readme_section("Configuration")
         rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
         documented = [key for cell in rows for key in re.findall(r"`(\w+)`", cell)]
         assert sorted(documented) == sorted(harness.DESK_PRESET)
@@ -119,6 +131,8 @@ class TestConfig:
             {"num_tasks": 2.5},
             {"noise_std": "0.3"},
             {"dataset_path": 5},
+            {"width": 10**400},  # an integer JSON holds, but no float does
+            {"attach_set": ["q", {}]},
         ],
     )
     def test_split_config_rejects_values_a_field_cannot_hold(self, overrides):
@@ -139,15 +153,77 @@ class TestConfig:
             harness.load_config_file(path)
 
 
+def _right_kind(key: str) -> hs.SearchStrategy:
+    """JSON values of the kind ``key`` takes; many lie outside the key's
+    domain, and huge finite numbers are among them."""
+    default = harness.DESK_PRESET[key]
+    huge = hs.floats(min_value=1e300, allow_infinity=False) | hs.integers(10**300, 10**400)
+    if key == "attach_set":
+        return hs.text("qkvx", max_size=4) | hs.lists(hs.sampled_from("qkvx"), max_size=4)
+    if isinstance(default, bool):
+        return hs.booleans() | hs.sampled_from([0, 1])
+    if isinstance(default, int):
+        return hs.integers(-2, 40) | hs.integers(-2, 40).map(float) | huge
+    if isinstance(default, float):
+        return hs.floats(allow_nan=False) | hs.integers(-2, 40) | huge | huge.map(lambda v: -v)
+    if isinstance(default, str):
+        names = ["adaptive-moments", "plain-gradient-descent", "orthogonal", "random"]
+        return hs.sampled_from(names) | hs.text("ab-", max_size=3)
+    return hs.none() | hs.text("ab/", max_size=3)  # dataset_path
+
+
+def _wrong_kind(key: str) -> hs.SearchStrategy:
+    """JSON values that ``key`` does not take: objects, lists of other things,
+    numbers for strings, and for numbers and booleans strings, null and
+    (integer keys) fractions."""
+    default = harness.DESK_PRESET[key]
+    objects = hs.dictionaries(hs.sampled_from("qkv"), hs.integers(0, 1), max_size=2)
+    lists = hs.lists(hs.integers(0, 3) | objects, min_size=1, max_size=2)
+    if key == "attach_set" or isinstance(default, (str, type(None))):
+        return objects | lists | hs.integers() | hs.booleans()
+    wrong = objects | lists | hs.none() | hs.sampled_from(["false", "3", "0.3", "1e308"])
+    if type(default) is int:
+        return wrong | hs.floats(-1e6, 1e6).filter(lambda v: v != int(v))
+    return wrong
+
+
+def _overrides() -> hs.SearchStrategy:
+    """Override dicts of up to three schema keys, two values in three of the
+    right kind."""
+    items = [
+        hs.tuples(hs.just(key), hs.one_of(_right_kind(key), _right_kind(key), _wrong_kind(key)))
+        for key in sorted(harness.DESK_PRESET)
+    ]
+    return hs.lists(hs.one_of(items), max_size=3).map(dict)
+
+
+class TestSplitConfigProperty:
+    @settings(max_examples=300)
+    @given(_overrides())
+    def test_returns_typed_parts_or_raises_config_error(self, overrides):
+        try:
+            bcfg, tcfg, scfg = harness.split_config(harness.resolve_config(overrides))
+        except ConfigError:
+            return
+        for part, cls in ((bcfg, bb.BackboneConfig), (tcfg, tr.TrainConfig)):
+            for f in dataclasses.fields(cls):
+                assert type(getattr(part, f.name)) is type(f.default), f.name
+        for key, value in scfg.items():
+            default = harness.DESK_PRESET[key]
+            assert type(value) is type(default) or (default is None and type(value) is str), key
+
+
 class TestRunExperiment:
     def test_single_task_degeneracy(self):
         report = harness.run_experiment({**FAST, "num_tasks": 1, "num_classes": 4}, seed=0)
-        acc = report.accuracy
-        assert acc.average == acc.final == acc.per_task[0]
+        acc = report["accuracy"]
+        assert acc["average"] == acc["final"] == acc["per_task"][0]
 
-    def test_average_accuracy_formula(self):
-        rec = harness.AccuracyRecord(per_task=[1.0, 0.5])
-        assert rec.average == 0.75 and rec.final == 0.5
+    def test_average_accuracy_formula(self, monkeypatch):
+        scores = iter([1.0, 0.5])
+        monkeypatch.setattr(harness.clf, "evaluate", lambda *args: next(scores))
+        acc = harness.run_experiment(FAST, seed=0)["accuracy"]
+        assert acc == {"per_task": [1.0, 0.5], "average": 0.75, "final": 0.5}
 
     def test_same_seed_byte_identical_report_modulo_timings(self, tmp_path):
         a = harness.run_experiment(FAST, seed=3, out_dir=tmp_path / "a")
@@ -161,10 +237,16 @@ class TestRunExperiment:
         report = harness.run_experiment(FAST, seed=1, out_dir=tmp_path)
         on_disk = json.loads((tmp_path / "run_report.json").read_text())
         assert on_disk["seed"] == 1
-        assert on_disk["accuracy"]["per_task"] == report.accuracy.per_task
+        assert on_disk["accuracy"]["per_task"] == report["accuracy"]["per_task"]
         lines = (tmp_path / "loss_log.jsonl").read_text().strip().splitlines()
         assert len(lines) == FAST["epochs"] * FAST["num_tasks"]
         assert all(set(json.loads(l)) >= {"task", "epoch", "loss_ce"} for l in lines)
+
+    def test_returns_the_report_it_writes(self, tmp_path):
+        report = harness.run_experiment(FAST, seed=0, out_dir=tmp_path)
+        text = (tmp_path / "run_report.json").read_text(encoding="utf-8")
+        assert report == json.loads(text)
+        assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
     def test_param_accounting_matches_closed_form(self):
         report = harness.run_experiment(FAST, seed=0)
@@ -176,7 +258,7 @@ class TestRunExperiment:
         weights = n - l
         total = shared + tasks * (specific + weights)
         backbone = d * patch_dim + d + n * (4 * d * d + 2 * d * hidden + hidden + 9 * d) + 2 * d
-        assert report.param_counts == {
+        assert report["params"] == {
             "shared": shared,
             "specific_per_task": specific,
             "block_weights_per_task": weights,
@@ -190,8 +272,8 @@ class TestRunExperiment:
         # degenerate 1-class-per-task stream must score well there even if
         # later accuracy drops
         report = harness.run_experiment(FAST, seed=2)
-        assert len(report.accuracy.per_task) == FAST["num_tasks"]
-        assert all(0.0 <= a <= 1.0 for a in report.accuracy.per_task)
+        assert len(report["accuracy"]["per_task"]) == FAST["num_tasks"]
+        assert all(0.0 <= a <= 1.0 for a in report["accuracy"]["per_task"])
 
     def test_dataset_path_round_trip(self, tmp_path):
         from dualora import numerics as nm
@@ -202,7 +284,7 @@ class TestRunExperiment:
         report = harness.run_experiment(
             {**FAST, "dataset_path": str(tmp_path / "d.clld")}, seed=0
         )
-        assert len(report.accuracy.per_task) == 2
+        assert len(report["accuracy"]["per_task"]) == 2
 
 
     @pytest.mark.parametrize(
@@ -248,9 +330,9 @@ class TestRunAblation:
 
     def test_toggle_axis_changes_only_that_key(self):
         reports, _ = harness.run_ablation(FAST, ["kd"], seeds=[0])
-        assert reports[0].config["kd"] != reports[1].config["kd"]
-        a = {k: v for k, v in reports[0].config.items() if k != "kd"}
-        b = {k: v for k, v in reports[1].config.items() if k != "kd"}
+        assert reports[0]["config"]["kd"] != reports[1]["config"]["kd"]
+        a = {k: v for k, v in reports[0]["config"].items() if k != "kd"}
+        b = {k: v for k, v in reports[1]["config"].items() if k != "kd"}
         assert a == b
 
     def test_multi_seed_rows(self):
@@ -287,10 +369,10 @@ class TestRunAblation:
                             "kd": str(kd),
                             "l-sweep": str(l),
                             "seed": str(seed),
-                            "A_T": str(report.accuracy.final),
-                            "A_bar": str(report.accuracy.average),
-                            "params_pct": str(100.0 * report.param_counts["backbone_ratio"]),
-                            "pass_count": str(report.adapter_pass_count),
+                            "A_T": str(report["accuracy"]["final"]),
+                            "A_bar": str(report["accuracy"]["average"]),
+                            "params_pct": str(100.0 * report["params"]["backbone_ratio"]),
+                            "pass_count": str(report["adapter_pass_count"]),
                         }
                     )
         assert [without_timings(r) for r in reports] == [without_timings(r) for _, r in serial]
@@ -472,25 +554,11 @@ class TestCli:
         rows = list(csv.DictReader((out / "summary.csv").read_text().splitlines()))
         assert len(rows) == 2
 
-    @pytest.mark.parametrize("command", ["run", "ablate", "gradcheck"])
-    def test_preset_reaches_harness(self, tmp_path, monkeypatch, command):
-        received = []
-
-        def stub(*args, preset="desk", **kwargs):
-            received.append(preset)
-            if command == "run":
-                return types.SimpleNamespace(accuracy=harness.AccuracyRecord([1.0]))
-            if command == "ablate":
-                return [], ""
-            return {"terms_checked": [], "terms": {}, "max_rel_error": 0.0}
-
-        target = {"run": "run_experiment", "ablate": "run_ablation", "gradcheck": "gradcheck"}
-        monkeypatch.setattr(harness, target[command], stub)
-        argv = [command, "--preset", "paper", "--out", str(tmp_path / "out")]
-        if command == "ablate":
-            argv += ["--axes", "kd"]
-        assert cli_main(argv) == 0
-        assert received == ["paper"]
+    def test_preset_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--preset", "paper"])
+        assert exc.value.code == 2
+        assert "--preset" in capsys.readouterr().err
 
     def test_report_without_accuracy_exits_2(self, tmp_path, capsys):
         path = tmp_path / "r.json"
@@ -511,6 +579,30 @@ class TestCli:
         path = tmp_path / "r.json"
         path.write_text(json.dumps({"seed": 0, "accuracy": accuracy}))
         with pytest.raises(FormatError, match="no run report accuracy record"):
+            cli._load_report(path)
+        assert cli_main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"params": []}, "params"),
+            ({"params": {"total": 1, "backbone_ratio": "x"}}, "params"),
+            ({"params": {"total": 1, "backbone_ratio": None}}, "params"),
+            ({"params": {"total": True, "backbone_ratio": 0.1}}, "params"),
+            ({"params": {"backbone_ratio": 0.1}}, "params"),
+            ({"adapter_pass_count": 2.5}, "adapter_pass_count"),
+            ({"adapter_pass_count": "4"}, "adapter_pass_count"),
+        ],
+        ids=["list", "ratio-string", "ratio-null", "total-bool", "no-total", "passes-float",
+             "passes-string"],
+    )
+    def test_report_with_malformed_fields_exits_2(self, tmp_path, capsys, fields, message):
+        path = tmp_path / "r.json"
+        accuracy = {"per_task": [1.0], "average": 1.0, "final": 1.0}
+        path.write_text(json.dumps({"seed": 0, "accuracy": accuracy, **fields}))
+        with pytest.raises(FormatError, match=message):
             cli._load_report(path)
         assert cli_main(["report", str(path)]) == 2
         captured = capsys.readouterr()
@@ -585,6 +677,8 @@ class TestCli:
             {"mlp_ratio": 0},
             '{"noise_std": 1e400}',  # JSON reads an out-of-range number as infinity
             '{"learning_rate": -1e400}',
+            {"mlp_ratio": 1e308},  # finite, but 1e308 * width is not
+            {"attach_set": {"q": 1, "v": 0}},  # an object, not a string or list
         ],
     )
     def test_rejected_input_exits_2_in_one_line(self, tmp_path, capsys, overrides):
@@ -595,6 +689,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert not (out / "run_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"mlp_ratio": 1e308}, {"attach_set": {"q": 1, "v": 0}}],
+        ids=["mlp_ratio-overflows", "attach_set-object"],
+    )
+    def test_gen_data_rejects_a_value_outside_the_schema(self, tmp_path, capsys, overrides):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        out = tmp_path / "d.clld"
+        assert cli_main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert next(iter(overrides)) in captured.err
+        assert not out.exists()
 
     def test_gen_data_rejects_a_negative_count_in_one_line(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

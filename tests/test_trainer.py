@@ -480,6 +480,16 @@ class TestTrainTask:
         expected_head = grads["ce"][head_w] + tcfg.lambda_kd * grads["kd"][head_w]
         assert np.array_equal(total[head_w], expected_head)
 
+    def test_flipped_session_makes_no_teacher_copy(self):
+        # Flipped, the teacher prefix runs the previous task's adapter and kd
+        # never reaches a shared parameter, so no copy or row norms are made.
+        stream, _, model, tcfg = build_micro(train_overrides={"flip_positions": True})
+        store = clf.PrototypeStore()
+        tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
+        session = tr.TaskSession(model, stream.tasks[1], tcfg, nm.make_rng(1))
+        assert session.kd_active and model.shared is not None
+        assert session.teacher is None and session.row_norms is None
+
     def test_optimizer_never_touches_frozen_parameters(self):
         stream, backbone, model, tcfg = build_micro()
         store = clf.PrototypeStore()
