@@ -13,9 +13,11 @@ unconstrained vector ``rho`` and mapping it through softplus; the documented
 uniform(0, 2) initialization is drawn in scale space and inverted through the
 map.
 
-Token convention is row-major, so the delta for input ``x`` is
-``(x @ B.T) @ A.T`` (optionally scaled), matching a weight update ``A @ B``
-applied on the right as ``x @ (A @ B).T``.
+A pair is a weight update, as in LoRA (Hu et al., 2021). Tokens are rows and
+weights apply on the right, so the update of a frozen projection ``W`` is
+``W + s * B.T @ A.T``, with ``s`` the block's weight or 1. The attention
+sublayer multiplies its tokens by that sum once; the pair's gradients are
+formed at rank r.
 """
 
 from __future__ import annotations
@@ -38,11 +40,11 @@ def _ordered(attach_set) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Attachment:
-    """One low-rank pair on one projection, entered on the tape.
+    """One low-rank pair on one projection, entered on the tape: the weight
+    update ``s * down.T @ up.T`` with ``s = mu[index]``, or 1 without ``mu``.
 
-    Its delta for normalized tokens ``h`` is ``(h @ down.T) @ up.T``, scaled
-    by ``mu[index]`` when the block-weight vector ``mu`` is given. The fused
-    attention sublayer reads it through :meth:`forward` and :meth:`backward`.
+    The fused attention sublayer multiplies its tokens by :meth:`merged`
+    once and takes the pair's gradients from :meth:`gradients`.
     """
 
     down: ad.Tensor  # (rank, width)
@@ -54,48 +56,44 @@ class Attachment:
     def tensors(self) -> tuple[ad.Tensor, ...]:
         return (self.down, self.up) if self.mu is None else (self.down, self.up, self.mu)
 
-    def forward(self, h: np.ndarray):
-        """The delta for ``h``, plus what :meth:`backward` needs."""
-        low = h @ self.down.value.T
-        out = low @ self.up.value.T
-        if self.mu is None:
-            return out, (low, out)
-        return self.mu.value[self.index] * out, (low, out)
+    @property
+    def scale(self) -> float:
+        return 1.0 if self.mu is None else float(self.mu.value[self.index])
 
-    def backward(self, g: np.ndarray, h: np.ndarray, saved, need_h: bool):
-        """Given the gradient ``g`` of the delta, the gradient of ``h`` (None
-        unless ``need_h``) and one gradient per entry of :attr:`tensors` (None
-        where that tensor takes none)."""
-        low, out = saved
-        down, up, mu = self.down, self.up, self.mu
+    def merged(self, weight: np.ndarray) -> np.ndarray:
+        """The frozen projection ``weight`` (width x width) plus this update."""
+        return weight + self.scale * (self.down.value.T @ self.up.value.T)
+
+    def gradients(self, rows: np.ndarray, g: np.ndarray) -> tuple[np.ndarray | None, ...]:
+        """One gradient per entry of :attr:`tensors` (None where that tensor
+        takes none), given the projection's ``(n, width)`` input rows and the
+        gradient ``g`` of its output; formed at rank r from ``rows @ down.T``
+        and ``g @ up``, never from the width x width ``rows.T @ g``."""
+        down, up, mu, s = self.down, self.up, self.mu, self.scale
+        need_mu = mu is not None and mu.requires_grad
+        low = rows @ down.value.T if up.requires_grad or need_mu else None
+        g_low = g @ up.value if down.requires_grad or need_mu else None
+        g_down = (g_low.T @ rows) * s if down.requires_grad else None
+        g_up = (g.T @ low) * s if up.requires_grad else None
+        if mu is None:
+            return g_down, g_up
         g_mu = None
-        if mu is not None:
-            if mu.requires_grad:
-                s = g * out
-                g_mu = np.zeros_like(mu.value)
-                g_mu[self.index] = s.sum(axis=tuple(range(s.ndim)))
-            g = g * mu.value[self.index]
-        g_up = None
-        if up.requires_grad:
-            g_up = (low.reshape(-1, low.shape[-1]).T @ g.reshape(-1, g.shape[-1])).T
-        g_h = g_down = None
-        if need_h or down.requires_grad:
-            g_low = g @ up.value
-            if need_h:
-                g_h = g_low @ down.value
-            if down.requires_grad:
-                g_down = (h.reshape(-1, h.shape[-1]).T @ g_low.reshape(-1, g_low.shape[-1])).T
-        return g_h, ((g_down, g_up) if mu is None else (g_down, g_up, g_mu))
+        if need_mu:
+            g_mu = np.zeros_like(mu.value)
+            g_mu[self.index] = (low * g_low).sum()
+        return g_down, g_up, g_mu
 
     def delta(self, x: ad.Tensor) -> ad.Tensor:
-        """The delta for tokens ``x`` as a node of its own."""
-        out, saved = self.forward(x.value)
+        """The update's output for tokens ``x``, at rank r, as a node of its own."""
+        rows = x.value.reshape(-1, x.shape[-1])
+        out = ((rows @ self.down.value.T) @ self.up.value.T) * self.scale
 
         def bwd(g, needs):
-            g_x, grads = self.backward(g, x.value, saved, needs[0])
-            return (g_x,) + grads
+            g = g.reshape(rows.shape)
+            g_x = (g @ self.up.value) @ self.down.value * self.scale
+            return (g_x.reshape(x.shape),) + self.gradients(rows, g)
 
-        return ad.node(out, (x,) + self.tensors, bwd)
+        return ad.node(out.reshape(x.shape), (x,) + self.tensors, bwd)
 
 
 @dataclass

@@ -7,16 +7,16 @@ connections, and a final layer norm applied before the classification token
 is read out.
 
 All weights are drawn once at init and permanently frozen. Designated
-attention projections (any subset of q, k, v) accept an additive delta
-computed from the same normalized input the projection consumes, which is
-where low-rank adapters attach.
+attention projections (any subset of q, k, v) accept a low-rank weight
+update added to the frozen weight, which is where low-rank adapters attach.
 
 Each product with a frozen weight is one 2-D product over all batch × token
 rows, reshaped back afterwards; numpy would run a ``(batch, tokens, width)``
 stack as one small product per image. With the weight as a C-contiguous right
 operand, a row's bits do not depend on the row count (two rows or more), so
 the forward matches per-image products bit for bit. The backward's transposed
-weights do not have that property; see ``mlp_sublayer`` for where it matters.
+weights do not have that property, so a batch's gradients match the per-image
+ones to the last bits only.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ PROJECTIONS = ("q", "k", "v")
 
 # the adapter attached to each projection that carries one
 DeltaMap = Mapping[str, "Attachment"]
+
+MAX_FROZEN_SCALARS = 2**28  # the most init_backbone may draw; ViT-B/16 holds 86M
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,12 @@ class BackboneConfig:
             raise ConfigError(
                 f"patch_side ({self.patch_side}) must divide image_side ({self.image_side})"
             )
+        # one patch would embed a lone image as a matrix-vector product, whose
+        # bits differ from the same image's row in a batch
+        if self.image_side == self.patch_side:
+            raise ConfigError(f"patch_side ({self.patch_side}) must be below image_side")
+        if self.frozen_scalars > MAX_FROZEN_SCALARS:
+            raise ConfigError(f"the backbone would hold over {MAX_FROZEN_SCALARS} frozen scalars")
         attach = tuple(self.attach_set)
         if not attach:
             raise ConfigError("attach_set must not be empty")
@@ -87,6 +95,13 @@ class BackboneConfig:
     @property
     def mlp_hidden(self) -> int:
         return int(round(self.mlp_ratio * self.width))
+
+    @property
+    def frozen_scalars(self) -> int:
+        """The scalars :func:`init_backbone` draws, positional table included."""
+        d, h = self.width, self.mlp_hidden
+        per_block = 4 * d * d + 2 * d * h + h + 9 * d
+        return self.patch_dim * d + 3 * d + self.num_blocks * per_block + self.num_tokens * d
 
 
 @dataclass
@@ -221,11 +236,12 @@ def _weights(backbone: Backbone, i: int, names) -> dict[str, np.ndarray]:
 def attention_sublayer(backbone: Backbone, i: int, x: ad.Tensor, deltas: DeltaMap) -> ad.Tensor:
     """``x + attention(LN1(x)) @ Wo + bo`` of block ``i``, as one tape node.
 
-    Each projection named in ``deltas`` adds its adapter's delta, computed from
-    the same normalized tokens the frozen projection reads. The node's parents
-    are ``x`` and the adapter tensors that take a gradient; the backbone
-    weights are read as plain arrays. When no parent takes a gradient nothing
-    is kept for a backward pass.
+    Each projection is one product ``LN1(x) @ W_p``, where ``W_p`` is the
+    frozen weight, or its sum with the update of the adapter ``deltas`` names
+    for it (see :meth:`~adapters.Attachment.merged`). The node's parents are
+    ``x`` and the adapter tensors that take a gradient; the backbone weights
+    are read as plain arrays. When no parent takes a gradient nothing is kept
+    for a backward pass.
     """
     d, nh = backbone.cfg.width, backbone.cfg.heads
     dh = d // nh
@@ -237,18 +253,11 @@ def attention_sublayer(backbone: Backbone, i: int, x: ad.Tensor, deltas: DeltaMa
 
     h, xhat, inv = ad.layer_norm_values(x.value, w["ln1.g"], w["ln1.b"])
     rows = h.reshape(-1, d)
-    proj, saved, need = {}, {}, {}
+    weight, proj, need = {}, {}, {}
     for p in PROJECTIONS:
-        out = (rows @ w[f"W{p}"]).reshape(h.shape) + w[f"b{p}"]
         att = deltas.get(p)
-        if att is not None:
-            delta, saved[p] = att.forward(h)
-            if delta.shape != out.shape:
-                raise ShapeError(
-                    f"adapter delta for {p!r} has shape {delta.shape}, expected {out.shape}"
-                )
-            out = out + delta
-        proj[p] = out
+        weight[p] = w[f"W{p}"] if att is None else att.merged(w[f"W{p}"])
+        proj[p] = (rows @ weight[p]).reshape(h.shape) + w[f"b{p}"]
         need[p] = need_h or (att is not None and any(t.requires_grad for t in att.tensors))
 
     def split(a):  # (..., tokens, d) -> (..., heads, tokens, dh)
@@ -280,26 +289,21 @@ def attention_sublayer(backbone: Backbone, i: int, x: ad.Tensor, deltas: DeltaMa
                 g_proj["q"] = merge(g_scores @ k)
             if need["k"]:
                 g_proj["k"] = merge((q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2))
-        # Float addition is not associative, so the terms of h's gradient are
-        # summed in one fixed order: q, k, v, each frozen projection before
-        # its adapter. It is the order of the op-by-op tape this node
-        # replaced, which kept every run's losses bit for bit.
+        # float addition is not associative, so h's gradient sums its terms
+        # in one fixed order: q, k, v
         g_h = None
         grads = {id(t): None for t in tensors}
         for p in PROJECTIONS:
             if p not in g_proj:
                 continue
-            gp = g_proj[p]
+            gp = g_proj[p].reshape(-1, d)
             if need_h:
-                term = (gp.reshape(-1, d) @ w[f"W{p}"].T).reshape(h.shape)
+                term = (gp @ weight[p].T).reshape(h.shape)
                 g_h = term if g_h is None else g_h + term
             att = deltas.get(p)
             if att is None:
                 continue
-            g_hd, t_grads = att.backward(gp, h, saved[p], need_h)
-            if need_h:
-                g_h = g_h + g_hd
-            for t, gt in zip(att.tensors, t_grads):
+            for t, gt in zip(att.tensors, att.gradients(rows, gp)):
                 if gt is not None:
                     prev = grads[id(t)]
                     grads[id(t)] = gt if prev is None else prev + gt
@@ -338,18 +342,13 @@ def mlp_sublayer(backbone: Backbone, i: int, x: ad.Tensor) -> ad.Tensor:
         nonlocal slope
         if slope is None:
             slope = phi + (0.5 * m) * (1.0 - t * t) * (_GELU_C + 3.0 * _GELU_C3 * m2)
+        g = g.reshape(v.shape)
+        g_h = ((g.reshape(-1, d) @ w["W2"].T) * slope) @ w["W1"].T
+        g_v = g + ad.layer_norm_input_grad(g_h.reshape(v.shape), w["ln2.g"], xhat, inv)
         if not readout:
-            g_h = ((g.reshape(-1, d) @ w["W2"].T) * slope) @ w["W1"].T
-            return (g + ad.layer_norm_input_grad(g_h.reshape(h.shape), w["ln2.g"], xhat, inv),)
-        # the rows of a product with a transposed operand depend on the row
-        # count, so these keep the full-token row count to match that path bitwise
+            return (g_v,)
         g_x = np.zeros_like(x.value)
-        g_x[:, 0] = g[:, 0]
-        s = np.zeros(x.value.shape[:2] + slope.shape[-1:])
-        s[:, 0] = slope
-        g_h = ((g_x.reshape(-1, d) @ w["W2"].T) * s.reshape(-1, s.shape[-1])) @ w["W1"].T
-        g_h = g_h.reshape(x.value.shape)[:, 0]
-        g_x[:, 0] += ad.layer_norm_input_grad(g_h, w["ln2.g"], xhat, inv)
+        g_x[:, 0] = g_v
         return (g_x,)
 
     return ad.node(out, (x,), bwd)

@@ -55,6 +55,9 @@ DESK_PRESET: dict = {
     "dataset_path": None,
 }
 
+# the most pixels a dataset may hold (4 GiB as float32; README's full-size layout has 452M)
+MAX_DATASET_PIXELS = 2**30
+
 
 def resolve_config(overrides: Mapping | None = None) -> dict:
     """Merge overrides onto the desk defaults, rejecting unknown keys."""
@@ -137,6 +140,9 @@ def split_config(cfg: Mapping) -> tuple[bb.BackboneConfig, tr.TrainConfig, dict]
         raise ConfigError(
             f"num_tasks ({scfg['num_tasks']}) exceeds num_classes ({scfg['num_classes']})"
         )
+    images = scfg["num_classes"] * (scfg["train_per_class"] + scfg["test_per_class"])
+    if images * bcfg.channels * bcfg.image_side**2 > MAX_DATASET_PIXELS:
+        raise ConfigError(f"the dataset's images would hold over {MAX_DATASET_PIXELS} pixels")
     return bcfg, tcfg, scfg
 
 

@@ -196,12 +196,7 @@ def orth_loss(mu: ad.Tensor, previous: list[np.ndarray]) -> ad.Tensor:
     value = sum(np.abs(dot) for dot in dots)
 
     def bwd(g, needs):
-        # summed in the order of ``previous``, as the op-by-op tape did
-        g_mu = None
-        for dot, prev in zip(dots, previous):
-            term = (g * np.sign(dot)) * prev
-            g_mu = term if g_mu is None else g_mu + term
-        return (g_mu,)
+        return (g * (np.sign(dots) @ np.stack(previous)) if previous else None,)
 
     return ad.node(value, (mu,), bwd)
 

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from dualora import cli, errors
@@ -197,9 +197,22 @@ def _overrides() -> hs.SearchStrategy:
     return hs.lists(hs.one_of(items), max_size=3).map(dict)
 
 
+# finite sizes whose backbone or dataset would not fit in memory
+HUGE_SIZES = [
+    {"num_blocks": 1e200},
+    {"mlp_ratio": 1e200},
+    {"width": 2**40, "heads": 1},
+    {"train_per_class": 10**15},
+]
+
+
 class TestSplitConfigProperty:
     @settings(max_examples=300)
     @given(_overrides())
+    @example(HUGE_SIZES[0])
+    @example(HUGE_SIZES[1])
+    @example(HUGE_SIZES[2])
+    @example(HUGE_SIZES[3])
     def test_returns_typed_parts_or_raises_config_error(self, overrides):
         try:
             bcfg, tcfg, scfg = harness.split_config(harness.resolve_config(overrides))
@@ -679,6 +692,8 @@ class TestCli:
             '{"learning_rate": -1e400}',
             {"mlp_ratio": 1e308},  # finite, but 1e308 * width is not
             {"attach_set": {"q": 1, "v": 0}},  # an object, not a string or list
+            {"patch_side": 16},  # one patch per image
+            *HUGE_SIZES,
         ],
     )
     def test_rejected_input_exits_2_in_one_line(self, tmp_path, capsys, overrides):
