@@ -4,8 +4,8 @@ Each attached projection of each covered block gets its own low-rank pair:
 a down-projection ``B`` (rank x width) and an up-projection ``A``
 (width x rank). The shared adapter keeps ``B`` fixed (random orthogonal rows
 by default) and trains only ``A``, which starts at zero so a fresh adapter is
-exactly transparent. Task-specific adapters train both matrices and are
-frozen when their task finishes.
+exactly transparent. Task-specific adapters train both matrices; when their
+task finishes, the model keeps a frozen copy.
 
 A task's adapter also holds its block-wise weights: one positive scaling
 factor per block it covers. Positivity is guaranteed by storing an
@@ -111,8 +111,8 @@ class Adapter:
     optionally the block-wise weights ``rho``, one entry per block.
 
     The shared adapter and every task's adapter are this type. They differ only
-    in which blocks they cover, whether ``B`` trains, whether they carry block
-    weights and when they freeze.
+    in which blocks they cover, whether ``B`` trains and whether they carry
+    block weights.
     """
 
     blocks: tuple[int, ...]
@@ -146,8 +146,9 @@ class Adapter:
     def frozen_copy(self) -> Adapter:
         """The adapter as it is now, with copied values that take no gradient.
 
-        The teacher prefix and inference both run on such a snapshot, so
-        neither sees later updates nor records a tape.
+        This is the one way an adapter stops training: a finished task joins
+        the model as such a copy, and the teacher prefix and inference run on
+        one, so none of them sees later updates or records a tape.
         """
 
         def frozen(p: ad.Parameter) -> ad.Parameter:
@@ -156,10 +157,6 @@ class Adapter:
         pairs = {k: LowRankPair(frozen(v.down), frozen(v.up)) for k, v in self.pairs.items()}
         rho = frozen(self.rho) if self.rho is not None else None
         return Adapter(self.blocks, self.attach_set, pairs, rho)
-
-    def freeze(self) -> None:
-        for p in self.parameters():
-            p.trainable = False
 
     def content_hash(self) -> str:
         """SHA-256 of the parameter bytes in :meth:`parameters` order, so a

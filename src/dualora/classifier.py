@@ -2,16 +2,18 @@
 
 A class prototype is the mean final-block CLS feature of its training
 samples, extracted with the adapter combination in effect when its task
-finished. Features come from one batched path: the prefix blocks run once
-per batch with a frozen copy of the current shared adapter and only the
-suffix is re-run per task, so a query costs l + (N - l) * t adapter-bearing
-block applications instead of N * t. Scoring is one cosine matrix per batch,
-queries against every stored prototype; a single prediction is its one row.
+finished; the store keeps one prototype matrix per finished task. Features
+come from one batched path: the prefix blocks run once per batch with a
+frozen copy of the current shared adapter and only the suffix is re-run per
+task, so a query costs l + (N - l) * t adapter-bearing block applications
+instead of N * t. Scoring is one cosine matrix per batch, queries against
+every stored prototype; a single prediction is its one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,23 +22,19 @@ from . import model as mdl
 from .errors import DataError, InvalidInputError, ProtocolError, ShapeError
 
 
+class TaskPrototypes(NamedTuple):
+    """One finished task's ascending global class ids and, row for row,
+    their prototypes ``(classes, width)``."""
+
+    class_ids: np.ndarray
+    matrix: np.ndarray
+
+
 @dataclass
 class PrototypeStore:
-    """Append-only map from (task id, global class id) to a feature vector."""
+    """Append-only list of :class:`TaskPrototypes`, task t at t - 1."""
 
-    vectors: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-
-    def add(self, task_id: int, class_id: int, vec: np.ndarray) -> None:
-        key = (task_id, class_id)
-        if key in self.vectors:
-            raise ProtocolError(f"prototype for task {task_id} class {class_id} already stored")
-        self.vectors[key] = np.asarray(vec, dtype=np.float64).copy()
-
-    def task_items(self, task_id: int) -> list[tuple[int, np.ndarray]]:
-        return sorted(
-            ((c, v) for (t, c), v in self.vectors.items() if t == task_id),
-            key=lambda item: item[0],
-        )
+    tasks: list[TaskPrototypes] = field(default_factory=list)
 
 
 def _cosine(feats: np.ndarray, protos: np.ndarray) -> np.ndarray:
@@ -71,15 +69,21 @@ def _task_features(model: mdl.ContinualModel, images: np.ndarray, tasks, *, shar
 
 
 def compute_prototypes(model: mdl.ContinualModel, store: PrototypeStore, task) -> None:
-    """Mean per-class CLS features of the task's training data, using the
-    shared adapter as of now plus the task's own (frozen) adapter."""
-    adapter = model.components_for(task.task_id)
-    (feats,) = _task_features(model, task.train_images, [adapter])
-    for class_id in task.classes:
+    """Append the task's entry to ``store``: the mean CLS feature of each of
+    its classes over its training data, using the shared adapter as of now
+    plus the task's frozen adapter. Tasks enter in order, each once."""
+    t = task.task_id
+    if t != len(store.tasks) + 1 or t > len(model.tasks):
+        raise ProtocolError(f"prototypes of task {t} need tasks 1..{t - 1} stored, {t} trained")
+    (feats,) = _task_features(model, task.train_images, [model.tasks[t - 1]])
+    class_ids = np.array(task.classes, dtype=np.int64)  # ascending, as a task holds them
+    rows = []
+    for class_id in class_ids:
         mask = task.train_labels == class_id
         if not mask.any():
-            raise DataError(f"class {class_id} of task {task.task_id} has no samples")
-        store.add(task.task_id, int(class_id), feats[mask].mean(axis=0))
+            raise DataError(f"class {class_id} of task {t} has no samples")
+        rows.append(feats[mask].mean(axis=0))
+    store.tasks.append(TaskPrototypes(class_ids, np.stack(rows)))
 
 
 def score_batch(
@@ -96,18 +100,12 @@ def score_batch(
     """
     if np.ndim(images) != 4:
         raise ShapeError(f"expected a batch (B, channels, H, W), got shape {np.shape(images)}")
-    if not model.tasks:
-        raise ProtocolError("no tasks trained yet")
-    items = [store.task_items(t) for t in range(1, len(model.tasks) + 1)]
-    if not any(items):
-        raise ProtocolError("prototype store holds no prototype of a trained task")
-    columns, blocks = [], []
+    if not model.tasks or len(store.tasks) != len(model.tasks):
+        raise ProtocolError(f"{len(store.tasks)} tasks' prototypes for {len(model.tasks)} trained")
     features = _task_features(model, images, model.tasks, share_prefix=share_prefix)
-    for task_items, feats in zip(items, features):
-        if task_items:
-            columns += [c for c, _ in task_items]
-            blocks.append(_cosine(feats, np.stack([v for _, v in task_items])))
-    return np.array(columns), np.concatenate(blocks, axis=1)
+    blocks = [_cosine(feats, entry.matrix) for entry, feats in zip(store.tasks, features)]
+    columns = np.concatenate([entry.class_ids for entry in store.tasks])
+    return columns, np.concatenate(blocks, axis=1)
 
 
 @dataclass

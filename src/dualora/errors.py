@@ -22,10 +22,6 @@ class InvalidInputError(InputError):
     """A numeric argument violates a documented precondition."""
 
 
-class MissingAdapterError(KeyError):
-    """No adapter registered for the requested task."""
-
-
 class ProtocolError(RuntimeError):
     """Operation invoked outside the sequential-task protocol."""
 

@@ -5,9 +5,9 @@ adapter and blocks l+1..N carry the current task's specific adapter. The
 ``flip_positions`` ablation swaps the two roles while keeping the transition
 point (and therefore the early-exit readout) at block ``l``.
 
-Forward passes run on the autodiff tape. The teacher prefix and inference
-pass a frozen copy of the shared adapter, so with every task's adapter
-frozen they record no tape at all.
+Forward passes run on the autodiff tape. ``tasks`` holds a frozen copy of
+each finished task's adapter, and the teacher prefix and inference pass a
+frozen copy of the shared adapter, so they record no tape at all.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import adapters as adp
 from . import autodiff as ad
 from . import backbone as bb
-from .errors import ConfigError, InvalidInputError, MissingAdapterError, ProtocolError
+from .errors import ConfigError, InvalidInputError, ProtocolError
 
 
 @dataclass
@@ -28,7 +28,7 @@ class ContinualModel:
     position_l: int
     flip_positions: bool = False
     shared: adp.Adapter | None = None
-    tasks: list[adp.Adapter] = field(default_factory=list)  # task t at t - 1
+    tasks: list[adp.Adapter] = field(default_factory=list)  # finished task t, frozen, at t - 1
 
     @property
     def num_blocks(self) -> int:
@@ -54,11 +54,6 @@ class ContinualModel:
 
     def is_shared_block(self, i: int) -> bool:
         return (i <= self.position_l) != self.flip_positions
-
-    def components_for(self, task_id: int) -> adp.Adapter:
-        if not 1 <= task_id <= len(self.tasks):
-            raise MissingAdapterError(f"no adapter trained for task {task_id}")
-        return self.tasks[task_id - 1]
 
 
 def build_model(

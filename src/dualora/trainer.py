@@ -7,9 +7,9 @@ terms are backpropagated separately so the distillation gradient on each
 shared up-projection can be rescaled row-wise by the previous task's row
 norms before the terms are combined.
 
-After a task trains, its adapter (pairs and block weights) freezes, its
-temporary classifier head is discarded, and class prototypes are computed
-for inference.
+A task joins the model only when it finishes: the model keeps a frozen copy
+of its adapter (pairs and block weights), its temporary classifier head is
+discarded, and the store gains its class prototypes for inference.
 """
 
 from __future__ import annotations
@@ -304,7 +304,8 @@ class TaskTrainResult:
 
 
 class TaskSession:
-    """One task's training state: teacher, fresh adapter, head, params."""
+    """One task's training state: teacher, fresh adapter, head, params. Its
+    steps move the live shared adapter; only :meth:`finish` adds the task."""
 
     def __init__(self, model: mdl.ContinualModel, task, cfg: TrainConfig, rng):
         if cfg.position_l != model.position_l or cfg.flip_positions != model.flip_positions:
@@ -344,9 +345,8 @@ class TaskSession:
             rng,
             block_weights=cfg.bw,
         )
-        model.tasks.append(self.adapter)
         self.head = init_head(model.width, len(task.classes), self.t, rng)
-        self.previous_mu = [a.mu_values() for a in model.tasks[:-1] if a.rho is not None]
+        self.previous_mu = [a.mu_values() for a in model.tasks if a.rho is not None]
 
         self.params: list[ad.Parameter] = []
         if model.shared is not None:
@@ -362,7 +362,7 @@ class TaskSession:
         A flipped layout runs the previous task's frozen adapter on the prefix."""
         if not self.kd_active:
             raise ProtocolError("no teacher: distillation is off for this task")
-        prefix_task = self.model.components_for(self.t - 1) if self.model.flip_positions else None
+        prefix_task = self.model.tasks[-1] if self.model.flip_positions else None
         return mdl.transition_cls_with(
             self.model, images, shared=self.teacher, prefix_task=prefix_task
         )
@@ -411,7 +411,8 @@ class TaskSession:
         }
 
     def finish(self, store: clf.PrototypeStore) -> None:
-        self.adapter.freeze()
+        """Add the task: a frozen copy of its adapter, then its prototypes."""
+        self.model.tasks.append(self.adapter.frozen_copy())
         self.head = None  # discarded; inference is prototype-based
         clf.compute_prototypes(self.model, store, self.task)
 
@@ -423,8 +424,8 @@ def train_task(
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> TaskTrainResult:
-    """Run one task end to end: epochs of batched steps, then freeze and
-    compute prototypes. Returns the per-epoch loss log."""
+    """Run one task end to end: epochs of batched steps, then
+    :meth:`TaskSession.finish`. Returns the per-epoch loss log."""
     started = time.perf_counter()
     session = TaskSession(model, task, cfg, rng)
     optimizer = make_optimizer(cfg)

@@ -117,10 +117,10 @@ def test_05_freezing_and_frozen_backbone():
             assert backbone.byte_hash() == backbone_hash, f"backbone moved in task {task.task_id}"
             assert down_hash() == b_s_hash, f"fixed down-projection moved in task {task.task_id}"
             for tid, adapter_hash in frozen_hashes.items():
-                adapter = model.components_for(tid)
+                adapter = model.tasks[tid - 1]
                 assert adapter.rho is not None
                 assert adapter.content_hash() == adapter_hash, f"task {tid} adapter moved"
-            frozen_hashes[task.task_id] = model.components_for(task.task_id).content_hash()
+            frozen_hashes[task.task_id] = model.tasks[task.task_id - 1].content_hash()
 
 
 def test_06_zero_init_transparency():

@@ -156,9 +156,9 @@ class TestInitSpecific:
     def test_freeze_makes_block_weights_untrainable(self):
         specific = adp.init_specific(1, (2, 3), ("q",), 2, 8, nm.make_rng(0))
         assert specific.rho.trainable
-        specific.freeze()
-        assert not specific.rho.trainable
-        assert not any(p.trainable for p in specific.parameters())
+        frozen = specific.frozen_copy()
+        assert not frozen.rho.trainable
+        assert not any(p.trainable for p in frozen.parameters())
 
     def test_frozen_copy_copies_block_weights(self):
         specific = adp.init_specific(1, (2, 3), ("q",), 2, 8, nm.make_rng(0))
@@ -244,7 +244,7 @@ def closed_form(n, l, flip, fix_b, bw, attach, r, d):
 
 def model_with_tasks(num_tasks, *, position_l=1, flip=False, fix_b=True, bw=True, rank=2,
                      **backbone):
-    """A model with ``num_tasks`` untrained tasks appended as a training
+    """A model with ``num_tasks`` untrained tasks appended as a finished
     session appends them; the backbone defaults to 2 blocks of width 8."""
     bcfg = bb.BackboneConfig(
         **{"num_blocks": 2, "width": 8, "heads": 2, "image_side": 4, "patch_side": 2, **backbone}
@@ -257,7 +257,7 @@ def model_with_tasks(num_tasks, *, position_l=1, flip=False, fix_b=True, bw=True
     for t in range(1, num_tasks + 1):
         model.tasks.append(adp.init_specific(
             t, model.specific_blocks, bcfg.attach_set, rank, bcfg.width, rng, block_weights=bw
-        ))
+        ).frozen_copy())
     return model
 
 

@@ -433,9 +433,8 @@ class TestFusedSublayers:
 
     def test_frozen_pass_keeps_no_backward_context(self):
         backbone, specific = _sublayer_setup(("q", "v"), True)
-        specific.freeze()
         state = bb.TokenState(ad.constant(np.ones((2, 5, 12))), 0)
-        out = bb.block_forward(backbone, state, 1, _attachments(specific)).tokens
+        out = bb.block_forward(backbone, state, 1, _attachments(specific.frozen_copy())).tokens
         assert out.parents == () and out.bwd is None and not out.requires_grad
 
 
@@ -481,7 +480,7 @@ class TestReadoutOnlyBlock:
         assert rep.max_rel_error <= 1e-5, rep.per_param
 
     @pytest.mark.parametrize("batch", READOUT_BATCHES)
-    def test_input_gradient_bitwise_equals_full_node(self, batch):
+    def test_input_gradient_within_1e12_of_full_node(self, batch):
         # the CLS rows' values are bitwise; their input gradient comes from
         # 2-D products with a transposed operand, whose rows at the desk width
         # 64 depend on the row count, so it is within 1e-12 of the full node's

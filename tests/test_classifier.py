@@ -17,19 +17,41 @@ from dualora.errors import DataError, InvalidInputError, ProtocolError, ShapeErr
 from conftest import build_micro, recording_adapter_blocks
 
 
-class TestPrototypeStore:
-    def test_duplicate_rejected(self):
-        store = clf.PrototypeStore()
-        store.add(1, 0, np.ones(4))
-        with pytest.raises(ProtocolError):
-            store.add(1, 0, np.zeros(4))
+def store_of(width, *tasks):
+    """A store with one entry per task, each given as {class id: prototype}."""
+    store = clf.PrototypeStore()
+    for protos in tasks:
+        ids = sorted(protos)
+        matrix = np.array([protos[c] for c in ids], dtype=np.float64).reshape(len(ids), width)
+        store.tasks.append(clf.TaskPrototypes(np.array(ids, dtype=np.int64), matrix))
+    return store
 
-    def test_stored_vectors_are_copies(self):
+
+class TestPrototypeStore:
+    def test_duplicate_rejected(self, trained_micro):
+        model, task = trained_micro["model"], trained_micro["stream"].tasks[0]
         store = clf.PrototypeStore()
-        v = np.ones(3)
-        store.add(1, 0, v)
-        v[:] = 9.0
-        assert np.array_equal(store.vectors[(1, 0)], np.ones(3))
+        clf.compute_prototypes(model, store, task)
+        with pytest.raises(ProtocolError):
+            clf.compute_prototypes(model, store, task)
+        assert len(store.tasks) == 1
+
+    def test_stored_vectors_are_copies(self, trained_micro):
+        model, task = trained_micro["model"], trained_micro["stream"].tasks[0]
+        first, second = clf.PrototypeStore(), clf.PrototypeStore()
+        clf.compute_prototypes(model, first, task)
+        clf.compute_prototypes(model, second, task)
+        kept = second.tasks[0].matrix.copy()
+        first.tasks[0].matrix[:] = 9.0
+        assert np.array_equal(second.tasks[0].matrix, kept)
+
+    def test_one_entry_per_task_in_order(self, trained_micro):
+        store, stream = trained_micro["store"], trained_micro["stream"]
+        assert [e.class_ids.tolist() for e in store.tasks] == [
+            sorted(t.classes) for t in stream.tasks
+        ]
+        width = trained_micro["model"].width
+        assert all(e.matrix.shape == (len(e.class_ids), width) for e in store.tasks)
 
 
 class TestCosineScore:
@@ -55,7 +77,7 @@ class TestComputePrototypes:
     def test_single_sample_prototype_equals_feature(self, trained_micro):
         model, stream = trained_micro["model"], trained_micro["stream"]
         task = stream.tasks[0]
-        adapter = model.components_for(1)
+        adapter = model.tasks[0]
         img = task.train_images[0]
         feat = mdl.forward_features(model, img[None], adapter).cls_final.value[0]
         store = clf.PrototypeStore()
@@ -69,7 +91,9 @@ class TestComputePrototypes:
             test_labels=task.test_labels[:0],
         )
         clf.compute_prototypes(model, store, one)
-        assert np.array_equal(store.vectors[(1, int(task.train_labels[0]))], feat)
+        (entry,) = store.tasks
+        assert entry.class_ids.tolist() == [int(task.train_labels[0])]
+        assert np.array_equal(entry.matrix[0], feat)
 
     def test_duplicating_samples_means_identical_prototype(self, trained_micro):
         model, stream = trained_micro["model"], trained_micro["stream"]
@@ -87,8 +111,9 @@ class TestComputePrototypes:
         )
         doubled_store = clf.PrototypeStore()
         clf.compute_prototypes(model, doubled_store, doubled)
-        for key in base_store.vectors:
-            assert np.allclose(base_store.vectors[key], doubled_store.vectors[key], atol=1e-15)
+        (base,), (doubled,) = base_store.tasks, doubled_store.tasks
+        assert np.array_equal(base.class_ids, doubled.class_ids)
+        assert np.allclose(base.matrix, doubled.matrix, atol=1e-15)
 
     def test_missing_class_samples_rejected(self, trained_micro):
         model, stream = trained_micro["model"], trained_micro["stream"]
@@ -102,15 +127,23 @@ class TestComputePrototypes:
             test_images=task.test_images,
             test_labels=task.test_labels,
         )
+        store = clf.PrototypeStore()
         with pytest.raises(DataError):
-            clf.compute_prototypes(model, clf.PrototypeStore(), broken)
+            clf.compute_prototypes(model, store, broken)
+        assert store.tasks == []
+
+    def test_tasks_enter_in_order(self, trained_micro):
+        model, stream = trained_micro["model"], trained_micro["stream"]
+        store = clf.PrototypeStore()
+        with pytest.raises(ProtocolError):
+            clf.compute_prototypes(model, store, stream.tasks[1])
+        assert store.tasks == []
 
 
 class TestPredict:
     def test_single_seen_class_always_wins(self, trained_micro):
         model, stream = trained_micro["model"], trained_micro["stream"]
-        store = clf.PrototypeStore()
-        store.add(1, 3, np.ones(model.width))
+        store = store_of(model.width, {3: np.ones(model.width)}, {})
         pred = clf.predict(model, store, stream.tasks[0].test_images[0])
         assert pred.class_id == 3
 
@@ -121,11 +154,10 @@ class TestPredict:
             trained_micro["store"],
         )
         task = stream.tasks[0]
-        adapter = model.components_for(1)
+        adapter = model.tasks[0]
         img = task.train_images[0]
         feat = mdl.forward_features(model, img[None], adapter).cls_final.value[0]
-        probe = clf.PrototypeStore()
-        probe.add(1, 0, feat)
+        probe = store_of(model.width, {0: feat}, {})
         pred = clf.predict(model, probe, img)
         assert pred.scores[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -177,9 +209,9 @@ class TestPredict:
         )
         img = stream.tasks[1].test_images[0]
         base = clf.predict(model, store, img)
-        scaled = clf.PrototypeStore()
-        for (t, c), v in store.vectors.items():
-            scaled.add(t, c, 13.7 * v)
+        scaled = clf.PrototypeStore(
+            [clf.TaskPrototypes(e.class_ids, 13.7 * e.matrix) for e in store.tasks]
+        )
         again = clf.predict(model, scaled, img)
         assert base.class_id == again.class_id
 
@@ -187,9 +219,7 @@ class TestPredict:
         # identical prototypes inside one task score identically; lowest class id wins
         model, stream = trained_micro["model"], trained_micro["stream"]
         v = np.ones(model.width)
-        store = clf.PrototypeStore()
-        store.add(1, 2, v.copy())
-        store.add(1, 0, v.copy())
+        store = store_of(model.width, {2: v.copy(), 0: v.copy()}, {})
         pred = clf.predict(model, store, stream.tasks[0].test_images[0])
         assert pred.scores[0] == pred.scores[2]
         assert pred.class_id == 0
@@ -202,9 +232,7 @@ class TestPredict:
         for task in stream.tasks:
             tr.train_task(model, store, task, tcfg, nm.make_rng(task.task_id))
         v = np.ones(model.width)
-        probe = clf.PrototypeStore()
-        probe.add(1, 3, v.copy())
-        probe.add(2, 1, v.copy())
+        probe = store_of(model.width, {3: v.copy()}, {1: v.copy()})
         pred = clf.predict(model, probe, stream.tasks[0].test_images[0])
         assert pred.scores[3] == pred.scores[1]
         assert pred.class_id == 3
@@ -216,11 +244,19 @@ class TestPredict:
         with pytest.raises(ProtocolError):
             clf.predict(model, clf.PrototypeStore(), stream.tasks[0].test_images[0])
 
+    def test_store_shorter_than_model_rejected(self, trained_micro):
+        model, stream, store = (
+            trained_micro["model"],
+            trained_micro["stream"],
+            trained_micro["store"],
+        )
+        short = clf.PrototypeStore(store.tasks[:-1])
+        with pytest.raises(ProtocolError):
+            clf.score_batch(model, short, stream.tasks[0].test_images[:2])
+
     def test_zero_prototype_cannot_win(self, trained_micro):
         model, stream = trained_micro["model"], trained_micro["stream"]
-        store = clf.PrototypeStore()
-        store.add(1, 0, np.zeros(model.width))
-        store.add(1, 1, np.ones(model.width))
+        store = store_of(model.width, {0: np.zeros(model.width), 1: np.ones(model.width)}, {})
         pred = clf.predict(model, store, stream.tasks[0].test_images[0])
         assert pred.class_id == 1
         assert pred.scores[0] == -1.0
@@ -279,11 +315,11 @@ class TestStalePrototypesProtocol:
         stream, _, model, tcfg = build_micro(num_classes=6, num_tasks=3)
         store = clf.PrototypeStore()
         tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
-        first = {k: v.copy() for k, v in store.vectors.items()}
+        (first,) = [clf.TaskPrototypes(e.class_ids.copy(), e.matrix.copy()) for e in store.tasks]
         tr.train_task(model, store, stream.tasks[1], tcfg, nm.make_rng(1))
         tr.train_task(model, store, stream.tasks[2], tcfg, nm.make_rng(2))
-        for key, vec in first.items():
-            assert np.array_equal(store.vectors[key], vec)
+        assert np.array_equal(store.tasks[0].class_ids, first.class_ids)
+        assert np.array_equal(store.tasks[0].matrix, first.matrix)
 
 
 LAYOUTS = {
@@ -315,7 +351,7 @@ class TestBatchedPath:
     def test_batched_scores_equal_per_image_scores_bitwise(self, trained_layout):
         model, store, images, _ = trained_layout
         columns, scores = clf.score_batch(model, store, images)
-        assert scores.shape == (images.shape[0], len(store.vectors))
+        assert scores.shape == (images.shape[0], sum(len(e.class_ids) for e in store.tasks))
         for img, row in zip(images, scores):
             one = clf.predict(model, store, img)
             assert one.class_id == columns[row.argmax()]
@@ -339,13 +375,13 @@ class TestBatchedPath:
         column_of = {c: j for j, c in enumerate(columns.tolist())}
         checked = 0
         features = clf._task_features(model, images, model.tasks)
-        for task_id, feats in enumerate(features, start=1):
+        for entry, feats in zip(store.tasks, features):
             for q, feat in enumerate(feats):
-                for class_id, proto in store.task_items(task_id):
+                for class_id, proto in zip(entry.class_ids.tolist(), entry.matrix):
                     norms = np.sqrt((proto * proto).sum()) * np.sqrt((feat * feat).sum())
                     assert scores[q, column_of[class_id]] == (proto * feat).sum() / norms
                     checked += 1
-        assert checked == scores.size == len(images) * len(store.vectors)
+        assert checked == scores.size == len(images) * sum(len(e.class_ids) for e in store.tasks)
 
     def test_batch_counter_reports_the_per_query_formula(self, trained_layout, adapter_blocks):
         model, store, images, _ = trained_layout
@@ -365,17 +401,19 @@ def scoring_layout(num_blocks, position_l, flip, num_tasks, seed):
     model = mdl.build_model(
         bb.init_backbone(bcfg, rng), position_l, 2, rng, flip_positions=flip
     )
-    adapters = [model.shared] if model.shared is not None else []
+    specifics = []
     store = clf.PrototypeStore()
     for t in range(1, num_tasks + 1):
-        specific = adp.init_specific(t, model.specific_blocks, bcfg.attach_set, 2, bcfg.width, rng)
-        adapters.append(specific)
-        model.tasks.append(specific)
-        for c in (2 * t - 2, 2 * t - 1):
-            store.add(t, c, rng.standard_normal(bcfg.width))
-    for adapter in adapters:
+        specifics.append(
+            adp.init_specific(t, model.specific_blocks, bcfg.attach_set, 2, bcfg.width, rng)
+        )
+        protos = {c: rng.standard_normal(bcfg.width) for c in (2 * t - 2, 2 * t - 1)}
+        store.tasks += store_of(bcfg.width, protos).tasks
+    shared = [model.shared] if model.shared is not None else []
+    for adapter in shared + specifics:
         for pair in adapter.pairs.values():
             pair.up.value = rng.standard_normal(pair.up.value.shape)
+    model.tasks = [a.frozen_copy() for a in specifics]
     return model, store, rng
 
 

@@ -770,9 +770,7 @@ class TestCli:
         input_errors = {
             "ConfigError", "FormatError", "DataError", "InvalidInputError", "InvalidRankError"
         }
-        bug_errors = {
-            "GraphError", "DeterminismError", "ShapeError", "ProtocolError", "MissingAdapterError"
-        }
+        bug_errors = {"GraphError", "DeterminismError", "ShapeError", "ProtocolError"}
         defined = {name for name, obj in vars(errors).items() if isinstance(obj, type)}
         assert defined == input_errors | bug_errors | {"InputError"}
         for name in input_errors:

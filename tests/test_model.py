@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from dualora import classifier as clf
 from dualora import model as mdl
 from dualora import numerics as nm
 from dualora import trainer as tr
-from dualora.errors import ConfigError, MissingAdapterError
+from dualora.errors import ConfigError, ProtocolError
 
 from conftest import build_micro
 
@@ -39,22 +41,26 @@ class TestRouting:
             mdl.build_model(backbone, 3, 2, nm.make_rng(0))
 
     def test_unknown_task_lookup(self):
-        _, _, model, _ = build_micro()
-        with pytest.raises(MissingAdapterError):
-            model.components_for(1)
+        stream, _, model, _ = build_micro()
+        with pytest.raises(ProtocolError):
+            clf.compute_prototypes(model, clf.PrototypeStore(), stream.tasks[0])
 
     @pytest.mark.parametrize("task_id", [0, 3])
     def test_lookup_outside_trained_tasks(self, trained_micro, task_id):
         # task 0 must not wrap round to the last task's adapter
-        model = trained_micro["model"]
+        model, stream = trained_micro["model"], trained_micro["stream"]
         assert len(model.tasks) == 2
-        with pytest.raises(MissingAdapterError):
-            model.components_for(task_id)
+        store = clf.PrototypeStore(list(trained_micro["store"].tasks))
+        task = dataclasses.replace(stream.tasks[0], task_id=task_id)
+        with pytest.raises(ProtocolError):
+            clf.compute_prototypes(model, store, task)
+        assert len(store.tasks) == 2
 
     def test_task_t_is_the_t_th_adapter(self, trained_micro):
         model = trained_micro["model"]
-        assert all(model.components_for(t) is model.tasks[t - 1] for t in (1, 2))
-        assert model.tasks[0].pairs[(2, "q")].down.name == "task1.b2.q.down"
+        names = [a.pairs[(2, "q")].down.name for a in model.tasks]
+        assert names == ["task1.b2.q.down", "task2.b2.q.down"]
+        assert not any(p.trainable for a in model.tasks for p in a.parameters())
 
 
 class TestZeroInitTransparency:
@@ -97,7 +103,7 @@ class TestCounter:
     def test_full_forward_counts_all_blocks(self, trained_micro, adapter_blocks):
         model = trained_micro["model"]
         img = trained_micro["stream"].tasks[0].train_images[:1]
-        mdl.forward_features(model, img, model.components_for(1))
+        mdl.forward_features(model, img, model.tasks[0])
         assert len(adapter_blocks) == model.num_blocks
 
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from dualora import autodiff as ad
+from dualora import backbone as bb
 from dualora import classifier as clf
+from dualora import harness
 from dualora import model as mdl
 from dualora import numerics as nm
 from dualora import trainer as tr
@@ -502,6 +504,72 @@ class TestTrainTask:
         for term_grads in grads.values():
             for name in term_grads:
                 assert name in trainable_names
+
+
+class Interrupted(Exception):
+    """Stands in for anything that stops a task before it finishes."""
+
+
+def _desk_run():
+    """The desk run's parts at seed 0, with a fresh generator for each task."""
+    return harness.build_run(harness.resolve_config({"epochs": 1}), seed=0)
+
+
+class TestTaskBoundary:
+    """A task joins the model and the store only in ``TaskSession.finish``."""
+
+    def test_interrupted_task_leaves_nothing_and_trains_again(self, monkeypatch):
+        tcfg, stream, model, _ = _desk_run()
+        task = stream.tasks[0]
+        shared = {p.name: p.value.copy() for p in model.shared.parameters()}
+        step, calls = tr.TaskSession.step, []
+
+        def interrupted(session, rows, optimizer):
+            calls.append(rows)
+            if len(calls) == 2:
+                raise Interrupted
+            return step(session, rows, optimizer)
+
+        store = clf.PrototypeStore()
+        with monkeypatch.context() as mp:
+            mp.setattr(tr.TaskSession, "step", interrupted)
+            with pytest.raises(Interrupted):
+                tr.train_task(model, store, task, tcfg, _desk_run()[3][0])
+        assert model.tasks == [] and store.tasks == []
+        # the one step taken did move the shared adapter; a retry starts from
+        # its values at the task boundary, as a resumed run would
+        for p in model.shared.parameters():
+            p.value = shared[p.name].copy()
+        tr.train_task(model, store, task, tcfg, _desk_run()[3][0])
+
+        tcfg, stream, reference, rng = _desk_run()
+        reference_store = clf.PrototypeStore()
+        tr.train_task(reference, reference_store, stream.tasks[0], tcfg, rng[0])
+        assert model.tasks[0].content_hash() == reference.tasks[0].content_hash()
+        assert model.shared.content_hash() == reference.shared.content_hash()
+        (entry,), (want,) = store.tasks, reference_store.tasks
+        assert np.array_equal(entry.class_ids, want.class_ids)
+        assert entry.matrix.tobytes() == want.matrix.tobytes()
+
+    def test_unfinished_session_leaves_evaluate_at_the_formula(self, monkeypatch):
+        tcfg, stream, model, task_rngs = _desk_run()
+        store = clf.PrototypeStore()
+        tr.train_task(model, store, stream.tasks[0], tcfg, task_rngs[0])
+        session = tr.TaskSession(model, stream.tasks[1], tcfg, task_rngs[1])
+        session.step(np.arange(tcfg.batch_size), tr.make_optimizer(tcfg))
+        block_forward, applied = bb.block_forward, []
+
+        def recording(backbone, state, i, deltas=None):
+            out = block_forward(backbone, state, i, deltas)
+            if deltas:
+                applied.append(out.tokens.requires_grad)
+            return out
+
+        monkeypatch.setattr(bb, "block_forward", recording)
+        task = stream.tasks[0]
+        clf.evaluate(model, store, task.test_images, task.test_labels)
+        assert len(applied) == clf.adapter_pass_count(model.shared_prefix, model.num_blocks, 1)
+        assert len(applied) == 4 and not any(applied)
 
 
 def _shared_down_hash(model) -> str:
