@@ -4,8 +4,9 @@ Each attached projection of each covered block gets its own low-rank pair:
 a down-projection ``B`` (rank x width) and an up-projection ``A``
 (width x rank). The shared adapter keeps ``B`` fixed (random orthogonal rows
 by default) and trains only ``A``, which starts at zero so a fresh adapter is
-exactly transparent. Task-specific adapters train both matrices; when their
-task finishes, the model keeps a frozen copy.
+exactly transparent. Task-specific adapters train both matrices. The model
+holds only frozen copies: a task trains a copy of the shared adapter next to
+its own, and when it finishes the model keeps frozen copies of both.
 
 A task's adapter also holds its block-wise weights: one positive scaling
 factor per block it covers. Positivity is guaranteed by storing an
@@ -23,6 +24,7 @@ formed at rank r.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,19 +145,16 @@ class Adapter:
     def mu_values(self) -> np.ndarray:
         return np.logaddexp(0.0, self.rho.value)
 
-    def frozen_copy(self) -> Adapter:
-        """The adapter as it is now, with copied values that take no gradient.
+    def copy(self, train: Collection[str] = ()) -> Adapter:
+        """The adapter as it is now, with copied values; a parameter trains
+        only if its tag is in ``train``, so by default none does. The model
+        keeps only such frozen copies, which no later update reaches."""
 
-        This is the one way an adapter stops training: a finished task joins
-        the model as such a copy, and the teacher prefix and inference run on
-        one, so none of them sees later updates or records a tape.
-        """
+        def copied(p: ad.Parameter) -> ad.Parameter:
+            return ad.Parameter(p.name, p.value.copy(), trainable=p.tag in train, tag=p.tag)
 
-        def frozen(p: ad.Parameter) -> ad.Parameter:
-            return ad.Parameter(p.name, p.value.copy(), trainable=False, tag=p.tag)
-
-        pairs = {k: LowRankPair(frozen(v.down), frozen(v.up)) for k, v in self.pairs.items()}
-        rho = frozen(self.rho) if self.rho is not None else None
+        pairs = {k: LowRankPair(copied(v.down), copied(v.up)) for k, v in self.pairs.items()}
+        rho = copied(self.rho) if self.rho is not None else None
         return Adapter(self.blocks, self.attach_set, pairs, rho)
 
     def content_hash(self) -> str:

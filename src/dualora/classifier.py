@@ -3,10 +3,10 @@
 A class prototype is the mean final-block CLS feature of its training
 samples, extracted with the adapter combination in effect when its task
 finished; the store keeps one prototype matrix per finished task. Features
-come from one batched path: the prefix blocks run once per batch with a
-frozen copy of the current shared adapter and only the suffix is re-run per
-task, so a query costs l + (N - l) * t adapter-bearing block applications
-instead of N * t. Scoring is one cosine matrix per batch, queries against
+come from one batched path: the prefix blocks run once per batch with the
+model's frozen shared adapter and only the suffix is re-run per task, so a
+query costs l + (N - l) * t adapter-bearing block applications instead of
+N * t. Scoring is one cosine matrix per batch, queries against
 every stored prototype; a single prediction is its one row.
 """
 
@@ -56,21 +56,20 @@ def _task_features(model: mdl.ContinualModel, images: np.ndarray, tasks, *, shar
     Blocks 1..k run once for the whole batch, then each task runs blocks
     k+1..N on the result, with k the model's shared prefix.
     ``share_prefix=False`` sets k to 0, so every task runs its full stack:
-    the reference that prefix sharing must match bitwise. Both use a frozen
-    copy of the shared adapter, so no tape is recorded.
+    the reference that prefix sharing must match bitwise. Everything the
+    model holds is frozen, so no tape is recorded.
     """
-    shared = model.shared.frozen_copy() if model.shared is not None else None
     k = model.shared_prefix if share_prefix else 0
-    prefix = mdl.run_prefix(model, images, k, shared=shared)
+    prefix = mdl.run_prefix(model, images, k)
     suffix = range(k + 1, model.num_blocks + 1)
     for adapter in tasks:
-        state = mdl.run_blocks(model, prefix, suffix, task=adapter, shared=shared)
+        state = mdl.run_blocks(model, prefix, suffix, task=adapter)
         yield bb.extract_cls(model.backbone, state).value
 
 
 def compute_prototypes(model: mdl.ContinualModel, store: PrototypeStore, task) -> None:
     """Append the task's entry to ``store``: the mean CLS feature of each of
-    its classes over its training data, using the shared adapter as of now
+    its classes over its training data, using the model's shared adapter
     plus the task's frozen adapter. Tasks enter in order, each once."""
     t = task.task_id
     if t != len(store.tasks) + 1 or t > len(model.tasks):

@@ -5,9 +5,9 @@ adapter and blocks l+1..N carry the current task's specific adapter. The
 ``flip_positions`` ablation swaps the two roles while keeping the transition
 point (and therefore the early-exit readout) at block ``l``.
 
-Forward passes run on the autodiff tape. ``tasks`` holds a frozen copy of
-each finished task's adapter, and the teacher prefix and inference pass a
-frozen copy of the shared adapter, so they record no tape at all.
+The model holds only what finished tasks committed, all of it frozen, so
+reading it records no tape: the shared adapter as the last task left it and
+each task's adapter. A task in training passes its copy of the shared adapter.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ class ContinualModel:
     backbone: bb.Backbone
     position_l: int
     flip_positions: bool = False
-    shared: adp.Adapter | None = None
+    fixed_down: bool = True  # the shared down-projections keep their initial draw
+    shared: adp.Adapter | None = None  # frozen, as the last finished task left it
     tasks: list[adp.Adapter] = field(default_factory=list)  # finished task t, frozen, at t - 1
 
     @property
@@ -52,6 +53,11 @@ class ContinualModel:
         per-task adapters first, so nothing is shareable and k is 0."""
         return 0 if self.flip_positions else self.position_l
 
+    @property
+    def shared_trains(self) -> tuple[str, ...]:
+        """Tags of the shared parameters a task trains."""
+        return ("shared-up",) if self.fixed_down else ("shared-down", "shared-up")
+
     def is_shared_block(self, i: int) -> bool:
         return (i <= self.position_l) != self.flip_positions
 
@@ -66,12 +72,13 @@ def build_model(
     fixed_down: bool = True,
     shared_down_init: str = "orthogonal",
 ) -> ContinualModel:
-    """Assemble the model and draw the shared adapter (its ``B`` is for keeps)."""
+    """Assemble the model and draw its frozen shared adapter, which tasks
+    train copies of (with ``fixed_down`` its ``B`` is for keeps)."""
     if not 0 <= position_l <= backbone.cfg.num_blocks:
         raise ConfigError(
             f"position_l must lie in [0, {backbone.cfg.num_blocks}], got {position_l}"
         )
-    model = ContinualModel(backbone=backbone, position_l=position_l, flip_positions=flip_positions)
+    model = ContinualModel(backbone, position_l, flip_positions, fixed_down)
     if model.shared_blocks:
         model.shared = adp.init_shared(
             model.shared_blocks,
@@ -81,20 +88,20 @@ def build_model(
             rng,
             fixed_down=fixed_down,
             down_init=shared_down_init,
-        )
+        ).copy()
     return model
 
 
 def param_counts(model: ContinualModel) -> dict:
     """The parameter budget of a model with its tasks, counted off the
-    parameters it holds: trainable shared scalars, one task's adapter and block
+    parameters it holds: shared scalars a task trains, one task's adapter and block
     weights, their total over the tasks, and the frozen backbone."""
     if not model.tasks:
         raise ProtocolError("no tasks trained yet")
     shared = model.shared.parameters() if model.shared is not None else []
     first = model.tasks[0]
     counts = {
-        "shared": sum(p.size for p in shared if p.trainable),
+        "shared": sum(p.size for p in shared if p.tag in model.shared_trains),
         "specific_per_task": sum(pair.down.size + pair.up.size for pair in first.pairs.values()),
         "block_weights_per_task": first.rho.size if first.rho is not None else 0,
         "backbone": model.backbone.param_count(),
@@ -125,9 +132,8 @@ def run_blocks(
 
     ``task`` supplies the specific adapter for specific-role blocks (pass
     None to run those blocks bare, e.g. to show a fresh adapter changes
-    nothing). ``shared`` replaces the model's live shared adapter on the
-    shared-role blocks; a :meth:`~adapters.Adapter.frozen_copy` there is
-    how the teacher prefix and inference run without gradients.
+    nothing). ``shared`` replaces the model's frozen shared adapter on the
+    shared-role blocks; a task in training passes the copy it trains there.
     """
     shared = shared if shared is not None else model.shared
     blocks = tuple(blocks)
@@ -164,38 +170,32 @@ def forward_features(
     images: np.ndarray,
     task: adp.Adapter | None,
     *,
+    shared: adp.Adapter | None = None,
     collect_transition_cls: bool = False,
 ) -> ForwardResult:
-    """Full forward: embed, prefix blocks 1..l, suffix blocks l+1..N, CLS."""
+    """Full forward: embed, blocks 1..l, blocks l+1..N, CLS; ``shared`` as in
+    :func:`run_blocks`."""
     l, n = model.position_l, model.num_blocks
-    state = run_prefix(model, images, l, task=task)
+    state = run_prefix(model, images, l, task=task, shared=shared)
     cls_at_l = None
     if collect_transition_cls:
         if l < 1:
             raise InvalidInputError("no transition readout exists at position 0")
         cls_at_l = bb.extract_cls(model.backbone, state)
-    state = run_blocks(model, state, range(l + 1, n + 1), task=task)
+    state = run_blocks(model, state, range(l + 1, n + 1), task=task, shared=shared)
     return ForwardResult(
         cls_final=bb.extract_cls(model.backbone, state),
         cls_at_l=cls_at_l,
     )
 
 
-def transition_cls_with(
-    model: ContinualModel,
-    images: np.ndarray,
-    *,
-    shared: adp.Adapter | None = None,
-    prefix_task: adp.Adapter | None = None,
-) -> np.ndarray:
-    """CLS readout at the transition point, as plain values (no gradients).
-
-    The teacher pass uses this with the previous task's snapshot: a frozen
-    copy of the shared adapter when the prefix is shared, or the previous
-    task's frozen adapter when positions are flipped.
-    """
+def transition_cls_with(model: ContinualModel, images: np.ndarray) -> np.ndarray:
+    """CLS readout at the transition point of the model as the last finished
+    task left it, as plain values (no gradients): the distillation teacher.
+    Its specific-role prefix blocks, which only a flipped layout has, run that
+    task's adapter."""
     l = model.position_l
     if l < 1:
         raise InvalidInputError("no transition readout exists at position 0")
-    state = run_prefix(model, images, l, task=prefix_task, shared=shared)
+    state = run_prefix(model, images, l, task=model.tasks[-1] if model.tasks else None)
     return bb.extract_cls(model.backbone, state).value

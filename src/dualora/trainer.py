@@ -7,9 +7,10 @@ terms are backpropagated separately so the distillation gradient on each
 shared up-projection can be rescaled row-wise by the previous task's row
 norms before the terms are combined.
 
-A task joins the model only when it finishes: the model keeps a frozen copy
-of its adapter (pairs and block weights), its temporary classifier head is
-discarded, and the store gains its class prototypes for inference.
+A task trains a copy of the model's shared adapter, which stays its teacher.
+It joins the model only when it finishes: the model keeps frozen copies of
+that shared adapter and of the task's own, its head is discarded, and the
+store gains its class prototypes. A task that stops earlier changes nothing.
 """
 
 from __future__ import annotations
@@ -304,12 +305,14 @@ class TaskTrainResult:
 
 
 class TaskSession:
-    """One task's training state: teacher, fresh adapter, head, params. Its
-    steps move the live shared adapter; only :meth:`finish` adds the task."""
+    """One task's training state: its copy of the shared adapter, fresh
+    adapter, head and params. Its steps move only these; the model, whose
+    shared adapter is the teacher, changes only in :meth:`finish`."""
 
     def __init__(self, model: mdl.ContinualModel, task, cfg: TrainConfig, rng):
-        if cfg.position_l != model.position_l or cfg.flip_positions != model.flip_positions:
-            raise ConfigError("training config disagrees with the model's block layout")
+        layout = (cfg.position_l, cfg.flip_positions, cfg.fix_b)
+        if layout != (model.position_l, model.flip_positions, model.fixed_down):
+            raise ConfigError("training config disagrees with the model's adapter layout")
         expected = len(model.tasks) + 1
         if task.task_id != expected:
             raise ProtocolError(
@@ -325,16 +328,17 @@ class TaskSession:
         self.kd_active = bool(cfg.kd and self.t > 1 and cfg.position_l >= 1)
         self.orth_active = bool(cfg.bw and self.t > 1 and model.specific_blocks)
 
+        shared = model.shared  # the teacher
         # A flipped layout runs the shared blocks after the transition point, so
         # the teacher prefix never reads them and kd never reaches them.
-        self.teacher = None  # frozen copy of the shared adapter the previous task left
         self.row_norms = None  # row norms of the teacher's up-projections, by name
         if self.kd_active and not model.flip_positions:
-            self.teacher = model.shared.frozen_copy()
             self.row_norms = {
                 pair.up.name: numerics.row_l2_norms(pair.up.value)
-                for pair in self.teacher.pairs.values()
+                for pair in shared.pairs.values()
             }
+        # the copy of the shared adapter this task trains
+        self.shared = shared.copy(train=model.shared_trains) if shared is not None else None
 
         self.adapter = adp.init_specific(
             self.t,
@@ -348,24 +352,18 @@ class TaskSession:
         self.head = init_head(model.width, len(task.classes), self.t, rng)
         self.previous_mu = [a.mu_values() for a in model.tasks if a.rho is not None]
 
-        self.params: list[ad.Parameter] = []
-        if model.shared is not None:
-            self.params.extend(model.shared.parameters())
-        self.params.extend(self.adapter.parameters())
-        self.params.extend(self.head.parameters())
+        parts = (self.shared, self.adapter, self.head)
+        self.params = [p for part in parts if part is not None for p in part.parameters()]
         # the teacher is frozen for the whole task, so its readout of the
         # task's training images is taken once; steps index into it
         self.teacher_cls = self.teacher_readout(task.train_images) if self.kd_active else None
 
     def teacher_readout(self, images) -> np.ndarray:
-        """Transition CLS values under the teacher; constant within the task.
-        A flipped layout runs the previous task's frozen adapter on the prefix."""
+        """Transition CLS values under the teacher, the model as the previous
+        task left it, so constant within the task."""
         if not self.kd_active:
             raise ProtocolError("no teacher: distillation is off for this task")
-        prefix_task = self.model.tasks[-1] if self.model.flip_positions else None
-        return mdl.transition_cls_with(
-            self.model, images, shared=self.teacher, prefix_task=prefix_task
-        )
+        return mdl.transition_cls_with(self.model, images)
 
     def losses(
         self, rows, *, pinned_kd_target: np.ndarray | None = None
@@ -380,7 +378,7 @@ class TaskSession:
         """
         result = mdl.forward_features(
             self.model, self.task.train_images[rows], self.adapter,
-            collect_transition_cls=self.kd_active,
+            shared=self.shared, collect_transition_cls=self.kd_active,
         )
         ce = local_ce_loss(result.cls_final, self.head, self.labels_local[rows])
         kd = None
@@ -411,8 +409,11 @@ class TaskSession:
         }
 
     def finish(self, store: clf.PrototypeStore) -> None:
-        """Add the task: a frozen copy of its adapter, then its prototypes."""
-        self.model.tasks.append(self.adapter.frozen_copy())
+        """Commit the task: frozen copies of the shared adapter it trained and
+        of its own adapter, then its prototypes."""
+        if self.shared is not None:
+            self.model.shared = self.shared.copy()
+        self.model.tasks.append(self.adapter.copy())
         self.head = None  # discarded; inference is prototype-based
         clf.compute_prototypes(self.model, store, self.task)
 

@@ -6,9 +6,13 @@ from hypothesis import strategies as st
 from dualora import adapters as adp
 from dualora import autodiff as ad
 from dualora import backbone as bb
+from dualora import classifier as clf
 from dualora import model as mdl
 from dualora import numerics as nm
+from dualora import trainer as tr
 from dualora.errors import InvalidInputError, InvalidRankError, ProtocolError
+
+from conftest import build_micro
 
 
 def assert_hash_sees_every_entry(adapter):
@@ -74,7 +78,7 @@ class TestInitShared:
         shared = adp.init_shared((1, 2), ("q", "v"), 2, 4, nm.make_rng(7))
         for pair in shared.pairs.values():
             pair.up.value[:] = nm.make_rng(8).standard_normal(pair.up.value.shape)
-        snap = shared.frozen_copy()
+        snap = shared.copy()
         assert snap.content_hash() == shared.content_hash()
         for p, q in zip(shared.parameters(), snap.parameters()):
             assert p.name == q.name and p.tag == q.tag and not q.trainable
@@ -82,6 +86,15 @@ class TestInitShared:
         before = snap.content_hash()
         shared.pairs[(1, "q")].up.value[0, 0] += 1.0
         assert snap.content_hash() == before != shared.content_hash()
+
+    def test_copy_trains_exactly_the_named_tags(self):
+        shared = adp.init_shared((1, 2), ("q", "v"), 2, 4, nm.make_rng(7)).copy()
+        for train in ((), ("shared-up",), ("shared-down", "shared-up")):
+            trained = shared.copy(train=train)
+            assert trained.content_hash() == shared.content_hash()
+            for p in trained.parameters():
+                assert p.trainable == (p.tag in train)
+            assert not any(p.trainable for p in shared.parameters())
 
     def test_rank_zero_rejected(self):
         with pytest.raises(InvalidRankError):
@@ -156,13 +169,13 @@ class TestInitSpecific:
     def test_freeze_makes_block_weights_untrainable(self):
         specific = adp.init_specific(1, (2, 3), ("q",), 2, 8, nm.make_rng(0))
         assert specific.rho.trainable
-        frozen = specific.frozen_copy()
+        frozen = specific.copy()
         assert not frozen.rho.trainable
         assert not any(p.trainable for p in frozen.parameters())
 
     def test_frozen_copy_copies_block_weights(self):
         specific = adp.init_specific(1, (2, 3), ("q",), 2, 8, nm.make_rng(0))
-        snap = specific.frozen_copy()
+        snap = specific.copy()
         assert snap.rho is not specific.rho and not snap.rho.trainable
         assert (snap.rho.name, snap.rho.tag) == (specific.rho.name, specific.rho.tag)
         assert np.array_equal(snap.rho.value, specific.rho.value)
@@ -257,7 +270,7 @@ def model_with_tasks(num_tasks, *, position_l=1, flip=False, fix_b=True, bw=True
     for t in range(1, num_tasks + 1):
         model.tasks.append(adp.init_specific(
             t, model.specific_blocks, bcfg.attach_set, rank, bcfg.width, rng, block_weights=bw
-        ).frozen_copy())
+        ).copy())
     return model
 
 
@@ -275,9 +288,6 @@ class TestParamCount:
         assert counts["total"] == counts["shared"]
 
     def test_oracle_enumeration(self, micro):
-        from dualora import classifier as clf
-        from dualora import trainer as tr
-
         stream, backbone, model, tcfg = micro
         store = clf.PrototypeStore()
         for task in stream.tasks:
@@ -338,3 +348,42 @@ class TestParamCount:
         assert (counts["shared"], counts["specific_per_task"]) == (shared, specific)
         assert counts["block_weights_per_task"] == weights
         assert counts["total"] == shared + tasks * (specific + weights)
+
+
+def assert_model_frozen(model):
+    shared = model.shared.parameters() if model.shared is not None else []
+    held = shared + [p for adapter in model.tasks for p in adapter.parameters()]
+    assert not any(p.trainable for p in held)
+
+
+class TestCommittedStateProperty:
+    @given(
+        st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_model_holds_only_frozen_state_over_layouts(self, nl, flip, fix_b, bw):
+        # a task trains copies; the model, between and during tasks, holds
+        # nothing trainable, and its count is the closed form
+        n, l = nl
+        stream, backbone, model, tcfg = build_micro(
+            num_tasks=2, train_per_class=2, test_per_class=1,
+            backbone_overrides=dict(num_blocks=n, width=8, image_side=4, patch_side=2),
+            train_overrides=dict(position_l=l, flip_positions=flip, fix_b=fix_b, bw=bw),
+        )
+        assert_model_frozen(model)
+        store = clf.PrototypeStore()
+        for task in stream.tasks:
+            session = tr.TaskSession(model, task, tcfg, nm.make_rng(task.task_id))
+            session.step(np.arange(task.num_train), tr.make_optimizer(tcfg))
+            assert_model_frozen(model)
+            session.finish(store)
+            assert_model_frozen(model)
+        shared, specific, weights = closed_form(
+            n, l, flip, fix_b, bw, len(backbone.cfg.attach_set), tcfg.rank, 8
+        )
+        counts = mdl.param_counts(model)
+        assert (counts["shared"], counts["specific_per_task"]) == (shared, specific)
+        assert counts["block_weights_per_task"] == weights
+        assert counts["total"] == shared + len(stream.tasks) * (specific + weights)

@@ -434,7 +434,7 @@ class TestFusedSublayers:
     def test_frozen_pass_keeps_no_backward_context(self):
         backbone, specific = _sublayer_setup(("q", "v"), True)
         state = bb.TokenState(ad.constant(np.ones((2, 5, 12))), 0)
-        out = bb.block_forward(backbone, state, 1, _attachments(specific.frozen_copy())).tokens
+        out = bb.block_forward(backbone, state, 1, _attachments(specific.copy())).tokens
         assert out.parents == () and out.bwd is None and not out.requires_grad
 
 

@@ -413,7 +413,7 @@ def scoring_layout(num_blocks, position_l, flip, num_tasks, seed):
     for adapter in shared + specifics:
         for pair in adapter.pairs.values():
             pair.up.value = rng.standard_normal(pair.up.value.shape)
-    model.tasks = [a.frozen_copy() for a in specifics]
+    model.tasks = [a.copy() for a in specifics]
     return model, store, rng
 
 

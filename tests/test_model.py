@@ -108,28 +108,38 @@ class TestCounter:
 
 
 class TestTeacherPrefix:
-    def test_snapshot_values_reproduce_live_prefix_before_updates(self, micro):
+    """The teacher is the model's frozen shared adapter; the session trains a
+    copy of it, so the teacher readout stays put while the session's own
+    transition readout moves."""
+
+    @staticmethod
+    def _session(micro):
         stream, _, model, tcfg = micro
-        store = clf.PrototypeStore()
-        tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
-        img = stream.tasks[0].train_images[:3]
-        live = mdl.transition_cls_with(model, img)
-        snap = mdl.transition_cls_with(model, img, shared=model.shared.frozen_copy())
-        assert np.array_equal(live, snap)
+        tr.train_task(model, clf.PrototypeStore(), stream.tasks[0], tcfg, nm.make_rng(0))
+        session = tr.TaskSession(model, stream.tasks[1], tcfg, nm.make_rng(1))
+        return model, session, stream.tasks[1].train_images[:3]
+
+    @staticmethod
+    def _student(model, session, img):
+        return mdl.forward_features(
+            model, img, session.adapter, shared=session.shared, collect_transition_cls=True
+        ).cls_at_l.value
+
+    def test_snapshot_values_reproduce_live_prefix_before_updates(self, micro):
+        model, session, img = self._session(micro)
+        teacher = mdl.transition_cls_with(model, img)
+        assert np.array_equal(session.teacher_readout(img), teacher)
+        assert np.array_equal(self._student(model, session, img), teacher)
 
     def test_snapshot_unaffected_by_live_updates(self, micro):
-        stream, _, model, tcfg = micro
-        store = clf.PrototypeStore()
-        tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
-        img = stream.tasks[0].train_images[:3]
-        snapshot = model.shared.frozen_copy()
-        before = mdl.transition_cls_with(model, img, shared=snapshot)
-        for pair in model.shared.pairs.values():
-            pair.up.value += 0.25
-        after = mdl.transition_cls_with(model, img, shared=snapshot)
-        live = mdl.transition_cls_with(model, img)
-        assert np.array_equal(before, after)
-        assert not np.array_equal(live, after)
+        model, session, img = self._session(micro)
+        before = mdl.transition_cls_with(model, img)
+        optimizer = tr.make_optimizer(session.cfg)
+        for _ in range(3):
+            session.step(np.arange(4), optimizer)
+        assert np.array_equal(session.teacher_readout(img), before)
+        assert np.array_equal(mdl.transition_cls_with(model, img), before)
+        assert not np.array_equal(self._student(model, session, img), before)
 
 
 class TestFlippedForward:

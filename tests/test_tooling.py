@@ -2,7 +2,9 @@
 
 The benchmark's tracer wraps package functions by their names, so a rename
 in the package must fail here and not only under ``benchmarks/run.py
---trace 1``. The test reads ``benchmarks/`` and leaves it as it is. README's
+--trace 1``; one traced operation of two workloads must pass the workload's
+own check at the exact counts the benchmark reports. The tests read
+``benchmarks/`` and leave it as it is. README's
 CLI section may name only options that the command defines.
 """
 
@@ -33,6 +35,42 @@ def test_tracer_installs_over_the_package_and_restores_it(monkeypatch):
     assert wrapped
     for owner, attr, fn in wrapped:
         assert getattr(owner, attr) is fn, f"{owner.__name__}.{attr} not restored"
+
+
+def _one_traced_op(name, work):
+    """One operation of benchmark workload ``name`` at seed 0, as the
+    benchmark runs it under its tracer: the problems its check finds, the
+    operation's exact counts, and its per-layer metrics."""
+    import tracer
+    import workloads
+
+    workload = workloads.WORKLOADS[name]()
+    workload.prepare(0, work)
+    workload.reference()
+    t = tracer.Tracer()
+    t.install(workloads.PKG)
+    try:
+        frame = t.begin_op()
+        try:
+            result = workload.operate(0)
+        finally:
+            counts = t.end_op(frame)
+    finally:
+        t.uninstall()
+    return workload.check(result), counts, t.layer_metrics(1)
+
+
+def test_benchmark_ops_pass_their_checks_at_the_exact_counts(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    problems, counts, _ = _one_traced_op("desk_run", tmp_path)
+    assert problems == []
+    assert counts["autodiff.tape_nodes_per_step"] == 32.6
+    assert counts["trainer.teacher_rows_per_unique"] == 1.0
+    assert counts["eval_formula_mismatches"] == 0
+    problems, counts, layers = _one_traced_op("gradcheck", tmp_path)
+    assert problems == []
+    assert counts["eval_formula_mismatches"] == 0
+    assert layers["autodiff.fd_closure_calls"] == (456, "count")
 
 
 OPTION = re.compile(r"(?<![\w-])--[a-z][a-z-]*")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -385,7 +386,7 @@ class TestTrainTask:
             session.step(rows, optimizer)
         assert np.array_equal(before, session.teacher_readout(probe))
         assert not np.array_equal(
-            session.teacher.pair(1, "q").down.value, model.shared.pair(1, "q").down.value
+            session.shared.pair(1, "q").down.value, model.shared.pair(1, "q").down.value
         )
 
     def test_teacher_readout_runs_once_per_task(self, monkeypatch):
@@ -484,13 +485,13 @@ class TestTrainTask:
 
     def test_flipped_session_makes_no_teacher_copy(self):
         # Flipped, the teacher prefix runs the previous task's adapter and kd
-        # never reaches a shared parameter, so no copy or row norms are made.
+        # never reaches a shared parameter, so no row norms are made.
         stream, _, model, tcfg = build_micro(train_overrides={"flip_positions": True})
         store = clf.PrototypeStore()
         tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
         session = tr.TaskSession(model, stream.tasks[1], tcfg, nm.make_rng(1))
         assert session.kd_active and model.shared is not None
-        assert session.teacher is None and session.row_norms is None
+        assert session.row_norms is None
 
     def test_optimizer_never_touches_frozen_parameters(self):
         stream, backbone, model, tcfg = build_micro()
@@ -521,7 +522,7 @@ class TestTaskBoundary:
     def test_interrupted_task_leaves_nothing_and_trains_again(self, monkeypatch):
         tcfg, stream, model, _ = _desk_run()
         task = stream.tasks[0]
-        shared = {p.name: p.value.copy() for p in model.shared.parameters()}
+        boundary = model.shared.content_hash()
         step, calls = tr.TaskSession.step, []
 
         def interrupted(session, rows, optimizer):
@@ -535,11 +536,9 @@ class TestTaskBoundary:
             mp.setattr(tr.TaskSession, "step", interrupted)
             with pytest.raises(Interrupted):
                 tr.train_task(model, store, task, tcfg, _desk_run()[3][0])
+        # the one step taken moved only the session's copy of the shared adapter
         assert model.tasks == [] and store.tasks == []
-        # the one step taken did move the shared adapter; a retry starts from
-        # its values at the task boundary, as a resumed run would
-        for p in model.shared.parameters():
-            p.value = shared[p.name].copy()
+        assert model.shared.content_hash() == boundary
         tr.train_task(model, store, task, tcfg, _desk_run()[3][0])
 
         tcfg, stream, reference, rng = _desk_run()
@@ -570,6 +569,26 @@ class TestTaskBoundary:
         clf.evaluate(model, store, task.test_images, task.test_labels)
         assert len(applied) == clf.adapter_pass_count(model.shared_prefix, model.num_blocks, 1)
         assert len(applied) == 4 and not any(applied)
+
+    def test_unfinished_session_leaves_scores_bitwise(self):
+        tcfg, stream, model, task_rngs = _desk_run()
+        store = clf.PrototypeStore()
+        tr.train_task(model, store, stream.tasks[0], tcfg, task_rngs[0])
+        images = stream.tasks[0].test_images
+        columns, before = clf.score_batch(model, store, images)
+        session = tr.TaskSession(model, stream.tasks[1], tcfg, task_rngs[1])
+        session.step(np.arange(tcfg.batch_size), tr.make_optimizer(tcfg))
+        during = clf.score_batch(model, store, images)
+        assert np.array_equal(during[0], columns)
+        assert during[1].tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize(
+        "override", [{"position_l": 2}, {"flip_positions": True}, {"fix_b": False}]
+    )
+    def test_config_disagreeing_with_the_model_rejected(self, micro, override):
+        stream, _, model, tcfg = micro
+        with pytest.raises(ConfigError):
+            tr.TaskSession(model, stream.tasks[0], replace(tcfg, **override), nm.make_rng(0))
 
 
 def _shared_down_hash(model) -> str:
