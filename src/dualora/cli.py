@@ -122,12 +122,12 @@ def cmd_report(args) -> int:
         print(f"  after task {t}: accuracy {a:.4f}")
     print(f"  average A_bar = {acc['average']:.4f}")
     print(f"  final   A_T   = {acc['final']:.4f}")
-    params = data.get("params", {})
-    print(
-        f"  trainable params: {params.get('total')} "
-        f"({100.0 * params.get('backbone_ratio', 0.0):.3f}% of backbone)"
-    )
-    print(f"  adapter passes per query: {data.get('adapter_pass_count')}")
+    if "params" in data:
+        params = data["params"]
+        ratio = 100.0 * params["backbone_ratio"]
+        print(f"  trainable params: {params['total']} ({ratio:.3f}% of backbone)")
+    if "adapter_pass_count" in data:
+        print(f"  adapter passes per query: {data['adapter_pass_count']}")
     if args.out:
         harness.atomic_write(args.out, json.dumps(data, indent=2, sort_keys=True) + "\n")
     return 0

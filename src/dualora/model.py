@@ -28,7 +28,8 @@ class ContinualModel:
     position_l: int
     flip_positions: bool = False
     fixed_down: bool = True  # the shared down-projections keep their initial draw
-    shared: adp.Adapter | None = None  # frozen, as the last finished task left it
+    # frozen, as the last finished task left it; build_model draws it
+    shared: adp.Adapter = field(default_factory=lambda: adp.Adapter((), ()))
     tasks: list[adp.Adapter] = field(default_factory=list)  # finished task t, frozen, at t - 1
 
     @property
@@ -73,22 +74,22 @@ def build_model(
     shared_down_init: str = "orthogonal",
 ) -> ContinualModel:
     """Assemble the model and draw its frozen shared adapter, which tasks
-    train copies of (with ``fixed_down`` its ``B`` is for keeps)."""
+    train copies of (with ``fixed_down`` its ``B`` is for keeps). With no
+    shared block it is an empty adapter, and nothing is drawn."""
     if not 0 <= position_l <= backbone.cfg.num_blocks:
         raise ConfigError(
             f"position_l must lie in [0, {backbone.cfg.num_blocks}], got {position_l}"
         )
     model = ContinualModel(backbone, position_l, flip_positions, fixed_down)
-    if model.shared_blocks:
-        model.shared = adp.init_shared(
-            model.shared_blocks,
-            backbone.cfg.attach_set,
-            rank,
-            backbone.cfg.width,
-            rng,
-            fixed_down=fixed_down,
-            down_init=shared_down_init,
-        ).copy()
+    model.shared = adp.init_shared(
+        model.shared_blocks,
+        backbone.cfg.attach_set,
+        rank,
+        backbone.cfg.width,
+        rng,
+        fixed_down=fixed_down,
+        down_init=shared_down_init,
+    ).copy()
     return model
 
 
@@ -98,10 +99,9 @@ def param_counts(model: ContinualModel) -> dict:
     weights, their total over the tasks, and the frozen backbone."""
     if not model.tasks:
         raise ProtocolError("no tasks trained yet")
-    shared = model.shared.parameters() if model.shared is not None else []
     first = model.tasks[0]
     counts = {
-        "shared": sum(p.size for p in shared if p.tag in model.shared_trains),
+        "shared": sum(p.size for p in model.shared.parameters() if p.tag in model.shared_trains),
         "specific_per_task": sum(pair.down.size + pair.up.size for pair in first.pairs.values()),
         "block_weights_per_task": first.rho.size if first.rho is not None else 0,
         "backbone": model.backbone.param_count(),
@@ -143,8 +143,7 @@ def run_blocks(
     for i in blocks:
         deltas = {}
         if model.is_shared_block(i):
-            if shared is not None:
-                deltas = _deltas(model, i, shared)
+            deltas = _deltas(model, i, shared)
         elif task is not None:
             deltas = _deltas(model, i, task, mu)
         state = bb.block_forward(model.backbone, state, i, deltas)

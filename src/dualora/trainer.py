@@ -8,15 +8,15 @@ shared up-projection can be rescaled row-wise by the previous task's row
 norms before the terms are combined.
 
 A task trains a copy of the model's shared adapter, which stays its teacher.
-It joins the model only when it finishes: the model keeps frozen copies of
-that shared adapter and of the task's own, its head is discarded, and the
-store gains its class prototypes. A task that stops earlier changes nothing.
+It joins the model only when it finishes: its class prototypes are computed
+on the model as it will be, then the model keeps frozen copies of that shared
+adapter and of the task's own, the store gains the prototypes, and the head is
+discarded. A task that stops or fails before that changes nothing.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,13 +25,7 @@ from . import autodiff as ad
 from . import classifier as clf
 from . import model as mdl
 from . import numerics
-from .errors import (
-    ConfigError,
-    DataError,
-    InvalidInputError,
-    ProtocolError,
-    ShapeError,
-)
+from .errors import ConfigError, InvalidInputError, ProtocolError, ShapeError
 
 OPTIMIZERS = ("plain-gradient-descent", "adaptive-moments")
 
@@ -298,12 +292,6 @@ def make_optimizer(cfg: TrainConfig):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TaskTrainResult:
-    epoch_log: list[dict]
-    duration_s: float
-
-
 class TaskSession:
     """One task's training state: its copy of the shared adapter, fresh
     adapter, head and params. Its steps move only these; the model, whose
@@ -318,11 +306,9 @@ class TaskSession:
             raise ProtocolError(
                 f"tasks must train in order; expected task {expected}, got {task.task_id}"
             )
-        if task.num_train == 0:
-            raise DataError(f"task {task.task_id} has no training samples")
+        self.labels_local = task.train_labels_local  # DataError for a broken task
         self.model = model
         self.task = task
-        self.labels_local = task.train_labels_local
         self.cfg = cfg
         self.t = task.task_id
         self.kd_active = bool(cfg.kd and self.t > 1 and cfg.position_l >= 1)
@@ -338,7 +324,7 @@ class TaskSession:
                 for pair in shared.pairs.values()
             }
         # the copy of the shared adapter this task trains
-        self.shared = shared.copy(train=model.shared_trains) if shared is not None else None
+        self.shared = shared.copy(train=model.shared_trains)
 
         self.adapter = adp.init_specific(
             self.t,
@@ -353,7 +339,7 @@ class TaskSession:
         self.previous_mu = [a.mu_values() for a in model.tasks if a.rho is not None]
 
         parts = (self.shared, self.adapter, self.head)
-        self.params = [p for part in parts if part is not None for p in part.parameters()]
+        self.params = [p for part in parts for p in part.parameters()]
         # the teacher is frozen for the whole task, so its readout of the
         # task's training images is taken once; steps index into it
         self.teacher_cls = self.teacher_readout(task.train_images) if self.kd_active else None
@@ -410,12 +396,15 @@ class TaskSession:
 
     def finish(self, store: clf.PrototypeStore) -> None:
         """Commit the task: frozen copies of the shared adapter it trained and
-        of its own adapter, then its prototypes."""
-        if self.shared is not None:
-            self.model.shared = self.shared.copy()
-        self.model.tasks.append(self.adapter.copy())
+        of its own adapter, and its prototypes. The prototypes are computed on
+        the model as it will be, before anything is written, so a failure
+        writes nothing."""
+        shared, adapter = self.shared.copy(), self.adapter.copy()
+        tasks = [*self.model.tasks, adapter]
+        clf.compute_prototypes(replace(self.model, shared=shared, tasks=tasks), store, self.task)
+        self.model.shared = shared
+        self.model.tasks.append(adapter)
         self.head = None  # discarded; inference is prototype-based
-        clf.compute_prototypes(self.model, store, self.task)
 
 
 def train_task(
@@ -424,10 +413,9 @@ def train_task(
     task,
     cfg: TrainConfig,
     rng: np.random.Generator,
-) -> TaskTrainResult:
+) -> list[dict]:
     """Run one task end to end: epochs of batched steps, then
     :meth:`TaskSession.finish`. Returns the per-epoch loss log."""
-    started = time.perf_counter()
     session = TaskSession(model, task, cfg, rng)
     optimizer = make_optimizer(cfg)
     n = task.num_train
@@ -446,4 +434,4 @@ def train_task(
         entry.update({k: sums[k] / steps for k in sums})
         epoch_log.append(entry)
     session.finish(store)
-    return TaskTrainResult(epoch_log=epoch_log, duration_s=time.perf_counter() - started)
+    return epoch_log

@@ -84,7 +84,6 @@ class TestComputePrototypes:
         one = type(task)(
             task_id=1,
             classes=(int(task.train_labels[0]),),
-            local_of_global={int(task.train_labels[0]): 0},
             train_images=task.train_images[:1],
             train_labels=task.train_labels[:1],
             test_images=task.test_images[:0],
@@ -103,7 +102,6 @@ class TestComputePrototypes:
         doubled = type(task)(
             task_id=1,
             classes=task.classes,
-            local_of_global=task.local_of_global,
             train_images=np.concatenate([task.train_images, task.train_images]),
             train_labels=np.concatenate([task.train_labels, task.train_labels]),
             test_images=task.test_images,
@@ -121,7 +119,6 @@ class TestComputePrototypes:
         broken = type(task)(
             task_id=1,
             classes=task.classes,
-            local_of_global=task.local_of_global,
             train_images=task.train_images[:0],
             train_labels=task.train_labels[:0],
             test_images=task.test_images,

@@ -621,6 +621,26 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "fields, lines",
+        [
+            ({}, []),
+            ({"adapter_pass_count": 6}, ["  adapter passes per query: 6"]),
+            (
+                {"params": {"total": 12, "backbone_ratio": 0.5}},
+                ["  trainable params: 12 (50.000% of backbone)"],
+            ),
+        ],
+        ids=["neither", "passes", "params"],
+    )
+    def test_report_prints_only_the_fields_it_holds(self, tmp_path, capsys, fields, lines):
+        path = tmp_path / "r.json"
+        accuracy = {"per_task": [1.0], "average": 1.0, "final": 1.0}
+        path.write_text(json.dumps({"seed": 0, "accuracy": accuracy, **fields}))
+        assert cli_main(["report", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[4:] == lines and "None" not in "".join(out)
+
     def test_report_not_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "r.json"
         path.write_text("not json")

@@ -32,7 +32,7 @@ class TestRouting:
 
     def test_no_shared_at_position_zero(self):
         _, _, model, _ = build_micro(train_overrides={"position_l": 0})
-        assert model.shared is None
+        assert model.shared.blocks == () and model.shared.parameters() == []
         assert model.specific_blocks == (1, 2)
 
     def test_position_out_of_range(self):

@@ -93,8 +93,20 @@ class TestSplitTasks:
         stream = st.split_tasks(ds, 2)
         task2 = stream.tasks[1]
         assert task2.classes == (2, 3)
-        assert task2.local_of_global == {2: 0, 3: 1}
-        assert set(task2.train_labels_local) == {0, 1}
+        local = task2.train_labels_local
+        assert set(local) == {0, 1}
+        assert np.array_equal(np.array(task2.classes)[local], task2.train_labels)
+
+    @pytest.mark.parametrize(
+        "relabel, message",
+        [({2: 5}, "training label 5,"), ({3: 2}, r"classes \[3\]"), ({2: 0, 3: 2}, "label 0,")],
+        ids=["foreign", "missing", "both"],
+    )
+    def test_local_labels_are_exactly_the_task_classes(self, relabel, message):
+        task = st.split_tasks(small_dataset(), 2).tasks[1]
+        task.train_labels = np.array([relabel.get(int(y), int(y)) for y in task.train_labels])
+        with pytest.raises(DataError, match=message):
+            task.train_labels_local
 
     def test_contiguous_ascending_default_order(self):
         ds = small_dataset()
@@ -239,7 +251,6 @@ class TestTaskStreamInvariants:
         bad = st.Task(
             task_id=2,
             classes=(1, 2),
-            local_of_global={1: 0, 2: 1},
             train_images=t1.train_images,
             train_labels=t1.train_labels,
             test_images=t1.test_images,

@@ -2,7 +2,7 @@
 
 The benchmark's tracer wraps package functions by their names, so a rename
 in the package must fail here and not only under ``benchmarks/run.py
---trace 1``; one traced operation of two workloads must pass the workload's
+--trace 1``; one traced operation of three workloads must pass the workload's
 own check at the exact counts the benchmark reports. The tests read
 ``benchmarks/`` and leave it as it is. README's
 CLI section may name only options that the command defines.
@@ -71,6 +71,11 @@ def test_benchmark_ops_pass_their_checks_at_the_exact_counts(monkeypatch, tmp_pa
     assert problems == []
     assert counts["eval_formula_mismatches"] == 0
     assert layers["autodiff.fd_closure_calls"] == (456, "count")
+    # set-up trains the query model, so this covers finish and prototypes too
+    problems, counts, _ = _one_traced_op("query_stream", tmp_path)
+    assert problems == []
+    assert counts["classifier.adapter_passes_per_query"] == 18
+    assert counts["eval_formula_mismatches"] == 0
 
 
 OPTION = re.compile(r"(?<![\w-])--[a-z][a-z-]*")

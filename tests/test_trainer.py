@@ -291,9 +291,9 @@ class TestTrainTask:
     def test_first_task_has_zero_kd_and_orth(self, micro):
         stream, _, model, tcfg = micro
         store = clf.PrototypeStore()
-        result = tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
+        epoch_log = tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
         # both terms are nonnegative, so a zero epoch mean is zero at every step
-        for entry in result.epoch_log:
+        for entry in epoch_log:
             assert entry["loss_kd"] == 0.0
             assert entry["loss_orth"] == 0.0
 
@@ -326,12 +326,12 @@ class TestTrainTask:
 
     def test_second_task_exercises_kd_and_orth(self, trained_micro):
         second = trained_micro["logs"][1]
-        assert any(entry["loss_kd"] != 0.0 for entry in second.epoch_log)
-        assert any(entry["loss_orth"] != 0.0 for entry in second.epoch_log)
+        assert any(entry["loss_kd"] != 0.0 for entry in second)
+        assert any(entry["loss_orth"] != 0.0 for entry in second)
 
     def test_epoch_log_schema(self, trained_micro):
         for log in trained_micro["logs"]:
-            for entry in log.epoch_log:
+            for entry in log:
                 assert set(entry) == {
                     "task", "epoch", "loss_ce", "loss_kd", "loss_orth", "loss_total",
                 }
@@ -516,6 +516,16 @@ def _desk_run():
     return harness.build_run(harness.resolve_config({"epochs": 1}), seed=0)
 
 
+def _boundary(model, store) -> tuple:
+    """The bytes of everything a finished task commits: the shared adapter,
+    each task's adapter and each task's prototypes."""
+    return (
+        model.shared.content_hash(),
+        [adapter.content_hash() for adapter in model.tasks],
+        [(entry.class_ids.tobytes(), entry.matrix.tobytes()) for entry in store.tasks],
+    )
+
+
 class TestTaskBoundary:
     """A task joins the model and the store only in ``TaskSession.finish``."""
 
@@ -582,6 +592,54 @@ class TestTaskBoundary:
         assert np.array_equal(during[0], columns)
         assert during[1].tobytes() == before.tobytes()
 
+    def test_task_with_an_empty_class_fails_before_its_first_step(self, monkeypatch):
+        stream, _, model, tcfg = build_micro()
+        store = clf.PrototypeStore()
+        tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(1))
+        boundary = _boundary(model, store)
+        task = stream.tasks[1]
+        keep = task.train_labels != task.classes[1]
+        broken = replace(
+            task, train_images=task.train_images[keep], train_labels=task.train_labels[keep]
+        )
+        step, calls = tr.TaskSession.step, []
+        with monkeypatch.context() as mp:
+            mp.setattr(tr.TaskSession, "step", lambda *a: calls.append(a) or step(*a))
+            with pytest.raises(DataError, match=rf"classes \[{task.classes[1]}\]"):
+                tr.train_task(model, store, broken, tcfg, nm.make_rng(2))
+        assert calls == [] and _boundary(model, store) == boundary
+        tr.train_task(model, store, task, tcfg, nm.make_rng(2))
+
+        reference_stream, _, reference, _ = build_micro()
+        reference_store = clf.PrototypeStore()
+        for t in reference_stream.tasks:
+            tr.train_task(reference, reference_store, t, tcfg, nm.make_rng(t.task_id))
+        assert _boundary(model, store) == _boundary(reference, reference_store)
+
+    def test_foreign_training_label_is_a_data_error(self, micro):
+        stream, _, model, tcfg = micro
+        task = stream.tasks[0]
+        labels = task.train_labels.copy()
+        labels[0] = stream.tasks[1].classes[0]
+        store = clf.PrototypeStore()
+        with pytest.raises(DataError, match=f"training label {labels[0]},"):
+            tr.train_task(model, store, replace(task, train_labels=labels), tcfg, nm.make_rng(0))
+        assert model.tasks == [] and store.tasks == []
+
+    def test_failed_prototypes_leave_the_boundary_bitwise(self, monkeypatch):
+        stream, _, model, tcfg = build_micro()
+        store = clf.PrototypeStore()
+        tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(1))
+        boundary = _boundary(model, store)
+
+        def failing(*args):
+            raise Interrupted
+
+        monkeypatch.setattr(clf, "compute_prototypes", failing)
+        with pytest.raises(Interrupted):
+            tr.train_task(model, store, stream.tasks[1], tcfg, nm.make_rng(2))
+        assert _boundary(model, store) == boundary
+
     @pytest.mark.parametrize(
         "override", [{"position_l": 2}, {"flip_positions": True}, {"fix_b": False}]
     )
@@ -605,11 +663,11 @@ class TestDegenerateModes:
         stream, _, model, tcfg = build_micro(
             train_overrides={"position_l": 0, "kd": False, "gr": False, "bw": False}
         )
-        assert model.shared is None
+        assert model.shared.blocks == () and model.shared.parameters() == []
         store = clf.PrototypeStore()
         for task in stream.tasks:
-            result = tr.train_task(model, store, task, tcfg, nm.make_rng(task.task_id))
-            for entry in result.epoch_log:
+            epoch_log = tr.train_task(model, store, task, tcfg, nm.make_rng(task.task_id))
+            for entry in epoch_log:
                 assert entry["loss_kd"] == 0.0 and entry["loss_orth"] == 0.0
         assert all(adapter.rho is None for adapter in model.tasks)
         assert all(adapter.pairs for adapter in model.tasks)
