@@ -23,7 +23,6 @@ formed at rank r.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
@@ -160,6 +159,8 @@ class Adapter:
     def content_hash(self) -> str:
         """SHA-256 of the parameter bytes in :meth:`parameters` order, so a
         freeze audit can compare an adapter with itself over time."""
+        import hashlib
+
         digest = hashlib.sha256()
         for p in self.parameters():
             digest.update(p.value.tobytes())

@@ -220,6 +220,27 @@ def patch_embed(image: np.ndarray, backbone: Backbone) -> TokenState:
     return TokenState(tokens=ad.constant(tokens), block_index=0)
 
 
+# Scalars of the widest activation, images x tokens x MLP hidden, that one
+# chunk of a tapeless forward holds: 32 images at the desk shape (5 tokens,
+# hidden 256). Larger batches leave the cache; see batch_chunks.
+CHUNK_BUDGET = 40_960
+
+
+def batch_chunks(cfg: BackboneConfig, n: int) -> list[slice]:
+    """Even, in-order slices of an ``n``-image batch, each of at most
+    ``max(2, CHUNK_BUDGET // (num_tokens * mlp_hidden))`` images, for a
+    forward that records no tape to run chunk by chunk.
+
+    Every chunk holds two images or more, and a one-image batch is one chunk.
+    A row's bits do not depend on its product's row count from two rows on, so
+    the chunks' rows are bit for bit those of the whole batch.
+    """
+    size = max(2, CHUNK_BUDGET // (cfg.num_tokens * cfg.mlp_hidden))
+    count = max(1, min(-(-n // size), n // 2))
+    bounds = [n * j // count for j in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 _ATTENTION_WEIGHTS = ("ln1.g", "ln1.b", "Wq", "bq", "Wk", "bk", "Wv", "bv", "Wo", "bo")
 _MLP_WEIGHTS = ("ln2.g", "ln2.b", "W1", "b1", "W2", "b2")
 # GELU's tanh form, m * (1 + tanh(m * (c + c3 * m * m))) / 2 with c = sqrt(2/pi);

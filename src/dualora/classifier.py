@@ -3,10 +3,10 @@
 A class prototype is the mean final-block CLS feature of its training
 samples, extracted with the adapter combination in effect when its task
 finished; the store keeps one prototype matrix per finished task. Features
-come from one batched path: the prefix blocks run once per batch with the
-model's frozen shared adapter and only the suffix is re-run per task, so a
-query costs l + (N - l) * t adapter-bearing block applications instead of
-N * t. Scoring is one cosine matrix per batch, queries against
+come from one batched path: the prefix blocks run once per chunk of a batch
+with the model's frozen shared adapter and only the suffix is re-run per
+task, so a query costs l + (N - l) * t adapter-bearing block applications
+instead of N * t. Scoring is one cosine matrix per batch, queries against
 every stored prototype; a single prediction is its one row.
 """
 
@@ -50,21 +50,25 @@ def _cosine(feats: np.ndarray, protos: np.ndarray) -> np.ndarray:
     return np.divide(dots, norms, out=np.full_like(dots, -1.0), where=norms != 0.0)
 
 
-def _task_features(model: mdl.ContinualModel, images: np.ndarray, tasks, *, share_prefix=True):
-    """Yield, task by task, the CLS features of an image batch.
+def task_features(
+    model: mdl.ContinualModel, images: np.ndarray, tasks, *, share_prefix: bool = True
+) -> list[np.ndarray]:
+    """The CLS features ``(B, width)`` of an image batch, one array per task.
 
-    Blocks 1..k run once for the whole batch, then each task runs blocks
-    k+1..N on the result, with k the model's shared prefix.
-    ``share_prefix=False`` sets k to 0, so every task runs its full stack:
-    the reference that prefix sharing must match bitwise. Everything the
-    model holds is frozen, so no tape is recorded.
+    The batch runs in :func:`~backbone.batch_chunks`. Blocks 1..k run once
+    for a chunk, then each task runs blocks k+1..N on the result, with k the
+    model's shared prefix. ``share_prefix=False`` sets k to 0, so every task
+    runs its full stack: the reference that prefix sharing must match
+    bitwise. Everything the model holds is frozen, so no tape is recorded.
     """
     k = model.shared_prefix if share_prefix else 0
-    prefix = mdl.run_prefix(model, images, k)
     suffix = range(k + 1, model.num_blocks + 1)
-    for adapter in tasks:
-        state = mdl.run_blocks(model, prefix, suffix, task=adapter)
-        yield bb.extract_cls(model.backbone, state).value
+    chunks = []
+    for rows in bb.batch_chunks(model.backbone.cfg, len(images)):
+        prefix = mdl.run_prefix(model, images[rows], k)
+        states = [mdl.run_blocks(model, prefix, suffix, task=adapter) for adapter in tasks]
+        chunks.append([bb.extract_cls(model.backbone, state).value for state in states])
+    return [np.concatenate(per_task) for per_task in zip(*chunks)]
 
 
 def compute_prototypes(model: mdl.ContinualModel, store: PrototypeStore, task) -> None:
@@ -74,7 +78,7 @@ def compute_prototypes(model: mdl.ContinualModel, store: PrototypeStore, task) -
     t = task.task_id
     if t != len(store.tasks) + 1 or t > len(model.tasks):
         raise ProtocolError(f"prototypes of task {t} need tasks 1..{t - 1} stored, {t} trained")
-    (feats,) = _task_features(model, task.train_images, [model.tasks[t - 1]])
+    (feats,) = task_features(model, task.train_images, [model.tasks[t - 1]])
     class_ids = np.array(task.classes, dtype=np.int64)  # ascending, as a task holds them
     rows = []
     for class_id in class_ids:
@@ -85,6 +89,15 @@ def compute_prototypes(model: mdl.ContinualModel, store: PrototypeStore, task) -
     store.tasks.append(TaskPrototypes(class_ids, np.stack(rows)))
 
 
+def score_features(store: PrototypeStore, features) -> tuple[np.ndarray, np.ndarray]:
+    """The column class ids, global ids in (task, class) order, and the
+    ``(B, columns)`` cosine scores of a batch's features, given task by task
+    as :func:`task_features` yields them, against the prototypes in ``store``."""
+    blocks = [_cosine(feats, entry.matrix) for entry, feats in zip(store.tasks, features)]
+    columns = np.concatenate([entry.class_ids for entry in store.tasks])
+    return columns, np.concatenate(blocks, axis=1)
+
+
 def score_batch(
     model: mdl.ContinualModel,
     store: PrototypeStore,
@@ -92,19 +105,16 @@ def score_batch(
     *,
     share_prefix: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The column class ids, global ids in (task, class) order, and the
-    ``(B, columns)`` cosine scores of a batch ``(B, channels, H, W)`` against
-    the stored prototypes of every trained task. ``share_prefix=False`` runs
-    all N blocks per task: the reference that prefix sharing matches bitwise.
+    """:func:`score_features` of a batch ``(B, channels, H, W)`` under every
+    trained task. ``share_prefix=False`` runs all N blocks per task: the
+    reference that prefix sharing matches bitwise.
     """
     if np.ndim(images) != 4:
         raise ShapeError(f"expected a batch (B, channels, H, W), got shape {np.shape(images)}")
     if not model.tasks or len(store.tasks) != len(model.tasks):
         raise ProtocolError(f"{len(store.tasks)} tasks' prototypes for {len(model.tasks)} trained")
-    features = _task_features(model, images, model.tasks, share_prefix=share_prefix)
-    blocks = [_cosine(feats, entry.matrix) for entry, feats in zip(store.tasks, features)]
-    columns = np.concatenate([entry.class_ids for entry in store.tasks])
-    return columns, np.concatenate(blocks, axis=1)
+    features = task_features(model, images, model.tasks, share_prefix=share_prefix)
+    return score_features(store, features)
 
 
 @dataclass
@@ -137,15 +147,19 @@ def adapter_pass_count(position_l: int, num_blocks: int, num_tasks: int) -> int:
     return position_l + (num_blocks - position_l) * num_tasks
 
 
+def accuracy(columns: np.ndarray, scores: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of the rows of ``scores`` whose best-scoring column's class
+    matches its label; ``np.argmax`` takes the first maximum, so ties go to the
+    lowest (task, class) pair."""
+    return int((columns[scores.argmax(1)] == np.asarray(labels)).sum()) / scores.shape[0]
+
+
 def evaluate(
     model: mdl.ContinualModel, store: PrototypeStore, images: np.ndarray, labels: np.ndarray
 ) -> float:
-    """Fraction of a batch whose best-scoring global class matches its label;
-    ``np.argmax`` takes the first maximum, so ties go to the lowest (task,
-    class) pair."""
+    """:func:`accuracy` of a batch under :func:`score_batch`."""
     if images.shape[0] == 0:
         raise DataError("cannot evaluate on an empty sample set")
     if len(labels) != images.shape[0]:
         raise DataError(f"{len(labels)} labels for {images.shape[0]} images")
-    columns, scores = score_batch(model, store, images)
-    return int((columns[scores.argmax(1)] == np.asarray(labels)).sum()) / images.shape[0]
+    return accuracy(*score_batch(model, store, images), labels)

@@ -219,13 +219,29 @@ def build_run(cfg: Mapping, seed: int):
     return tcfg, stream, model, task_rngs
 
 
+def _extend_features(model: mdl.ContinualModel, kept: list[np.ndarray], new_set, union) -> None:
+    """Extend ``kept``, task j's features of the test sets seen before task t
+    at j - 1, to ``union``, the seen test sets through task t's ``new_set``.
+
+    With no shared-role block, a finished task's features of an image never
+    change, so tasks 1..t-1 run on the new set alone and task t on the union:
+    N * (n_union + (t - 1) * n_new) block applications, against the
+    N * t * n_union of scoring the union anew. The rows are bit for bit those
+    :func:`classifier.task_features` gives for the union.
+    """
+    older = clf.task_features(model, new_set, model.tasks[:-1])
+    kept[:] = [np.concatenate([feats, more]) for feats, more in zip(kept, older)]
+    kept.extend(clf.task_features(model, union, model.tasks[-1:]))
+
+
 def run_experiment(config: Mapping | None, seed: int, out_dir=None) -> dict:
     """Train the full task sequence and evaluate after every task.
 
     Accuracy after task t is measured over the union of test sets of tasks
-    1..t. Returns the report as the dict ``run_report.json`` holds, and writes
-    that file and the per-epoch loss log (JSON lines) into ``out_dir`` when
-    given.
+    1..t; a model with no shared-role block keeps each task's features of the
+    seen test sets (:func:`_extend_features`). Returns the report as the dict
+    ``run_report.json`` holds, and writes that file and the per-epoch loss log
+    (JSON lines) into ``out_dir`` when given.
     """
     cfg = resolve_config(config)
     started = time.perf_counter()
@@ -235,6 +251,7 @@ def run_experiment(config: Mapping | None, seed: int, out_dir=None) -> dict:
     per_task_acc: list[float] = []
     epoch_log: list[dict] = []
     task_times: list[float] = []
+    kept: list[np.ndarray] = []  # see _extend_features
     for task, rng_task in zip(stream.tasks, task_rngs):
         task_started = time.perf_counter()
         epoch_log.extend(tr.train_task(model, store, task, tcfg, rng_task))
@@ -242,7 +259,11 @@ def run_experiment(config: Mapping | None, seed: int, out_dir=None) -> dict:
         seen = stream.tasks[: task.task_id]
         images = np.concatenate([t.test_images for t in seen])
         labels = np.concatenate([t.test_labels for t in seen])
-        per_task_acc.append(clf.evaluate(model, store, images, labels))
+        if model.shared_blocks:
+            per_task_acc.append(clf.evaluate(model, store, images, labels))
+        else:
+            _extend_features(model, kept, task.test_images, images)
+            per_task_acc.append(clf.accuracy(*clf.score_features(store, kept), labels))
 
     report = {
         "config": cfg,

@@ -192,9 +192,13 @@ def transition_cls_with(model: ContinualModel, images: np.ndarray) -> np.ndarray
     """CLS readout at the transition point of the model as the last finished
     task left it, as plain values (no gradients): the distillation teacher.
     Its specific-role prefix blocks, which only a flipped layout has, run that
-    task's adapter."""
+    task's adapter. The batch runs in :func:`~backbone.batch_chunks`."""
     l = model.position_l
     if l < 1:
         raise InvalidInputError("no transition readout exists at position 0")
-    state = run_prefix(model, images, l, task=model.tasks[-1] if model.tasks else None)
-    return bb.extract_cls(model.backbone, state).value
+    task = model.tasks[-1] if model.tasks else None
+    readouts = [
+        bb.extract_cls(model.backbone, run_prefix(model, images[rows], l, task=task)).value
+        for rows in bb.batch_chunks(model.backbone.cfg, len(images))
+    ]
+    return np.concatenate(readouts)

@@ -50,6 +50,13 @@ class Task:
     test_images: np.ndarray
     test_labels: np.ndarray
 
+    def __post_init__(self):
+        # local labels and prototype rows follow the order of ``classes``
+        if any(a >= b for a, b in zip(self.classes, self.classes[1:])):
+            raise DataError(
+                f"task {self.task_id} classes {list(self.classes)} are not strictly ascending"
+            )
+
     @property
     def train_labels_local(self) -> np.ndarray:
         """Each training label's position in ``classes``; DataError unless the

@@ -65,15 +65,15 @@ def micro():
 
 @contextlib.contextmanager
 def recording_adapter_blocks():
-    """Block indices of every ``block_forward`` call that carries adapter
-    deltas, in call order, while the context is open; one call covers every
-    image of its batch."""
+    """The block index and image count, ``(i, images)``, of every
+    ``block_forward`` call that carries adapter deltas, in call order, while
+    the context is open; one call covers every image of its batch or chunk."""
     calls = []
     block_forward = bb.block_forward
 
     def recording(backbone, state, i, deltas=None):
         if deltas:
-            calls.append(i)
+            calls.append((i, state.tokens.value.shape[0]))
         return block_forward(backbone, state, i, deltas)
 
     with pytest.MonkeyPatch.context() as mp:

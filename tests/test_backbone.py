@@ -687,3 +687,37 @@ class TestBatchedProducts:
             lambda t: bb.mlp_sublayer(backbone, 1, t), x, g
         )
         self._assert_within_1e12(got, want)
+
+
+class TestBatchChunks:
+    def test_desk_shape_chunk_holds_32_images(self):
+        cfg = bb.BackboneConfig()
+        assert bb.batch_chunks(cfg, 32) == [slice(0, 32)]
+        quarters = [slice(a, a + 25) for a in (0, 25, 50, 75)]
+        assert bb.batch_chunks(cfg, 100) == quarters
+
+    # at most 2, 3, 32 and 128 images a chunk
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(mlp_ratio=48.0),
+            dict(mlp_ratio=40.0),
+            {},
+            dict(width=16, heads=2, image_side=8, patch_side=4),
+        ],
+    )
+    def test_even_in_order_and_two_images_or_more(self, overrides):
+        cfg = bb.BackboneConfig(**overrides)
+        size = max(2, bb.CHUNK_BUDGET // (cfg.num_tokens * cfg.mlp_hidden))
+        for n in range(300):
+            chunks = bb.batch_chunks(cfg, n)
+            assert [c.start for c in chunks] == [0] + [c.stop for c in chunks[:-1]]
+            assert chunks[-1].stop == n
+            sizes = [c.stop - c.start for c in chunks]
+            assert max(sizes) - min(sizes) <= 1
+            if n >= 2:
+                assert min(sizes) >= 2
+            # the fewest chunks of at most ``size`` images, but with chunks of
+            # two an odd batch puts three images in one
+            fewest = max(1, -(-n // size))
+            assert len(chunks) == (fewest - 1 if size == 2 and n > 1 and n % 2 else fewest)

@@ -371,7 +371,7 @@ class TestBatchedPath:
         columns, scores = clf.score_batch(model, store, images)
         column_of = {c: j for j, c in enumerate(columns.tolist())}
         checked = 0
-        features = clf._task_features(model, images, model.tasks)
+        features = clf.task_features(model, images, model.tasks)
         for entry, feats in zip(store.tasks, features):
             for q, feat in enumerate(feats):
                 for class_id, proto in zip(entry.class_ids.tolist(), entry.matrix):
@@ -379,6 +379,24 @@ class TestBatchedPath:
                     assert scores[q, column_of[class_id]] == (proto * feat).sum() / norms
                     checked += 1
         assert checked == scores.size == len(images) * sum(len(e.class_ids) for e in store.tasks)
+
+    def test_chunks_of_two_change_no_bit(self, trained_layout, monkeypatch):
+        model, store, images, _ = trained_layout
+        cfg = model.backbone.cfg
+
+        def forwards():
+            out = clf.task_features(model, images, model.tasks)
+            out.append(clf.score_batch(model, store, images)[1])
+            if model.position_l >= 1:
+                out.append(mdl.transition_cls_with(model, images))
+            return out
+
+        assert len(bb.batch_chunks(cfg, len(images))) == 1
+        whole = forwards()
+        monkeypatch.setattr(bb, "CHUNK_BUDGET", 0)
+        assert len(bb.batch_chunks(cfg, len(images))) == len(images) // 2
+        for one, pairs in zip(whole, forwards(), strict=True):
+            assert one.tobytes() == pairs.tobytes()
 
     def test_batch_counter_reports_the_per_query_formula(self, trained_layout, adapter_blocks):
         model, store, images, _ = trained_layout
@@ -390,10 +408,12 @@ class TestBatchedPath:
 def scoring_layout(num_blocks, position_l, flip, num_tasks, seed):
     """An untrained model and store with every up-projection, shared and
     per-task, drawn non-zero so that each adapter moves the features; each
-    task holds two random prototypes."""
+    task holds two random prototypes. The MLP is as wide as the desk shape's
+    (256), so a chunk holds 32 images, as it does there."""
     rng = nm.make_rng(seed)
     bcfg = bb.BackboneConfig(
-        num_blocks=num_blocks, width=16, heads=2, image_side=8, patch_side=4, channels=1
+        num_blocks=num_blocks, width=16, heads=2, mlp_ratio=16.0, image_side=8, patch_side=4,
+        channels=1,
     )
     model = mdl.build_model(
         bb.init_backbone(bcfg, rng), position_l, 2, rng, flip_positions=flip
@@ -419,7 +439,7 @@ class TestScoringProperty:
         st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
         st.booleans(),
         st.integers(1, 3),
-        st.integers(1, 40),
+        st.integers(1, 130),
         st.integers(0, 2**32 - 1),
     )
     def test_shared_batched_and_counted_scores_over_layouts(self, nl, flip, tasks, batch, seed):
@@ -428,7 +448,9 @@ class TestScoringProperty:
         images = rng.uniform(0.0, 1.0, (batch, 1, 8, 8))
         with recording_adapter_blocks() as calls:
             columns, scores = clf.score_batch(model, store, images)
-        assert len(calls) == clf.adapter_pass_count(model.shared_prefix, n, tasks)
+        passes = clf.adapter_pass_count(model.shared_prefix, n, tasks)
+        assert len(calls) == len(bb.batch_chunks(model.backbone.cfg, batch)) * passes
+        assert sum(rows for _, rows in calls) == batch * passes
         assert columns.tolist() == list(range(2 * tasks))
         reference = clf.score_batch(model, store, images, share_prefix=False)[1]
         assert scores.tobytes() == reference.tobytes()

@@ -10,18 +10,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from dualora import cli, errors
 from dualora import backbone as bb
+from dualora import classifier as clf
 from dualora import harness
 from dualora import trainer as tr
 from dualora import numerics as nm
 from dualora import streams as st
 from dualora.cli import main as cli_main
 from dualora.errors import ConfigError, DataError, FormatError, GraphError, InvalidRankError
+
+from conftest import recording_adapter_blocks
 
 
 def _report_blas_threads(overrides, seed, run_dir):
@@ -318,6 +322,72 @@ class TestRunExperiment:
         with pytest.raises(DataError, match=rf"d\.clld .*'{key}' is {want}$") as exc:
             harness.build_run(cfg, 0)
         assert str(path) in str(exc.value)
+
+
+def evaluations_of_run(config, seed):
+    """The report of a run, the ``(block, images)`` record of the
+    adapter-bearing block applications its evaluations ran, and for each
+    evaluation the model and store as they stood, the tasks seen, and the
+    column ids, scores and labels it computed its accuracy from."""
+    seen, scored = [], []
+    train_task, accuracy = tr.train_task, clf.accuracy
+    with recording_adapter_blocks() as calls, pytest.MonkeyPatch.context() as mp:
+
+        def training(model, store, task, cfg, rng):
+            start = len(calls)
+            log = train_task(model, store, task, cfg, rng)
+            del calls[start:]
+            seen.append((model, store, task))
+            return log
+
+        def scoring(columns, scores, labels):
+            model, store, _ = seen[-1]
+            model = dataclasses.replace(model, tasks=list(model.tasks))
+            store = clf.PrototypeStore(list(store.tasks))
+            tasks = [task for _, _, task in seen]
+            scored.append((model, store, tasks, columns, scores, labels))
+            return accuracy(columns, scores, labels)
+
+        mp.setattr(tr, "train_task", training)
+        mp.setattr(clf, "accuracy", scoring)
+        report = harness.run_experiment(config, seed)
+    return report, calls, scored
+
+
+class TestEvaluationReuse:
+    """With no shared-role block a run keeps each finished task's features of
+    the seen test sets; it scores as :func:`classifier.evaluate` does anew."""
+
+    CONFIG = {**FAST, "num_classes": 6, "num_tasks": 3, "epochs": 1}
+
+    @pytest.mark.parametrize(
+        "overrides, kept",
+        [
+            ({"position_l": 0}, True),
+            ({"position_l": 2, "flip_positions": True}, True),
+            ({"position_l": 1}, False),
+            ({"position_l": 2}, False),
+        ],
+        ids=["l=0", "flipped l=N", "l=1", "l=N"],
+    )
+    def test_scores_and_block_applications(self, overrides, kept):
+        report, calls, scored = evaluations_of_run({**self.CONFIG, **overrides}, seed=0)
+        n, per_set = self.CONFIG["num_blocks"], 2 * self.CONFIG["test_per_class"]
+        l = overrides["position_l"]
+        if kept:  # the last task on the union, the others on the last test set
+            want = sum(n * (t * per_set + (t - 1) * per_set) for t in (1, 2, 3))
+        else:  # every task on the union
+            want = sum(t * per_set * (l + (n - l) * t) for t in (1, 2, 3))
+        assert sum(images for _, images in calls) == want
+        assert len(scored) == 3
+        for acc, (model, store, tasks, columns, scores, labels) in zip(
+            report["accuracy"]["per_task"], scored, strict=True
+        ):
+            union = np.concatenate([task.test_images for task in tasks])
+            want_columns, want_scores = clf.score_batch(model, store, union)
+            assert columns.tolist() == want_columns.tolist()
+            assert scores.tobytes() == want_scores.tobytes()
+            assert acc == clf.evaluate(model, store, union, labels)
 
 
 class TestRunAblation:

@@ -259,6 +259,16 @@ class TestTaskStreamInvariants:
         with pytest.raises(DataError):
             st.TaskStream(tasks=[t0, bad], num_classes=4)
 
+    @pytest.mark.parametrize(
+        "classes, labels", [((3, 2), [2, 3, 3, 2]), ((4, 2, 3, 5), [2, 3, 4, 5])]
+    )
+    def test_classes_not_strictly_ascending_rejected(self, classes, labels):
+        # np.searchsorted would map these labels to [0 2 2 0] and [0 2 3 3]
+        images = np.zeros((len(labels), 1, 4, 4), dtype=np.float32)
+        labels = np.array(labels, dtype=np.int64)
+        with pytest.raises(DataError, match="not strictly ascending"):
+            st.Task(1, classes, images, labels, images, labels)
+
     def test_missing_class_coverage_rejected(self):
         ds = small_dataset()
         stream = st.split_tasks(ds, 2)
