@@ -134,9 +134,10 @@ def layer_norm_values(v: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: fl
     Returns the output and the normalized input and inverse deviation that
     :func:`layer_norm_input_grad` needs.
     """
-    mu = v.mean(axis=-1, keepdims=True)
+    d = v.shape[-1]  # sum / d is bitwise ndarray.mean without its Python-level wrapper
+    mu = v.sum(axis=-1, keepdims=True) / d
     xc = v - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     return xhat * gain + bias, xhat, inv
@@ -145,9 +146,8 @@ def layer_norm_values(v: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: fl
 def layer_norm_input_grad(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray, inv: np.ndarray):
     """Gradient of a layer norm's input, given the gradient ``g`` of its output."""
     gl = g * gain
-    return inv * (
-        gl - gl.mean(axis=-1, keepdims=True) - xhat * (gl * xhat).mean(axis=-1, keepdims=True)
-    )
+    mean_gl, mean_glx = (a.sum(axis=-1, keepdims=True) / a.shape[-1] for a in (gl, gl * xhat))
+    return inv * (gl - mean_gl - xhat * mean_glx)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +261,13 @@ def finite_difference_check(
     is perturbed by +-step once, and every term is read from the same two
     forwards, so the closure runs ``2 + 2 * n`` times for ``n`` checked
     scalars however many terms it returns. Each term's value becomes a float
-    right after its forward, so one tape is alive at a time. The relative
-    error uses denominator max(|analytic|, |numeric|, 1e-8). Frozen
-    parameters are skipped and excluded from the reported count. The closure
-    is evaluated twice up front; a different value or a different set of
-    present terms raises :class:`DeterminismError`. A perturbed scalar is put
-    back even when the closure raises.
+    right after its forward, so one tape is alive at a time. A parameter's
+    relative error is its largest absolute error over its largest analytic or
+    numeric entry, at least 1e-8. Frozen parameters are skipped and excluded
+    from the reported count. The closure is evaluated twice up front; a
+    different value or a different set of present terms raises
+    :class:`DeterminismError`. A perturbed scalar is put back even when the
+    closure raises.
 
     Returns a dict of reports keyed by the terms that are not ``None``.
     """
@@ -292,8 +293,7 @@ def finite_difference_check(
         if not p.trainable:
             continue
         flat = p.value.reshape(-1)
-        gflat = {t: g.get(p.name, np.zeros_like(p.value)).reshape(-1) for t, g in analytic.items()}
-        p_worst = dict.fromkeys(analytic, 0.0)
+        numeric = {t: np.zeros(flat.size) for t in analytic}
         for i in range(flat.size):
             orig = flat[i]
             try:
@@ -303,12 +303,13 @@ def finite_difference_check(
                 f_minus = _fd_values(forward())
             finally:
                 flat[i] = orig
-            for term, g in gflat.items():
-                numeric = (f_plus[term] - f_minus[term]) / (2.0 * step)
-                denom = max(abs(g[i]), abs(numeric), 1e-8)
-                p_worst[term] = max(p_worst[term], abs(g[i] - numeric) / denom)
+            for term, num in numeric.items():
+                num[i] = (f_plus[term] - f_minus[term]) / (2.0 * step)
             checked += 1
-        for term, err in p_worst.items():
+        for term, num in numeric.items():
+            g = analytic[term].get(p.name, np.zeros_like(p.value)).reshape(-1)
+            scale = max(np.abs(g).max(initial=0.0), np.abs(num).max(initial=0.0), 1e-8)
+            err = float(np.abs(g - num).max(initial=0.0) / scale)
             per_param[term][p.name] = err
             worst[term] = max(worst[term], err)
     return {

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import platform
 import sys
 from pathlib import Path
 
@@ -133,7 +135,19 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _keep_freed_heap() -> None:
+    """On glibc, keep freed heap memory mapped: glibc trims the heap top above a
+    threshold that the largest freed temporary sets, so each training step would
+    fault back in what the last one freed. Library callers keep the defaults."""
+    if platform.libc_ver()[0] == "glibc":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-2, 16 << 20)  # M_TOP_PAD
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = argparse.ArgumentParser(
         prog="dualora",
         description="Continual image classification with shared and per-task low-rank adapters",

@@ -141,6 +141,38 @@ def _toy_terms(x, w1, w2, mu, frozen):
     return {"ce": ce, "kd": kd, "orth": orth}
 
 
+def _reference_layer_norm(v, gain, bias, eps=1e-6):
+    """The layer norm and its input gradient written with ``ndarray.mean``."""
+    mu = v.mean(axis=-1, keepdims=True)
+    xc = v - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+
+    def input_grad(g):
+        gl = g * gain
+        return inv * (
+            gl - gl.mean(axis=-1, keepdims=True) - xhat * (gl * xhat).mean(axis=-1, keepdims=True)
+        )
+
+    return xhat * gain + bias, xhat, inv, input_grad
+
+
+class TestLayerNormBitwise:
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (5, 64), (2, 17, 64), (3, 37), (4, 9, 48), (6, 100)]
+    )
+    def test_values_and_input_grad_equal_the_mean_reference(self, shape):
+        rng = nm.make_rng(sum(shape))
+        v = rng.standard_normal(shape) * 3.0 + 5.0
+        gain, bias = rng.uniform(0.5, 1.5, shape[-1]), rng.standard_normal(shape[-1])
+        g = rng.standard_normal(shape)
+        out, xhat, inv, input_grad = _reference_layer_norm(v, gain, bias)
+        got = ad.layer_norm_values(v, gain, bias)
+        for a, b in zip(got, (out, xhat, inv)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(ad.layer_norm_input_grad(g, gain, xhat, inv), input_grad(g))
+
+
 class TestAttribution:
     def _toy_losses(self):
         rng = nm.make_rng(10)

@@ -557,21 +557,6 @@ class TestMlpGradientProperty:
 ATTACH_SETS = [a for n in (1, 2, 3) for a in itertools.combinations(bb.PROJECTIONS, n)]
 
 
-def _central_differences(f, p, step=1e-5):
-    """The gradient of the scalar ``f()`` with respect to ``p``, one entry at a time."""
-    flat = p.value.reshape(-1)
-    out = np.empty(flat.size)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = f()
-        flat[i] = orig - step
-        lo = f()
-        flat[i] = orig
-        out[i] = (hi - lo) / (2.0 * step)
-    return out.reshape(p.value.shape)
-
-
 class TestAttentionGradientProperty:
     @given(
         batch=st.integers(1, 4),
@@ -599,15 +584,12 @@ class TestAttentionGradientProperty:
         def loss():
             return project(bb.attention_sublayer(backbone, 1, ad.leaf(x), _attachments(specific)), c)
 
-        analytic = ad.backward(loss())
         checked = [p for p in [x] + specific.parameters() if p.trainable]
-        assert sorted(analytic) == sorted(p.name for p in checked)
-        for p in checked:
-            numeric = _central_differences(lambda: float(loss().value), p)
-            # error relative to the parameter's largest entry: an entry near
-            # zero carries the differences' rounding noise, about 1e-10 here
-            scale = max(np.max(np.abs(analytic[p.name])), np.max(np.abs(numeric)))
-            assert np.max(np.abs(analytic[p.name] - numeric)) <= 1e-6 * scale, p.name
+        assert sorted(ad.backward(loss())) == sorted(p.name for p in checked)
+        # error relative to each parameter's largest entry: an entry near zero
+        # carries the differences' rounding noise, about 1e-10 here
+        rep = ad.finite_difference_check(lambda: {"f": loss()}, checked, step=1e-5)["f"]
+        assert rep.max_rel_error <= 1e-6, rep.per_param
 
 
 PREMISE_BATCHES = (2, 16, 32, 100)

@@ -1,10 +1,12 @@
 import concurrent.futures
 import csv
+import ctypes
 import dataclasses
 import functools
 import io
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -581,6 +583,56 @@ def _fresh_python(code):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return out.stdout.strip()
+
+
+def _second_run_faults(work: Path, call: str) -> int:
+    """Minor page faults of the second of two desk runs (2 epochs) made by
+    ``call`` in a fresh interpreter that has imported the CLI module."""
+    cfg = work / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 2}))
+    code = (
+        "import contextlib, io, resource\n"
+        "from pathlib import Path\n"
+        "from dualora import cli, harness\n"
+        f"cfg, work = Path({str(cfg)!r}), Path({str(work)!r})\n"
+        "faults = []\n"
+        "for i in range(2):\n"
+        "    out = work / f'run{i}'\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        {call}\n"
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "print(faults[1])"
+    )
+    return int(_fresh_python(code))
+
+
+class TestFreedHeap:
+    """``cli.main`` keeps freed heap memory mapped on glibc; a library caller
+    keeps glibc's defaults."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="a glibc allocator setting")
+    def test_cli_run_refaults_far_less_than_a_library_run(self, tmp_path):
+        (tmp_path / "cli").mkdir()
+        (tmp_path / "lib").mkdir()
+        cli_faults = _second_run_faults(
+            tmp_path / "cli",
+            "cli.main(['run', '--config', str(cfg), '--seed', '0', '--out', str(out)])",
+        )
+        lib_faults = _second_run_faults(
+            tmp_path / "lib",
+            "harness.run_experiment(harness.load_config_file(cfg), 0, out_dir=out)",
+        )
+        assert 10 * cli_faults <= lib_faults, (cli_faults, lib_faults)
+
+    @pytest.mark.parametrize("libc", [("", ""), ("musl", "1.2")])
+    def test_off_glibc_no_c_library_is_loaded(self, monkeypatch, libc):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a C library was loaded")
+
+        monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: libc)
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+        cli._keep_freed_heap()
 
 
 class TestCli:
