@@ -28,7 +28,7 @@ def _add_out(p: argparse.ArgumentParser) -> None:
 
 
 def _load(args) -> dict | None:
-    return harness.load_config_file(args.config) if args.config else None
+    return harness.read_json_object(args.config, ConfigError, "config") if args.config else None
 
 
 def _seed(text: str) -> int:
@@ -93,13 +93,8 @@ def cmd_gradcheck(args) -> int:
 def _load_report(path) -> dict:
     """The run report at ``path``; FormatError when the file is not one, or
     when a field that ``cmd_report`` prints could not be printed."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as e:
-        raise FormatError(f"cannot read report file {path}: {e.strerror or e}") from e
-    except ValueError as e:  # not UTF-8, or not JSON
-        raise FormatError(f"report file {path} is not valid JSON: {e}") from e
-    acc = data.get("accuracy") if isinstance(data, dict) else None
+    data = harness.read_json_object(path, FormatError, "report")
+    acc = data.get("accuracy")
     per_task = acc.get("per_task") if isinstance(acc, dict) else None
     # type(), not isinstance(): JSON's true and false load as bool, a subclass of int
     if not (isinstance(per_task, list) and per_task) or not all(

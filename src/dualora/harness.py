@@ -29,7 +29,7 @@ from . import classifier as clf
 from . import model as mdl
 from . import streams
 from . import trainer as tr
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, InputError
 from .numerics import make_rng
 
 
@@ -70,16 +70,18 @@ def resolve_config(overrides: Mapping | None = None) -> dict:
     return cfg
 
 
-def load_config_file(path) -> dict:
+def read_json_object(path, error: type[InputError], kind: str) -> dict:
+    """The JSON object in the ``kind`` file at ``path``; ``error`` when the file
+    cannot be read, is not JSON or holds something other than an object."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
-        raise ConfigError(f"cannot read config file {path}: {e.strerror or e}") from e
+        raise error(f"cannot read {kind} file {path}: {e.strerror or e}") from e
     except ValueError as e:  # not UTF-8, or not JSON
-        raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return raw
+        raise error(f"{kind} file {path} is not valid JSON: {e}") from e
+    if not isinstance(data, dict):
+        raise error(f"{kind} file {path} must hold a JSON object")
+    return data
 
 
 def _convert(key: str, value, kind: type):
@@ -133,9 +135,10 @@ def split_config(cfg: Mapping) -> tuple[bb.BackboneConfig, tr.TrainConfig, dict]
     scfg = {
         k: _convert(k, v, type(DESK_PRESET[k])) for k, v in cfg.items() if k not in typed
     }
-    for key in ("num_tasks", "train_per_class", "test_per_class"):
-        if scfg[key] < 1:
-            raise ConfigError(f"config key {key!r} must be >= 1, got {scfg[key]}")
+    for key, least in (("num_tasks", 1), ("train_per_class", 1), ("test_per_class", 1),
+                       ("noise_std", 0)):
+        if scfg[key] < least:
+            raise ConfigError(f"config key {key!r} must be >= {least}, got {scfg[key]}")
     if scfg["num_tasks"] > scfg["num_classes"]:
         raise ConfigError(
             f"num_tasks ({scfg['num_tasks']}) exceeds num_classes ({scfg['num_classes']})"
@@ -160,12 +163,8 @@ def synthetic_dataset(bcfg: bb.BackboneConfig, scfg: Mapping, rng) -> streams.Da
 
 
 def atomic_write(path, data: str | bytes) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with open(tmp, mode) as f:
-        f.write(data)
-    os.replace(tmp, path)
+    with streams.replacing(path) as f:
+        f.write(data if isinstance(data, bytes) else data.encode())
 
 
 def _spawn_generators(seed: int, num_tasks: int):
@@ -186,16 +185,12 @@ def build_run(cfg: Mapping, seed: int):
     rng_data, rng_backbone, rng_model, task_rngs = _spawn_generators(seed, scfg["num_tasks"])
     if scfg["dataset_path"] is not None:
         dataset = streams.load_dataset(scfg["dataset_path"])
-        for attr, key, want in (
-            ("num_classes", "num_classes", scfg["num_classes"]),
-            ("train_per_class", "train_per_class", scfg["train_per_class"]),
-            ("test_per_class", "test_per_class", scfg["test_per_class"]),
-            ("channels", "channels", bcfg.channels),
-            ("height", "image_side", bcfg.image_side),
-            ("width", "image_side", bcfg.image_side),
-        ):
-            got = getattr(dataset, attr)
+        side = bcfg.image_side
+        config = {**scfg, "channels": bcfg.channels, "height": side, "width": side}
+        for attr in streams.HEADER_FIELDS:
+            got, want = getattr(dataset, attr), config[attr]
             if got != want:
+                key = "image_side" if attr in ("height", "width") else attr
                 raise DataError(
                     f"dataset file {scfg['dataset_path']} has {attr} {got}, "
                     f"but the config's {key!r} is {want}"

@@ -4,11 +4,11 @@ Each class is a fixed random template image; samples are the template plus
 clamped Gaussian pixel noise, so nearest-template matching on raw pixels
 already solves the stream and any sensible feature pipeline can too.
 
-Dataset file layout (little-endian):
-  magic "CLLD" | version u32=1 | num_classes u32 | train_per_class u32 |
-  test_per_class u32 | channels u32 | height u32 | width u32 |
-  all train samples (class-major, sample-minor) as f32 pixels row-major |
-  all test samples likewise | train labels u32[] | test labels u32[]
+A dataset file (CLLD v1, little-endian) holds the magic "CLLD", version 1 and
+the ``HEADER_FIELDS`` as u32, then the arrays that :func:`_arrays` lists, each
+row-major in its order: train and test samples as f32 pixels (class-major,
+sample-minor), then train and test labels as u32. Saving and loading both walk
+that one description.
 
 Pixels are stored and kept in memory as float32 so a save/load round trip is
 bit-exact.
@@ -16,8 +16,12 @@ bit-exact.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +29,9 @@ from .errors import DataError, FormatError, InvalidInputError
 
 DATASET_MAGIC = b"CLLD"
 DATASET_VERSION = 1
+# the Dataset fields the header holds after magic and version, in file order
+HEADER_FIELDS = ("num_classes", "train_per_class", "test_per_class", "channels", "height", "width")
+_HEADER = struct.Struct(f"<4s{1 + len(HEADER_FIELDS)}I")  # magic, version, fields
 
 
 @dataclass
@@ -180,80 +187,70 @@ def split_tasks(
     return TaskStream(tasks=tasks, num_classes=dataset.num_classes)
 
 
+@contextmanager
+def replacing(path):
+    """A binary file to write whose bytes replace ``path`` when the ``with``
+    block ends without an exception; until then ``path`` keeps its old bytes."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
+def _arrays(header: dict) -> list[tuple[str, str, str, tuple[int, ...]]]:
+    """The arrays of a CLLD v1 file after ``header``, in file order: Dataset
+    field, name in errors, dtype and shape, the sizes as Python ints."""
+    c, ch, h, w = (header[k] for k in ("num_classes", "channels", "height", "width"))
+    n_train, n_test = c * header["train_per_class"], c * header["test_per_class"]
+    return [
+        ("train_images", "train samples", "<f4", (n_train, ch, h, w)),
+        ("test_images", "test samples", "<f4", (n_test, ch, h, w)),
+        ("train_labels", "train labels", "<u4", (n_train,)),
+        ("test_labels", "test labels", "<u4", (n_test,)),
+    ]
+
+
 def save_dataset(path, dataset: Dataset) -> None:
-    header = DATASET_MAGIC + struct.pack(
-        "<IIIIIII",
-        DATASET_VERSION,
-        dataset.num_classes,
-        dataset.train_per_class,
-        dataset.test_per_class,
-        dataset.channels,
-        dataset.height,
-        dataset.width,
-    )
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(dataset.train_images.astype("<f4").tobytes())
-        f.write(dataset.test_images.astype("<f4").tobytes())
-        f.write(dataset.train_labels.astype("<u4").tobytes())
-        f.write(dataset.test_labels.astype("<u4").tobytes())
+    header = {k: getattr(dataset, k) for k in HEADER_FIELDS}
+    with replacing(path) as f:
+        f.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, *header.values()))
+        for field, _, dtype, _ in _arrays(header):
+            f.write(np.ascontiguousarray(getattr(dataset, field), dtype=dtype).data)
 
 
 def load_dataset(path) -> Dataset:
     with open(path, "rb") as f:
         raw = f.read()
-    if len(raw) < 4 or raw[:4] != DATASET_MAGIC:
-        raise FormatError(
-            f"bad magic {raw[:4]!r} at offset 0, expected {DATASET_MAGIC!r}"
-        )
-    header_size = 4 + 7 * 4
-    if len(raw) < header_size:
-        raise FormatError(f"truncated header: {len(raw)} bytes, need {header_size}")
-    version, c_num, n_tr, n_te, ch, h, w = struct.unpack("<IIIIIII", raw[4:header_size])
+    if raw[:4] != DATASET_MAGIC:
+        raise FormatError(f"bad magic {raw[:4]!r} at offset 0, expected {DATASET_MAGIC!r}")
+    if len(raw) < _HEADER.size:
+        raise FormatError(f"truncated header: {len(raw)} bytes, need {_HEADER.size}")
+    _, version, *values = _HEADER.unpack_from(raw)
     if version != DATASET_VERSION:
         raise FormatError(f"unsupported version {version} at offset 4")
-    pix = ch * h * w
-    off = header_size
-
-    starts: dict[str, int] = {}
-
-    def take(count, dtype, what):
-        nonlocal off
+    header = dict(zip(HEADER_FIELDS, values))
+    layout, arrays, starts, off = _arrays(header), {}, {}, _HEADER.size
+    for field, what, dtype, shape in layout:
+        count = math.prod(shape)
         nbytes = count * np.dtype(dtype).itemsize
         if off + nbytes > len(raw):
             raise FormatError(f"truncated {what}: needed {nbytes} bytes at offset {off}")
-        out = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
-        starts[what] = off
-        off += nbytes
-        return out
-
-    n_train, n_test = c_num * n_tr, c_num * n_te
-    train = take(n_train * pix, "<f4", "train samples").reshape(n_train, ch, h, w)
-    test = take(n_test * pix, "<f4", "test samples").reshape(n_test, ch, h, w)
-    train_labels = take(n_train, "<u4", "train labels")
-    test_labels = take(n_test, "<u4", "test labels")
+        arrays[field] = np.frombuffer(raw, dtype, count, off).reshape(shape)
+        starts[field], off = off, off + nbytes
     if off != len(raw):
         raise FormatError(f"{len(raw) - off} trailing bytes at offset {off}")
     # a bad sample would otherwise drop out of split_tasks without a word
-    for what, bad, problem in (
-        ("train samples", ~np.isfinite(train), "non-finite pixel"),
-        ("test samples", ~np.isfinite(test), "non-finite pixel"),
-        ("train labels", train_labels >= c_num, f"label outside [0, {c_num})"),
-        ("test labels", test_labels >= c_num, f"label outside [0, {c_num})"),
-    ):
-        hits = np.flatnonzero(bad)
+    c = header["num_classes"]
+    for field, what, dtype, _ in layout:
+        pixels = dtype == "<f4"
+        hits = np.flatnonzero(~np.isfinite(arrays[field]) if pixels else arrays[field] >= c)
         if hits.size:
-            at = starts[what] + 4 * int(hits[0])  # pixels and labels are 4 bytes each
+            problem = "non-finite pixel" if pixels else f"label outside [0, {c})"
+            at = starts[field] + 4 * int(hits[0])  # pixels and labels are 4 bytes each
             raise FormatError(f"{problem} in {what} at offset {at}")
-    return Dataset(
-        num_classes=c_num,
-        train_per_class=n_tr,
-        test_per_class=n_te,
-        channels=ch,
-        height=h,
-        width=w,
-        train_images=np.ascontiguousarray(train),
-        train_labels=np.ascontiguousarray(train_labels),
-        test_images=np.ascontiguousarray(test),
-        test_labels=np.ascontiguousarray(test_labels),
-    )
+    return Dataset(**header, **arrays)

@@ -148,15 +148,15 @@ class TestConfig:
 
     def test_missing_config_file_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="missing.json"):
-            harness.load_config_file(tmp_path / "missing.json")
+            harness.read_json_object(tmp_path / "missing.json", ConfigError, "config")
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"rank": 3}))
-        assert harness.load_config_file(path) == {"rank": 3}
+        assert harness.read_json_object(path, ConfigError, "config") == {"rank": 3}
         path.write_text("not json")
         with pytest.raises(ConfigError):
-            harness.load_config_file(path)
+            harness.read_json_object(path, ConfigError, "config")
 
 
 def _right_kind(key: str) -> hs.SearchStrategy:
@@ -293,6 +293,14 @@ class TestRunExperiment:
         report = harness.run_experiment(FAST, seed=2)
         assert len(report["accuracy"]["per_task"]) == FAST["num_tasks"]
         assert all(0.0 <= a <= 1.0 for a in report["accuracy"]["per_task"])
+
+    def test_plain_gradient_descent_is_the_optimizer_it_names(self, tmp_path):
+        logs = []
+        for name, optimizer in (("a", "plain-gradient-descent"), ("b", "plain-gradient-descent"),
+                                ("c", "adaptive-moments")):
+            harness.run_experiment({**FAST, "optimizer": optimizer}, 0, out_dir=tmp_path / name)
+            logs.append((tmp_path / name / "loss_log.jsonl").read_bytes())
+        assert logs[0] == logs[1] != logs[2]
 
     def test_dataset_path_round_trip(self, tmp_path):
         from dualora import numerics as nm
@@ -517,6 +525,10 @@ class TestRunAblation:
         with pytest.raises(error, match=message):
             harness.run_ablation(FAST, axes, seeds=[0])
 
+    def test_empty_axis_list_rejected(self):
+        with pytest.raises(ConfigError, match="no ablation axes"):
+            harness.run_ablation(None, [], seeds=[0])
+
     def test_empty_seed_list_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="no runs"):
             harness.run_ablation(FAST, ["kd"], seeds=[], out_dir=tmp_path)
@@ -594,6 +606,7 @@ def _second_run_faults(work: Path, call: str) -> int:
         "import contextlib, io, resource\n"
         "from pathlib import Path\n"
         "from dualora import cli, harness\n"
+        "from dualora.errors import ConfigError\n"
         f"cfg, work = Path({str(cfg)!r}), Path({str(work)!r})\n"
         "faults = []\n"
         "for i in range(2):\n"
@@ -621,7 +634,8 @@ class TestFreedHeap:
         )
         lib_faults = _second_run_faults(
             tmp_path / "lib",
-            "harness.run_experiment(harness.load_config_file(cfg), 0, out_dir=out)",
+            "harness.run_experiment("
+            "harness.read_json_object(cfg, ConfigError, 'config'), 0, out_dir=out)",
         )
         assert 10 * cli_faults <= lib_faults, (cli_faults, lib_faults)
 
@@ -763,6 +777,30 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out[4:] == lines and "None" not in "".join(out)
 
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_file_of_a_json_array_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "f.json"
+        path.write_text("[1, 2]")
+        argv = ["run", "--config", str(path)] if command == "run" else ["report", str(path)]
+        assert cli_main(argv + ["--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must hold a JSON object" in captured.err
+
+    def test_ablate_without_axis_names_exits_2(self, tmp_path, capsys):
+        assert cli_main(["ablate", "--axes", ",", "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--axes requires" in captured.err
+
+    def test_negative_noise_with_a_dataset_file_exits_2(self, tmp_path, capsys):
+        cfg, data, out = tmp_path / "cfg.json", tmp_path / "d.clld", tmp_path / "out"
+        cfg.write_text(json.dumps(FAST))
+        assert cli_main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+        cfg.write_text(json.dumps({**FAST, "dataset_path": str(data), "noise_std": -1}))
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "noise_std" in err
+        assert not out.exists()
+
     def test_report_not_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "r.json"
         path.write_text("not json")
@@ -836,6 +874,7 @@ class TestCli:
             {"attach_set": {"q": 1, "v": 0}},  # an object, not a string or list
             {"patch_side": 16},  # one patch per image
             *HUGE_SIZES,
+            {"learning_rate": -1},
         ],
     )
     def test_rejected_input_exits_2_in_one_line(self, tmp_path, capsys, overrides):

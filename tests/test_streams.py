@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +208,27 @@ class TestDatasetFile:
             offset = self.HEADER + 4 * (ds.train_images.size + 2 * 64 + 3 * 8 + 5)
             with pytest.raises(FormatError, match=f"non-finite pixel.* offset {offset}$"):
                 st.load_dataset(path)
+
+    def test_forged_sizes_are_counted_past_64_bits(self, tmp_path):
+        # 3 * 2**31 images of 2**32 pixels each: 3 * 2**65 bytes, more than an int64 holds
+        path = tmp_path / "data.clld"
+        path.write_bytes(struct.pack("<4s7I", b"CLLD", 1, 3, 2**31, 1, 1, 2**16, 2**16))
+        with pytest.raises(FormatError) as exc:
+            st.load_dataset(path)
+        assert str(exc.value) == (
+            "truncated train samples: needed 110680464442257309696 bytes at offset 32"
+        )
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "data.clld"
+        st.save_dataset(path, small_dataset())
+        before = path.read_bytes()
+        ds = small_dataset(seed=1)
+        ds.test_labels = np.array(["x"] * ds.test_labels.size)  # the last array: no u32 form
+        with pytest.raises(ValueError):
+            st.save_dataset(path, ds)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.fixture(scope="module")
