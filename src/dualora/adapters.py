@@ -30,13 +30,12 @@ import numpy as np
 
 from . import autodiff as ad
 from . import numerics
+from .backbone import PROJECTIONS
 from .errors import InvalidInputError, InvalidRankError
-
-_PROJ_ORDER = ("q", "k", "v")
 
 
 def _ordered(attach_set) -> tuple[str, ...]:
-    return tuple(p for p in _PROJ_ORDER if p in attach_set)
+    return tuple(p for p in PROJECTIONS if p in attach_set)
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,6 @@ class Adapter:
     """
 
     blocks: tuple[int, ...]
-    attach_set: tuple[str, ...]
     pairs: dict[tuple[int, str], LowRankPair] = field(default_factory=dict)
     rho: ad.Parameter | None = None
 
@@ -154,7 +152,7 @@ class Adapter:
 
         pairs = {k: LowRankPair(copied(v.down), copied(v.up)) for k, v in self.pairs.items()}
         rho = copied(self.rho) if self.rho is not None else None
-        return Adapter(self.blocks, self.attach_set, pairs, rho)
+        return Adapter(self.blocks, pairs, rho)
 
     def content_hash(self) -> str:
         """SHA-256 of the parameter bytes in :meth:`parameters` order, so a
@@ -191,9 +189,9 @@ def init_shared(
         raise InvalidRankError(f"rank {rank} exceeds projection width {width}")
     if down_init not in ("orthogonal", "random"):
         raise InvalidInputError(f"unknown down_init {down_init!r}")
-    adapter = Adapter(tuple(blocks), _ordered(attach_set))
+    adapter = Adapter(tuple(blocks))
     for i in adapter.blocks:
-        for p in adapter.attach_set:
+        for p in _ordered(attach_set):
             if not fixed_down:
                 down_val = rng.standard_normal((rank, width)) / np.sqrt(rank)
             elif down_init == "orthogonal":
@@ -231,9 +229,9 @@ def init_specific(
         raise InvalidRankError(f"rank must be >= 1, got {rank}")
     if rank > width:
         raise InvalidRankError(f"rank {rank} exceeds projection width {width}")
-    adapter = Adapter(tuple(blocks), _ordered(attach_set))
+    adapter = Adapter(tuple(blocks))
     for i in adapter.blocks:
-        for p in adapter.attach_set:
+        for p in _ordered(attach_set):
             down = ad.Parameter(
                 f"task{task_id}.b{i}.{p}.down",
                 rng.standard_normal((rank, width)) / np.sqrt(rank),

@@ -39,7 +39,6 @@ PARAMETER_TAGS = (
     "specific-down",
     "block-weight",
     "head",
-    "backbone",
 )
 
 
@@ -47,10 +46,10 @@ PARAMETER_TAGS = (
 class Parameter:
     """A named model weight with a training role tag.
 
-    ``backbone`` weights are frozen by construction; attempting to mark one
-    trainable is rejected. ``shared-down`` weights are frozen in the default
-    architecture and only become trainable in the explicit ablation that
-    replaces the fixed orthogonal down-projection with a learned one.
+    ``shared-down`` weights are frozen in the default architecture and only
+    become trainable in the explicit ablation that replaces the fixed
+    orthogonal down-projection with a learned one. The frozen backbone's
+    weights are plain arrays, not parameters.
     """
 
     name: str
@@ -61,8 +60,6 @@ class Parameter:
     def __post_init__(self):
         if self.tag not in PARAMETER_TAGS:
             raise InvalidInputError(f"unknown parameter tag {self.tag!r}")
-        if self.tag == "backbone" and self.trainable:
-            raise InvalidInputError(f"backbone parameter {self.name!r} cannot be trainable")
         self.value = np.ascontiguousarray(np.asarray(self.value, dtype=np.float64))
 
     @property

@@ -21,7 +21,7 @@ ones to the last bits only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -131,15 +131,16 @@ def sinusoidal_positions(num_tokens: int, width: int) -> np.ndarray:
 
 @dataclass
 class Backbone:
-    cfg: BackboneConfig
-    params: dict[str, ad.Parameter] = field(default_factory=dict)
-    positions: np.ndarray | None = None
+    """The frozen weights by name, as plain C-contiguous float64 arrays (the
+    module docstring's bit-exactness argument needs that), and the
+    positional table."""
 
-    def param(self, name: str) -> ad.Parameter:
-        return self.params[name]
+    cfg: BackboneConfig
+    params: dict[str, np.ndarray]
+    positions: np.ndarray
 
     def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
+        return sum(w.size for w in self.params.values())
 
     def byte_hash(self) -> str:
         import hashlib
@@ -147,45 +148,42 @@ class Backbone:
         h = hashlib.sha256()
         for name in sorted(self.params):
             h.update(name.encode())
-            h.update(self.params[name].value.tobytes())
+            h.update(self.params[name].tobytes())
         return h.hexdigest()
 
 
 def init_backbone(cfg: BackboneConfig, rng: np.random.Generator) -> Backbone:
-    """Draw all backbone weights (scaled Gaussian, std 1/sqrt(fan_in)) and freeze them.
+    """Draw all backbone weights (scaled Gaussian, std 1/sqrt(fan_in)), which
+    stay frozen.
 
     Layer norms start as identity (unit gain, zero bias) and the positional
-    table is computed, not learned, so it is not a parameter.
+    table is computed, not learned, so it is not a weight.
     """
     d = cfg.width
-    bb = Backbone(cfg=cfg)
-
-    def frozen(name: str, value: np.ndarray) -> None:
-        bb.params[name] = ad.Parameter(name, value, trainable=False, tag="backbone")
+    params: dict[str, np.ndarray] = {}
 
     def gaussian(shape, fan_in):
         return rng.standard_normal(shape) / np.sqrt(fan_in)
 
-    frozen("embed.W", gaussian((cfg.patch_dim, d), cfg.patch_dim))
-    frozen("cls", gaussian((d,), d))
+    params["embed.W"] = gaussian((cfg.patch_dim, d), cfg.patch_dim)
+    params["cls"] = gaussian((d,), d)
     for i in range(1, cfg.num_blocks + 1):
-        frozen(f"block{i}.ln1.g", np.ones(d))
-        frozen(f"block{i}.ln1.b", np.zeros(d))
+        params[f"block{i}.ln1.g"] = np.ones(d)
+        params[f"block{i}.ln1.b"] = np.zeros(d)
         for p in PROJECTIONS:
-            frozen(f"block{i}.W{p}", gaussian((d, d), d))
-            frozen(f"block{i}.b{p}", np.zeros(d))
-        frozen(f"block{i}.Wo", gaussian((d, d), d))
-        frozen(f"block{i}.bo", np.zeros(d))
-        frozen(f"block{i}.ln2.g", np.ones(d))
-        frozen(f"block{i}.ln2.b", np.zeros(d))
-        frozen(f"block{i}.W1", gaussian((d, cfg.mlp_hidden), d))
-        frozen(f"block{i}.b1", np.zeros(cfg.mlp_hidden))
-        frozen(f"block{i}.W2", gaussian((cfg.mlp_hidden, d), cfg.mlp_hidden))
-        frozen(f"block{i}.b2", np.zeros(d))
-    frozen("lnf.g", np.ones(d))
-    frozen("lnf.b", np.zeros(d))
-    bb.positions = sinusoidal_positions(cfg.num_tokens, d)
-    return bb
+            params[f"block{i}.W{p}"] = gaussian((d, d), d)
+            params[f"block{i}.b{p}"] = np.zeros(d)
+        params[f"block{i}.Wo"] = gaussian((d, d), d)
+        params[f"block{i}.bo"] = np.zeros(d)
+        params[f"block{i}.ln2.g"] = np.ones(d)
+        params[f"block{i}.ln2.b"] = np.zeros(d)
+        params[f"block{i}.W1"] = gaussian((d, cfg.mlp_hidden), d)
+        params[f"block{i}.b1"] = np.zeros(cfg.mlp_hidden)
+        params[f"block{i}.W2"] = gaussian((cfg.mlp_hidden, d), cfg.mlp_hidden)
+        params[f"block{i}.b2"] = np.zeros(d)
+    params["lnf.g"] = np.ones(d)
+    params["lnf.b"] = np.zeros(d)
+    return Backbone(cfg, params, sinusoidal_positions(cfg.num_tokens, d))
 
 
 def _extract_patches(image: np.ndarray, cfg: BackboneConfig) -> np.ndarray:
@@ -213,9 +211,9 @@ def patch_embed(image: np.ndarray, backbone: Backbone) -> TokenState:
     if image.shape[1:] != expected:
         raise ShapeError(f"expected image shape {expected}, got {image.shape[1:]}")
     patches = _extract_patches(image, cfg)
-    tokens = patches.reshape(-1, cfg.patch_dim) @ backbone.param("embed.W").value
+    tokens = patches.reshape(-1, cfg.patch_dim) @ backbone.params["embed.W"]
     tokens = tokens.reshape(image.shape[0], cfg.num_patches, cfg.width)
-    cls = np.broadcast_to(backbone.param("cls").value, (image.shape[0], 1, cfg.width))
+    cls = np.broadcast_to(backbone.params["cls"], (image.shape[0], 1, cfg.width))
     tokens = np.concatenate([cls, tokens], axis=1) + backbone.positions
     return TokenState(tokens=ad.constant(tokens), block_index=0)
 
@@ -251,7 +249,7 @@ _GELU_C3 = _GELU_C * 0.044715
 
 
 def _weights(backbone: Backbone, i: int, names) -> dict[str, np.ndarray]:
-    return {n: backbone.params[f"block{i}.{n}"].value for n in names}
+    return {n: backbone.params[f"block{i}.{n}"] for n in names}
 
 
 def attention_sublayer(backbone: Backbone, i: int, x: ad.Tensor, deltas: DeltaMap) -> ad.Tensor:
@@ -404,8 +402,8 @@ def block_forward(
 def extract_cls(backbone: Backbone, state: TokenState) -> ad.Tensor:
     """Final layer norm of the CLS rows alone, as one node: ``(batch, d)``."""
     x = state.tokens
-    gain = backbone.param("lnf.g").value
-    out, xhat, inv = ad.layer_norm_values(x.value[:, 0, :], gain, backbone.param("lnf.b").value)
+    gain = backbone.params["lnf.g"]
+    out, xhat, inv = ad.layer_norm_values(x.value[:, 0, :], gain, backbone.params["lnf.b"])
 
     def bwd(g, needs):
         # the other rows read nothing; with the frozen positive gain, a layer

@@ -19,7 +19,7 @@ import numpy as np
 from . import adapters as adp
 from . import autodiff as ad
 from . import backbone as bb
-from .errors import ConfigError, InvalidInputError, ProtocolError
+from .errors import ConfigError, ProtocolError
 
 
 @dataclass
@@ -29,7 +29,7 @@ class ContinualModel:
     flip_positions: bool = False
     fixed_down: bool = True  # the shared down-projections keep their initial draw
     # frozen, as the last finished task left it; build_model draws it
-    shared: adp.Adapter = field(default_factory=lambda: adp.Adapter((), ()))
+    shared: adp.Adapter = field(default_factory=lambda: adp.Adapter(()))
     tasks: list[adp.Adapter] = field(default_factory=list)  # finished task t, frozen, at t - 1
 
     @property
@@ -158,34 +158,21 @@ def run_prefix(model: ContinualModel, images: np.ndarray, k: int, **routing) -> 
     return run_blocks(model, state, range(1, k + 1), **routing)
 
 
-@dataclass
-class ForwardResult:
-    cls_final: ad.Tensor
-    cls_at_l: ad.Tensor | None
-
-
 def forward_features(
     model: ContinualModel,
     images: np.ndarray,
     task: adp.Adapter | None,
     *,
     shared: adp.Adapter | None = None,
-    collect_transition_cls: bool = False,
-) -> ForwardResult:
-    """Full forward: embed, blocks 1..l, blocks l+1..N, CLS; ``shared`` as in
-    :func:`run_blocks`."""
+) -> tuple[ad.Tensor, ad.Tensor | None]:
+    """Full forward: embed, blocks 1..l, blocks l+1..N; ``shared`` as in
+    :func:`run_blocks`. Returns the CLS readouts after block N and after
+    block l, the latter None at ``l = 0``."""
     l, n = model.position_l, model.num_blocks
     state = run_prefix(model, images, l, task=task, shared=shared)
-    cls_at_l = None
-    if collect_transition_cls:
-        if l < 1:
-            raise InvalidInputError("no transition readout exists at position 0")
-        cls_at_l = bb.extract_cls(model.backbone, state)
+    cls_at_l = bb.extract_cls(model.backbone, state) if l >= 1 else None
     state = run_blocks(model, state, range(l + 1, n + 1), task=task, shared=shared)
-    return ForwardResult(
-        cls_final=bb.extract_cls(model.backbone, state),
-        cls_at_l=cls_at_l,
-    )
+    return bb.extract_cls(model.backbone, state), cls_at_l
 
 
 def transition_cls_with(model: ContinualModel, images: np.ndarray) -> np.ndarray:
@@ -195,7 +182,7 @@ def transition_cls_with(model: ContinualModel, images: np.ndarray) -> np.ndarray
     task's adapter. The batch runs in :func:`~backbone.batch_chunks`."""
     l = model.position_l
     if l < 1:
-        raise InvalidInputError("no transition readout exists at position 0")
+        raise ProtocolError("no transition readout exists at position 0")
     task = model.tasks[-1] if model.tasks else None
     readouts = [
         bb.extract_cls(model.backbone, run_prefix(model, images[rows], l, task=task)).value

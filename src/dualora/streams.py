@@ -190,16 +190,17 @@ def split_tasks(
 @contextmanager
 def replacing(path):
     """A binary file to write whose bytes replace ``path`` when the ``with``
-    block ends without an exception; until then ``path`` keeps its old bytes."""
+    block ends without an exception; until then ``path`` keeps its old bytes.
+    A failure, the rename's included, leaves no temp file behind."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:
             yield f
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, path)
 
 
 def _arrays(header: dict) -> list[tuple[str, str, str, tuple[int, ...]]]:

@@ -362,17 +362,16 @@ class TaskSession:
         gradient verification needs that, since the analytic gradient treats
         the target as a constant by design.
         """
-        result = mdl.forward_features(
-            self.model, self.task.train_images[rows], self.adapter,
-            shared=self.shared, collect_transition_cls=self.kd_active,
+        cls_final, cls_at_l = mdl.forward_features(
+            self.model, self.task.train_images[rows], self.adapter, shared=self.shared
         )
-        ce = local_ce_loss(result.cls_final, self.head, self.labels_local[rows])
+        ce = local_ce_loss(cls_final, self.head, self.labels_local[rows])
         kd = None
         if self.kd_active:
             target = pinned_kd_target
             if target is None:
                 target = kd_target(self.head, self.teacher_cls[rows], self.cfg.temperature)
-            kd = kd_loss(result.cls_at_l, target, self.head, self.cfg.temperature)
+            kd = kd_loss(cls_at_l, target, self.head, self.cfg.temperature)
         orth = None
         if self.orth_active and self.previous_mu:
             orth = orth_loss(self.adapter.mu_tensor(), self.previous_mu)

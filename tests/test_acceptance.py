@@ -134,10 +134,10 @@ def test_06_zero_init_transparency():
             rows = np.arange(tcfg.batch_size)
             images = task.train_images[rows]
             with_task = session.head.logits_value(
-                mdl.forward_features(model, images, session.adapter).cls_final.value
+                mdl.forward_features(model, images, session.adapter)[0].value
             )
             without = session.head.logits_value(
-                mdl.forward_features(model, images, None).cls_final.value
+                mdl.forward_features(model, images, None)[0].value
             )
             assert np.array_equal(with_task, without), f"task {task.task_id}"
             # now actually train so the next task sees realistic state

@@ -14,10 +14,6 @@ def _param(name, value, trainable=True, tag="head"):
 
 
 class TestParameter:
-    def test_backbone_never_trainable(self):
-        with pytest.raises(InvalidInputError):
-            _param("w", np.ones((2, 2)), trainable=True, tag="backbone")
-
     def test_unknown_tag(self):
         with pytest.raises(InvalidInputError):
             _param("w", np.ones(2), tag="mystery")

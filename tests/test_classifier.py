@@ -79,7 +79,7 @@ class TestComputePrototypes:
         task = stream.tasks[0]
         adapter = model.tasks[0]
         img = task.train_images[0]
-        feat = mdl.forward_features(model, img[None], adapter).cls_final.value[0]
+        feat = mdl.forward_features(model, img[None], adapter)[0].value[0]
         store = clf.PrototypeStore()
         one = type(task)(
             task_id=1,
@@ -153,7 +153,7 @@ class TestPredict:
         task = stream.tasks[0]
         adapter = model.tasks[0]
         img = task.train_images[0]
-        feat = mdl.forward_features(model, img[None], adapter).cls_final.value[0]
+        feat = mdl.forward_features(model, img[None], adapter)[0].value[0]
         probe = store_of(model.width, {0: feat}, {})
         pred = clf.predict(model, probe, img)
         assert pred.scores[0] == pytest.approx(1.0, abs=1e-12)

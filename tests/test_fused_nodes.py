@@ -145,8 +145,8 @@ def readout_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cfg = bb.BackboneConfig(num_blocks=1, width=width, heads=1, image_side=2, patch_side=1)
     backbone = bb.init_backbone(cfg, rng)
-    backbone.param("lnf.g").value[:] = rng.uniform(0.5, 1.5, width)
-    backbone.param("lnf.b").value[:] = rng.standard_normal(width)
+    backbone.params["lnf.g"][:] = rng.uniform(0.5, 1.5, width)
+    backbone.params["lnf.b"][:] = rng.standard_normal(width)
     x = ad.Parameter("x", rng.standard_normal((batch, tokens, width)), True, "shared-up")
     c = rng.standard_normal((batch, width))
     return backbone, x, c
@@ -249,7 +249,7 @@ class TestBitwiseAgainstReplacedChain:
     def test_readout(self, case):
         backbone, x, c = case
         cls = bb.extract_cls(backbone, bb.TokenState(ad.leaf(x), 1))
-        gain, bias = backbone.param("lnf.g").value, backbone.param("lnf.b").value
+        gain, bias = backbone.params["lnf.g"], backbone.params["lnf.b"]
         value, g_x = chain_readout(x.value, gain, bias, c)
         assert np.array_equal(cls.value, value)
         _assert_equal(cls.bwd(c, (True,)), [g_x])

@@ -692,6 +692,16 @@ class TestCli:
         ds = st.load_dataset(out)
         assert ds.num_classes == FAST["num_classes"]
 
+    def test_gen_data_onto_a_directory_exits_2_and_leaves_no_temp_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(FAST))
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert cli_main(["gen-data", "--config", str(cfg), "--seed", "2", "--out", str(out)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+        assert list(out.iterdir()) == []
+
     def test_ablate(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(FAST))

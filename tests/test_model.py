@@ -70,8 +70,8 @@ class TestZeroInitTransparency:
         tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
         session = tr.TaskSession(model, stream.tasks[1], tcfg, nm.make_rng(1))
         img = stream.tasks[1].train_images[:1]
-        with_task = mdl.forward_features(model, img, session.adapter).cls_final.value
-        without = mdl.forward_features(model, img, None).cls_final.value
+        with_task = mdl.forward_features(model, img, session.adapter)[0].value
+        without = mdl.forward_features(model, img, None)[0].value
         assert np.array_equal(with_task, without)
 
     def test_fresh_shared_adapter_is_transparent(self):
@@ -81,6 +81,33 @@ class TestZeroInitTransparency:
         bare = bb.block_forward(backbone, state, 1).tokens.value
         routed = mdl.run_blocks(model, bb.patch_embed(img, backbone), (1,)).tokens.value
         assert np.array_equal(bare, routed)
+
+
+class TestForwardReadouts:
+    def test_no_transition_readout_at_position_zero(self):
+        stream, _, model, _ = build_micro(train_overrides={"position_l": 0})
+        final, at_l = mdl.forward_features(model, stream.tasks[0].train_images[:3], None)
+        assert final.shape == (3, model.width) and at_l is None
+
+    @pytest.mark.parametrize("position_l, flip", [(1, False), (2, False), (1, True)])
+    def test_transition_readout_is_the_prefix_readout(self, position_l, flip):
+        overrides = {"position_l": position_l, "flip_positions": flip}
+        stream, backbone, model, tcfg = build_micro(train_overrides=overrides)
+        session = tr.TaskSession(model, stream.tasks[0], tcfg, nm.make_rng(1))
+        rng = nm.make_rng(2)
+        for p in session.params:  # non-zero up-projections, so every adapter counts
+            if p.tag.endswith("-up"):
+                p.value[:] = 0.5 * rng.standard_normal(p.value.shape)
+        imgs = stream.tasks[0].train_images[:3]
+        routing = {"task": session.adapter, "shared": session.shared}
+        _, at_l = mdl.forward_features(model, imgs, **routing)
+        prefix = bb.extract_cls(backbone, mdl.run_prefix(model, imgs, position_l, **routing))
+        assert at_l.value.tobytes() == prefix.value.tobytes()
+
+    def test_teacher_at_position_zero_is_a_protocol_error(self):
+        stream, _, model, _ = build_micro(train_overrides={"position_l": 0})
+        with pytest.raises(ProtocolError):
+            mdl.transition_cls_with(model, stream.tasks[0].train_images[:2])
 
 
 class TestRunPrefix:
@@ -121,9 +148,7 @@ class TestTeacherPrefix:
 
     @staticmethod
     def _student(model, session, img):
-        return mdl.forward_features(
-            model, img, session.adapter, shared=session.shared, collect_transition_cls=True
-        ).cls_at_l.value
+        return mdl.forward_features(model, img, session.adapter, shared=session.shared)[1].value
 
     def test_snapshot_values_reproduce_live_prefix_before_updates(self, micro):
         model, session, img = self._session(micro)

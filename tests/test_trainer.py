@@ -98,7 +98,7 @@ class TestLocalCeLoss:
     def test_model_readout_with_fewer_labels_rejected(self):
         stream, _, model, _ = build_micro()
         task = stream.tasks[0]
-        cls = mdl.forward_features(model, task.train_images[:4], None).cls_final
+        cls = mdl.forward_features(model, task.train_images[:4], None)[0]
         with pytest.raises(ShapeError, match="1 labels for a batch of 4"):
             tr.local_ce_loss(cls, make_head(width=16), task.train_labels_local[:1])
 
@@ -424,9 +424,7 @@ class TestTrainTask:
         session = tr.TaskSession(model, task, tcfg, nm.make_rng(1))
         rows = [5, 0, 3, 2]
         images = task.train_images[rows]
-        student = mdl.forward_features(
-            model, images, session.adapter, collect_transition_cls=True
-        ).cls_at_l
+        student = mdl.forward_features(model, images, session.adapter)[1]
         target = tr.kd_target(session.head, session.teacher_readout(images), tcfg.temperature)
         fresh = tr.kd_loss(student, target, session.head, tcfg.temperature)
         assert session.losses(rows)["kd"].value.tobytes() == fresh.value.tobytes()
@@ -731,7 +729,7 @@ class TestTapeSize:
         # before.
         from dualora import harness
 
-        sizes, backbone_on_tape = [], []
+        sizes, constants, strangers = [], [], []
         per_term = ad.backward_per_term
 
         def walk(losses, params):
@@ -742,8 +740,13 @@ class TestTapeSize:
                     seen[id(node)] = node
                     stack.extend(node.parents)
             sizes.append(len(seen))
-            backbone_on_tape.extend(
-                n for n in seen.values() if n.param is not None and n.param.tag == "backbone"
+            # every leaf is a parameter the step trains, but for the embedded
+            # batch: the frozen backbone's weights never enter the tape
+            leaves = [n for n in seen.values() if not n.parents]
+            constants.append(sum(n.param is None for n in leaves))
+            strangers.extend(
+                n.param.name for n in leaves
+                if n.param is not None and not any(n.param is p for p in params)
             )
             return per_term(losses, params)
 
@@ -752,4 +755,4 @@ class TestTapeSize:
             {"train_per_class": 4, "test_per_class": 1, "epochs": 1, "batch_size": 8}, 0
         )
         assert sizes == [27, 34, 34, 34, 34]
-        assert backbone_on_tape == []
+        assert constants == [1] * 5 and strangers == []
