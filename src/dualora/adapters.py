@@ -165,6 +165,25 @@ class Adapter:
         return digest.hexdigest()
 
 
+def _pairs(owner, role, blocks, attach_set, rank, width, draw_down, train_down) -> Adapter:
+    """An adapter on ``blocks`` with one pair per projection of
+    ``attach_set``, drawn block-major: ``<owner>.b<i>.<p>.down`` (tag
+    ``<role>-down``) from ``draw_down()``, trainable when ``train_down``, and
+    the zeroed trainable ``<owner>.b<i>.<p>.up`` (tag ``<role>-up``)."""
+    if rank < 1:
+        raise InvalidRankError(f"rank must be >= 1, got {rank}")
+    if rank > width:
+        raise InvalidRankError(f"rank {rank} exceeds projection width {width}")
+    adapter = Adapter(tuple(blocks))
+    for i in adapter.blocks:
+        for p in _ordered(attach_set):
+            name = f"{owner}.b{i}.{p}"
+            down = ad.Parameter(f"{name}.down", draw_down(), trainable=train_down, tag=f"{role}-down")
+            up = ad.Parameter(f"{name}.up", np.zeros((width, rank)), trainable=True, tag=f"{role}-up")
+            adapter.pairs[(i, p)] = LowRankPair(down, up)
+    return adapter
+
+
 def init_shared(
     blocks,
     attach_set,
@@ -183,28 +202,17 @@ def init_shared(
     ``fixed_down`` is false the down-projections are trainable instead and
     use the same scaled Gaussian init as task-specific ones.
     """
-    if rank < 1:
-        raise InvalidRankError(f"rank must be >= 1, got {rank}")
-    if rank > width:
-        raise InvalidRankError(f"rank {rank} exceeds projection width {width}")
-    if down_init not in ("orthogonal", "random"):
+
+    def draw():
+        if not fixed_down:
+            return rng.standard_normal((rank, width)) / np.sqrt(rank)
+        if down_init == "orthogonal":
+            return numerics.sample_orthogonal_rows(rank, width, rng)
+        return rng.standard_normal((rank, width))
+
+    adapter = _pairs("shared", "shared", blocks, attach_set, rank, width, draw, not fixed_down)
+    if down_init not in ("orthogonal", "random"):  # after the pairs: a bad rank is named first
         raise InvalidInputError(f"unknown down_init {down_init!r}")
-    adapter = Adapter(tuple(blocks))
-    for i in adapter.blocks:
-        for p in _ordered(attach_set):
-            if not fixed_down:
-                down_val = rng.standard_normal((rank, width)) / np.sqrt(rank)
-            elif down_init == "orthogonal":
-                down_val = numerics.sample_orthogonal_rows(rank, width, rng)
-            else:
-                down_val = rng.standard_normal((rank, width))
-            down = ad.Parameter(
-                f"shared.b{i}.{p}.down", down_val, trainable=not fixed_down, tag="shared-down"
-            )
-            up = ad.Parameter(
-                f"shared.b{i}.{p}.up", np.zeros((width, rank)), trainable=True, tag="shared-up"
-            )
-            adapter.pairs[(i, p)] = LowRankPair(down=down, up=up)
     return adapter
 
 
@@ -225,31 +233,17 @@ def init_specific(
     uniform(0, 2) and are stored through the softplus inverse. An empty
     ``blocks`` gives an empty adapter and draws nothing.
     """
-    if rank < 1:
-        raise InvalidRankError(f"rank must be >= 1, got {rank}")
-    if rank > width:
-        raise InvalidRankError(f"rank {rank} exceeds projection width {width}")
-    adapter = Adapter(tuple(blocks))
-    for i in adapter.blocks:
-        for p in _ordered(attach_set):
-            down = ad.Parameter(
-                f"task{task_id}.b{i}.{p}.down",
-                rng.standard_normal((rank, width)) / np.sqrt(rank),
-                trainable=True,
-                tag="specific-down",
-            )
-            up = ad.Parameter(
-                f"task{task_id}.b{i}.{p}.up",
-                np.zeros((width, rank)),
-                trainable=True,
-                tag="specific-up",
-            )
-            adapter.pairs[(i, p)] = LowRankPair(down=down, up=up)
+    owner = f"task{task_id}"
+
+    def draw():
+        return rng.standard_normal((rank, width)) / np.sqrt(rank)
+
+    adapter = _pairs(owner, "specific", blocks, attach_set, rank, width, draw, True)
     if block_weights and adapter.blocks:
         mu = rng.uniform(0.0, 2.0, size=len(adapter.blocks))
         mu = np.clip(mu, 1e-9, None)  # a zero draw has no softplus preimage
         rho = np.log(np.expm1(mu))
-        adapter.rho = ad.Parameter(f"task{task_id}.blockw", rho, trainable=True, tag="block-weight")
+        adapter.rho = ad.Parameter(f"{owner}.blockw", rho, trainable=True, tag="block-weight")
     return adapter
 
 

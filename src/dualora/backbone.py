@@ -259,8 +259,8 @@ def attention_sublayer(backbone: Backbone, i: int, x: ad.Tensor, deltas: DeltaMa
     frozen weight, or its sum with the update of the adapter ``deltas`` names
     for it (see :meth:`~adapters.Attachment.merged`). The node's parents are
     ``x`` and the adapter tensors that take a gradient; the backbone weights
-    are read as plain arrays. When no parent takes a gradient nothing is kept
-    for a backward pass.
+    are read as plain arrays. When no parent takes a gradient, ``ad.node``
+    keeps nothing for a backward pass.
     """
     d, nh = backbone.cfg.width, backbone.cfg.heads
     dh = d // nh
@@ -290,8 +290,6 @@ def attention_sublayer(backbone: Backbone, i: int, x: ad.Tensor, deltas: DeltaMa
     mixed = (att_w @ v).swapaxes(-3, -2)  # (..., tokens, heads, dh)
     heads_shape = mixed.shape
     out = x.value + ((mixed.reshape(-1, d) @ w["Wo"]).reshape(h.shape) + w["bo"])
-    if not (need_h or tensors):
-        return ad.constant(out)
 
     def merge(a):  # (..., heads, tokens, dh) -> (..., tokens, d)
         return a.swapaxes(-3, -2).reshape(h.shape)
@@ -353,8 +351,6 @@ def mlp_sublayer(backbone: Backbone, i: int, x: ad.Tensor) -> ad.Tensor:
     out = v + ((m * phi) @ w["W2"] + w["b2"]).reshape(v.shape)
     if readout:
         out = out[:, None, :]
-    if not x.requires_grad:
-        return ad.constant(out)
     slope = None  # GELU's derivative, worked out by the first backward pass that needs it
 
     def bwd(g, needs):
@@ -383,7 +379,7 @@ def block_forward(
     frozen block. Block N runs readout-only (see :func:`mlp_sublayer`).
     """
     if i < 1 or i > backbone.cfg.num_blocks:
-        raise ConfigError(f"block index {i} out of range 1..{backbone.cfg.num_blocks}")
+        raise ShapeError(f"block index {i} out of range 1..{backbone.cfg.num_blocks}")
     if state.block_index != i - 1:
         raise ShapeError(
             f"state is after block {state.block_index}, cannot apply block {i}"
@@ -393,7 +389,7 @@ def block_forward(
     deltas = deltas or {}
     unknown = set(deltas) - set(backbone.cfg.attach_set)
     if unknown:
-        raise ConfigError(f"deltas supplied for unattached projections: {sorted(unknown)}")
+        raise ShapeError(f"deltas supplied for unattached projections: {sorted(unknown)}")
     x = attention_sublayer(backbone, i, state.tokens, deltas)
     x = mlp_sublayer(backbone, i, x)
     return TokenState(tokens=x, block_index=i)

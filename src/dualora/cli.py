@@ -11,7 +11,6 @@ from pathlib import Path
 
 from . import harness, streams
 from .errors import ConfigError, FormatError, InputError
-from .numerics import make_rng
 
 # the largest relative gradient error `gradcheck` accepts before exiting 1
 GRADCHECK_TOLERANCE = 1e-4
@@ -41,7 +40,8 @@ def _seed(text: str) -> int:
 def cmd_gen_data(args) -> int:
     cfg = harness.resolve_config(_load(args))
     bcfg, _, scfg = harness.split_config(cfg)
-    dataset = harness.synthetic_dataset(bcfg, scfg, make_rng(_seed(args.seed)))
+    rng_data = harness.seeded_generators(_seed(args.seed), 0)[0]
+    dataset = harness.synthetic_dataset(bcfg, scfg, rng_data)
     out = args.out or Path("dataset.clld")
     streams.save_dataset(out, dataset)
     print(f"wrote {out} ({dataset.num_classes} classes)")

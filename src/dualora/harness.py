@@ -167,11 +167,13 @@ def atomic_write(path, data: str | bytes) -> None:
         f.write(data if isinstance(data, bytes) else data.encode())
 
 
-def _spawn_generators(seed: int, num_tasks: int):
-    root = np.random.SeedSequence(seed)
-    s_data, s_backbone, s_model, s_train = root.spawn(4)
+def seeded_generators(seed: int, num_tasks: int):
+    """A run's generators, from the children of ``SeedSequence(seed)`` in
+    order: data, backbone, model, one per task (spawned from the fourth) and
+    the class order. ``gen-data`` draws from the same data generator."""
+    s_data, s_backbone, s_model, s_train, s_order = np.random.SeedSequence(seed).spawn(5)
     task_rngs = [make_rng(s) for s in s_train.spawn(num_tasks)]
-    return make_rng(s_data), make_rng(s_backbone), make_rng(s_model), task_rngs
+    return make_rng(s_data), make_rng(s_backbone), make_rng(s_model), task_rngs, make_rng(s_order)
 
 
 def build_run(cfg: Mapping, seed: int):
@@ -182,7 +184,9 @@ def build_run(cfg: Mapping, seed: int):
     :func:`run_experiment` and :func:`gradcheck`.
     """
     bcfg, tcfg, scfg = split_config(cfg)
-    rng_data, rng_backbone, rng_model, task_rngs = _spawn_generators(seed, scfg["num_tasks"])
+    rng_data, rng_backbone, rng_model, task_rngs, rng_order = seeded_generators(
+        seed, scfg["num_tasks"]
+    )
     if scfg["dataset_path"] is not None:
         dataset = streams.load_dataset(scfg["dataset_path"])
         side = bcfg.image_side
@@ -200,7 +204,7 @@ def build_run(cfg: Mapping, seed: int):
     stream = streams.split_tasks(
         dataset,
         scfg["num_tasks"],
-        class_order_rng=rng_data if scfg["class_shuffle"] else None,
+        class_order_rng=rng_order if scfg["class_shuffle"] else None,
     )
     model = mdl.build_model(
         bb.init_backbone(bcfg, rng_backbone),

@@ -191,11 +191,14 @@ def split_tasks(
 def replacing(path):
     """A binary file to write whose bytes replace ``path`` when the ``with``
     block ends without an exception; until then ``path`` keeps its old bytes.
-    A failure, the rename's included, leaves no temp file behind."""
+    The bytes go through a new file ``<path>.<16 random hex digits>.tmp``,
+    made with ``open``'s usual mode and never over an existing file, so no
+    two writers share one. A failure, the rename's included, deletes it."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    f = open(tmp, "xb")  # outside the try: a name that exists is not ours to delete
     try:
-        with open(tmp, "wb") as f:
+        with f:
             yield f
         os.replace(tmp, path)
     except BaseException:

@@ -193,6 +193,80 @@ class TestInitSpecific:
             adp.init_specific(1, (2,), ("q",), 9, 8, nm.make_rng(0))
 
 
+def expected_parameters(owner, role, blocks, projections, rank, width, draw, train_down):
+    """The documented pairs, rebuilt by hand: blocks outer, projections inner
+    in q, k, v order, one ``draw()`` per down-projection and a zeroed
+    trainable up-projection, as (name, tag, trainable, value)."""
+    out = []
+    for i in blocks:
+        for p in projections:
+            name = f"{owner}.b{i}.{p}"
+            out.append((f"{name}.down", f"{role}-down", train_down, draw()))
+            out.append((f"{name}.up", f"{role}-up", True, np.zeros((width, rank))))
+    return out
+
+
+def assert_parameters(adapter, expected):
+    got = [(p.name, p.tag, p.trainable, p.value) for p in adapter.parameters()]
+    assert [g[:3] for g in got] == [e[:3] for e in expected]
+    for g, e in zip(got, expected):
+        assert g[3].tobytes() == np.asarray(e[3], dtype=np.float64).tobytes(), g[0]
+
+
+class TestDrawOrder:
+    """Every parameter, in ``parameters()`` order, against a fresh generator
+    drawn in the documented order: the names, tags, flags and bits a run's
+    outputs rest on."""
+
+    BLOCKS, ATTACH, RANK, WIDTH = (2, 3), ("v", "q"), 2, 6
+
+    @pytest.mark.parametrize("fixed_down, down_init", [
+        (True, "orthogonal"), (True, "random"), (False, "orthogonal"),
+    ])
+    def test_shared(self, fixed_down, down_init):
+        r, d = self.RANK, self.WIDTH
+        adapter = adp.init_shared(
+            self.BLOCKS, self.ATTACH, r, d, nm.make_rng(21),
+            fixed_down=fixed_down, down_init=down_init,
+        )
+        rng = nm.make_rng(21)
+        draw = {
+            "orthogonal": lambda: nm.sample_orthogonal_rows(r, d, rng),
+            "random": lambda: rng.standard_normal((r, d)),
+        }[down_init]
+        if not fixed_down:
+            draw = lambda: rng.standard_normal((r, d)) / np.sqrt(r)
+        assert_parameters(adapter, expected_parameters(
+            "shared", "shared", self.BLOCKS, ("q", "v"), r, d, draw, not fixed_down
+        ))
+        assert adapter.rho is None
+
+    @pytest.mark.parametrize("block_weights", [True, False])
+    def test_specific(self, block_weights):
+        r, d = self.RANK, self.WIDTH
+        adapter = adp.init_specific(
+            4, self.BLOCKS, self.ATTACH, r, d, nm.make_rng(22), block_weights=block_weights
+        )
+        rng = nm.make_rng(22)
+        expected = expected_parameters(
+            "task4", "specific", self.BLOCKS, ("q", "v"), r, d,
+            lambda: rng.standard_normal((r, d)) / np.sqrt(r), True,
+        )
+        if block_weights:
+            mu = np.clip(rng.uniform(0.0, 2.0, size=len(self.BLOCKS)), 1e-9, None)
+            expected.append(("task4.blockw", "block-weight", True, np.log(np.expm1(mu))))
+        assert_parameters(adapter, expected)
+        assert adapter.blocks == self.BLOCKS
+        assert sorted(adapter.pairs) == [(i, p) for i in self.BLOCKS for p in ("q", "v")]
+
+    def test_rank_is_checked_before_down_init(self):
+        with pytest.raises(InvalidRankError):
+            adp.init_shared((1,), ("q",), 0, 8, nm.make_rng(0), down_init="bogus")
+        for blocks in ((), (1,)):
+            with pytest.raises(InvalidInputError, match="unknown down_init 'bogus'"):
+                adp.init_shared(blocks, ("q",), 2, 8, nm.make_rng(0), down_init="bogus")
+
+
 class TestDeltas:
     def test_shared_delta_zero_at_init(self):
         shared = adp.init_shared((1,), ("q",), 2, 8, nm.make_rng(0))

@@ -517,8 +517,15 @@ class TestReadoutOnlyBlock:
         for i in (1, 2):
             state = bb.block_forward(backbone, state, i)
         assert state.tokens.value.shape == (2, 1, 16)
-        with pytest.raises(ConfigError, match="out of range"):
+        with pytest.raises(ShapeError, match="out of range"):  # a bug, not an InputError
             bb.block_forward(backbone, state, 3)
+
+    def test_block_rejects_a_delta_for_an_unattached_projection(self):
+        backbone = bb.init_backbone(small_cfg(), nm.make_rng(8))
+        state = bb.patch_embed(nm.make_rng(9).uniform(0, 1, (2, 1, 8, 8)), backbone)
+        adapter = adp.init_shared((1,), ("k",), 2, 16, nm.make_rng(10))
+        with pytest.raises(ShapeError, match=r"unattached projections: \['k'\]"):
+            bb.block_forward(backbone, state, 1, {"k": adapter.pair(1, "k").attach()})
 
 
 class TestMlpGradientProperty:

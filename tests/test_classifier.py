@@ -478,6 +478,26 @@ class TestInferenceRecordsNoTape:
             assert not node.requires_grad
             assert node.parents == () and node.bwd is None
 
+    def test_task_features_keep_no_tape_on_any_node(self, trained_micro, monkeypatch):
+        # ad.node alone decides: with nothing trainable it keeps no parents or bwd
+        model, stream = trained_micro["model"], trained_micro["stream"]
+        nodes = []
+        for name in ("attention_sublayer", "mlp_sublayer", "extract_cls"):
+
+            def recording(*args, _fn=getattr(bb, name), _name=name):
+                nodes.append((_name, _fn(*args)))
+                return nodes[-1][1]
+
+            monkeypatch.setattr(bb, name, recording)
+        for share_prefix in (True, False):
+            clf.task_features(
+                model, stream.tasks[0].test_images, model.tasks, share_prefix=share_prefix
+            )
+        assert {name for name, _ in nodes} == {"attention_sublayer", "mlp_sublayer", "extract_cls"}
+        for name, node in nodes:
+            assert not node.requires_grad, name
+            assert node.parents == () and node.bwd is None, name
+
     def test_desk_evaluate_peak_memory(self):
         # a tape over a 100-query batch holds about 65 MB; without one, about 6 MB
         tcfg, stream, model, task_rngs = harness.build_run(

@@ -8,6 +8,7 @@ import json
 import os
 import platform
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -672,6 +673,15 @@ class TestCli:
         )
         assert _fresh_python(probe) == "['dualora']"
 
+    def test_module_entry_point_lists_every_command(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-m", "dualora", "--help"], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        (commands,) = re.findall(r"\{([a-z,-]+)\}", out.stdout)[:1]
+        assert commands.split(",") == ["gen-data", "run", "ablate", "gradcheck", "report"]
+
     def test_run_and_report(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(FAST))
@@ -701,6 +711,39 @@ class TestCli:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("class_shuffle", [False, True])
+    def test_gen_data_writes_the_dataset_a_run_of_its_seed_draws(self, tmp_path, class_shuffle):
+        config, data = {**FAST, "class_shuffle": class_shuffle}, tmp_path / "d.clld"
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["gen-data", "--config", str(tmp_path / "cfg.json"), "--seed", "5"]
+        assert cli_main([*argv, "--out", str(data)]) == 0
+        reports, logs = [], []
+        for name, overrides in (("drawn", {}), ("loaded", {"dataset_path": str(data)})):
+            report = harness.run_experiment({**config, **overrides}, 5, out_dir=tmp_path / name)
+            del report["config"]["dataset_path"]
+            reports.append(without_timings(report))
+            logs.append((tmp_path / name / "loss_log.jsonl").read_bytes())
+        assert reports[0] == reports[1]
+        assert logs[0] == logs[1]
+
+    def test_gen_data_keeps_a_file_named_like_a_temp_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(FAST))
+        out, kept = tmp_path / "out.clld", tmp_path / "out.clld.tmp"
+        kept.write_bytes(b"precious")
+        assert cli_main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+        assert kept.read_bytes() == b"precious"
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["cfg.json", "out.clld", "out.clld.tmp"]
+
+    def test_written_file_has_the_mode_open_gives(self, tmp_path):
+        mask = os.umask(0o027)
+        try:
+            harness.atomic_write(tmp_path / "a.json", "{}\n")
+        finally:
+            os.umask(mask)
+        assert stat.S_IMODE((tmp_path / "a.json").stat().st_mode) == 0o666 & ~0o027
 
     def test_ablate(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -231,6 +231,18 @@ class TestDatasetFile:
         assert list(tmp_path.iterdir()) == [path]
 
 
+class TestReplacing:
+    def test_a_temp_name_that_exists_is_left_alone(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(st.os, "urandom", lambda n: bytes(n))
+        taken = tmp_path / f"out.json.{'00' * 8}.tmp"
+        taken.write_bytes(b"precious")
+        with pytest.raises(FileExistsError):
+            with st.replacing(tmp_path / "out.json") as f:
+                f.write(b"new")
+        assert taken.read_bytes() == b"precious"
+        assert [p.name for p in tmp_path.iterdir()] == [taken.name]
+
+
 @pytest.fixture(scope="module")
 def clld(tmp_path_factory):
     """A small saved dataset's bytes, and a path to write corrupted copies to."""
