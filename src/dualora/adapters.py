@@ -139,9 +139,6 @@ class Adapter:
         """The block weights (softplus of ``rho``) on the tape; None without."""
         return None if self.rho is None else ad.softplus(ad.leaf(self.rho))
 
-    def mu_values(self) -> np.ndarray:
-        return np.logaddexp(0.0, self.rho.value)
-
     def copy(self, train: Collection[str] = ()) -> Adapter:
         """The adapter as it is now, with copied values; a parameter trains
         only if its tag is in ``train``, so by default none does. The model

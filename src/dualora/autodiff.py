@@ -89,10 +89,6 @@ class Tensor:
         return self.value.shape
 
 
-def constant(x) -> Tensor:
-    return Tensor(x)
-
-
 def leaf(param: Parameter) -> Tensor:
     """Enter a parameter onto the tape; gradient flows only if trainable."""
     return Tensor(param.value, requires_grad=param.trainable, param=param)
@@ -237,20 +233,11 @@ def backward_per_term(
     return out
 
 
-@dataclass
-class FiniteDifferenceReport:
-    """Outcome of a central finite-difference gradient verification."""
-
-    max_rel_error: float
-    num_checked: int
-    per_param: dict[str, float]
-
-
 def finite_difference_check(
     forward: Callable[[], Mapping[str, Tensor | None]],
     params: Iterable[Parameter],
     step: float,
-) -> dict[str, FiniteDifferenceReport]:
+) -> dict[str, dict[str, float]]:
     """Compare analytic gradients of a closure's loss terms to central differences.
 
     The closure returns a mapping from term name to a scalar tensor or
@@ -260,13 +247,13 @@ def finite_difference_check(
     scalars however many terms it returns. Each term's value becomes a float
     right after its forward, so one tape is alive at a time. A parameter's
     relative error is its largest absolute error over its largest analytic or
-    numeric entry, at least 1e-8. Frozen parameters are skipped and excluded
-    from the reported count. The closure is evaluated twice up front; a
-    different value or a different set of present terms raises
-    :class:`DeterminismError`. A perturbed scalar is put back even when the
-    closure raises.
+    numeric entry, at least 1e-8. Frozen parameters are skipped. The closure
+    is evaluated twice up front; a different value or a different set of
+    present terms raises :class:`DeterminismError`. A perturbed scalar is put
+    back even when the closure raises.
 
-    Returns a dict of reports keyed by the terms that are not ``None``.
+    Returns ``{term: {parameter name: relative error}}`` for the terms that
+    are not ``None``, the shape :func:`backward_per_term` gives gradients in.
     """
     if step <= 0:
         raise InvalidInputError(f"step must be positive, got {step}")
@@ -283,9 +270,7 @@ def finite_difference_check(
             raise DeterminismError(f"closure not deterministic: {value!r} vs {again[term]!r}")
     analytic = {term: backward(root) for term, root in roots.items()}
     del first, roots
-    per_param: dict = {term: {} for term in analytic}
-    worst = dict.fromkeys(analytic, 0.0)
-    checked = 0
+    errors: dict[str, dict[str, float]] = {term: {} for term in analytic}
     for p in params:
         if not p.trainable:
             continue
@@ -302,19 +287,11 @@ def finite_difference_check(
                 flat[i] = orig
             for term, num in numeric.items():
                 num[i] = (f_plus[term] - f_minus[term]) / (2.0 * step)
-            checked += 1
         for term, num in numeric.items():
             g = analytic[term].get(p.name, np.zeros_like(p.value)).reshape(-1)
             scale = max(np.abs(g).max(initial=0.0), np.abs(num).max(initial=0.0), 1e-8)
-            err = float(np.abs(g - num).max(initial=0.0) / scale)
-            per_param[term][p.name] = err
-            worst[term] = max(worst[term], err)
-    return {
-        term: FiniteDifferenceReport(
-            max_rel_error=worst[term], num_checked=checked, per_param=per_param[term]
-        )
-        for term in analytic
-    }
+            errors[term][p.name] = float(np.abs(g - num).max(initial=0.0) / scale)
+    return errors
 
 
 def _fd_terms(out: Mapping[str, Tensor | None]) -> dict[str, Tensor]:

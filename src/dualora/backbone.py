@@ -215,7 +215,7 @@ def patch_embed(image: np.ndarray, backbone: Backbone) -> TokenState:
     tokens = tokens.reshape(image.shape[0], cfg.num_patches, cfg.width)
     cls = np.broadcast_to(backbone.params["cls"], (image.shape[0], 1, cfg.width))
     tokens = np.concatenate([cls, tokens], axis=1) + backbone.positions
-    return TokenState(tokens=ad.constant(tokens), block_index=0)
+    return TokenState(tokens=ad.Tensor(tokens), block_index=0)
 
 
 # Scalars of the widest activation, images x tokens x MLP hidden, that one

@@ -319,17 +319,31 @@ def _openblas(name: str):
     signatures = {"set_num_threads": ([ctypes.c_int], None), "get_num_threads": ([], ctypes.c_int)}
     try:
         with open("/proc/self/maps", encoding="utf-8") as f:
-            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+            # the path is the whole sixth field: it may hold spaces
+            paths = sorted(
+                {line.split(maxsplit=5)[5].strip() for line in f if "openblas" in line.lower()}
+            )
     except OSError:
         return None
     for path in paths:
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a mapping whose file was deleted
+            continue
         for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
             fn = getattr(lib, symbol, None)
             if fn is not None:
                 fn.argtypes, fn.restype = signatures[name]
                 return fn
     return None
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one (Linux), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _one_blas_thread() -> None:
@@ -409,7 +423,7 @@ def run_ablation(
 
     # Forked workers inherit the parent's imported modules, so one starts in
     # milliseconds where a spawned worker would import numpy and dualora again.
-    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    workers = min(len(jobs), _usable_cpus())
     with ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"), initializer=_one_blas_thread
     ) as pool:
@@ -490,22 +504,20 @@ def gradcheck(config: Mapping | None, seed: int, *, step: float = 3e-4) -> dict:
         pinned = tr.kd_target(session.head, session.teacher_cls[rows], tcfg.temperature)
 
     tag_of = {p.name: p.tag for p in session.params}
-    reports = ad.finite_difference_check(
+    errors = ad.finite_difference_check(
         lambda: session.losses(rows, pinned_kd_target=pinned), session.params, step
     )
+    num_checked = sum(p.size for p in session.params if p.trainable)
     terms: dict[str, dict] = {}
     overall = 0.0
-    for term, rep in reports.items():
+    for term, per_param in errors.items():
         per_group: dict[str, float] = {}
-        for name, err in rep.per_param.items():
+        for name, err in per_param.items():
             tag = tag_of[name]
             per_group[tag] = max(per_group.get(tag, 0.0), err)
-        terms[term] = {
-            "max_rel_error": rep.max_rel_error,
-            "num_checked": rep.num_checked,
-            "per_group": per_group,
-        }
-        overall = max(overall, rep.max_rel_error)
+        worst = max(per_group.values(), default=0.0)
+        terms[term] = {"max_rel_error": worst, "num_checked": num_checked, "per_group": per_group}
+        overall = max(overall, worst)
     return {
         "seed": seed,
         "step": step,

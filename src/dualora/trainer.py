@@ -312,7 +312,6 @@ class TaskSession:
         self.cfg = cfg
         self.t = task.task_id
         self.kd_active = bool(cfg.kd and self.t > 1 and cfg.position_l >= 1)
-        self.orth_active = bool(cfg.bw and self.t > 1 and model.specific_blocks)
 
         shared = model.shared  # the teacher
         # A flipped layout runs the shared blocks after the transition point, so
@@ -336,7 +335,10 @@ class TaskSession:
             block_weights=cfg.bw,
         )
         self.head = init_head(model.width, len(task.classes), self.t, rng)
-        self.previous_mu = [a.mu_values() for a in model.tasks if a.rho is not None]
+        # earlier tasks' block weights, if this task has its own; the overlap
+        # term is built exactly when there are any
+        earlier = model.tasks if self.adapter.rho is not None else []
+        self.previous_mu = [a.mu_tensor().value for a in earlier if a.rho is not None]
 
         parts = (self.shared, self.adapter, self.head)
         self.params = [p for part in parts for p in part.parameters()]
@@ -373,7 +375,7 @@ class TaskSession:
                 target = kd_target(self.head, self.teacher_cls[rows], self.cfg.temperature)
             kd = kd_loss(cls_at_l, target, self.head, self.cfg.temperature)
         orth = None
-        if self.orth_active and self.previous_mu:
+        if self.previous_mu:
             orth = orth_loss(self.adapter.mu_tensor(), self.previous_mu)
         return {"ce": ce, "kd": kd, "orth": orth}
 

@@ -119,14 +119,14 @@ class TestInitShared:
 class TestInitSpecific:
     def test_zero_up_means_zero_delta(self):
         specific = adp.init_specific(1, (2,), ("q", "v"), 2, 8, nm.make_rng(0))
-        x = ad.constant(nm.make_rng(1).standard_normal((5, 8)))
+        x = ad.Tensor(nm.make_rng(1).standard_normal((5, 8)))
         delta = adp.specific_delta(specific, x, 2, "q")
         assert np.array_equal(delta.value, np.zeros((5, 8)))
 
     def test_block_weights_in_open_interval(self):
         for seed in range(20):
             specific = adp.init_specific(1, (2, 3, 4), ("q",), 2, 8, nm.make_rng(seed))
-            mu = specific.mu_values()
+            mu = specific.mu_tensor().value
             assert (mu > 0).all() and (mu < 2).all()
 
     def test_down_projection_scale(self):
@@ -270,14 +270,14 @@ class TestDrawOrder:
 class TestDeltas:
     def test_shared_delta_zero_at_init(self):
         shared = adp.init_shared((1,), ("q",), 2, 8, nm.make_rng(0))
-        x = ad.constant(nm.make_rng(1).standard_normal((4, 8)))
+        x = ad.Tensor(nm.make_rng(1).standard_normal((4, 8)))
         assert np.array_equal(shared.pair(1, "q").attach().delta(x).value, np.zeros((4, 8)))
 
     def test_scalar_case(self):
         shared = adp.init_shared((1,), ("q",), 1, 1, nm.make_rng(0))
         shared.pairs[(1, "q")].down.value[:] = 1.0  # orthonormal 1x1
         shared.pairs[(1, "q")].up.value[:] = 2.0
-        out = shared.pair(1, "q").attach().delta(ad.constant([[3.0]]))
+        out = shared.pair(1, "q").attach().delta(ad.Tensor([[3.0]]))
         assert out.value == pytest.approx(6.0)
 
     def test_linearity(self):
@@ -285,26 +285,26 @@ class TestDeltas:
         shared.pairs[(1, "q")].up.value[:] = nm.make_rng(3).standard_normal((8, 3))
         rng = nm.make_rng(4)
         x1, x2 = rng.standard_normal((4, 8)), rng.standard_normal((4, 8))
-        d = lambda x: shared.pair(1, "q").attach().delta(ad.constant(x)).value
+        d = lambda x: shared.pair(1, "q").attach().delta(ad.Tensor(x)).value
         assert np.allclose(d(x1 + x2), d(x1) + d(x2), atol=1e-12)
 
     def test_block_out_of_range(self):
         shared = adp.init_shared((1, 2), ("q",), 2, 8, nm.make_rng(0))
         with pytest.raises(InvalidInputError):
-            shared.pair(3, "q").attach().delta(ad.constant(np.zeros((2, 8))))
+            shared.pair(3, "q").attach().delta(ad.Tensor(np.zeros((2, 8))))
 
     def test_specific_scalar_with_mu(self):
         specific = adp.init_specific(1, (2,), ("q",), 1, 1, nm.make_rng(0))
         specific.pairs[(2, "q")].up.value[:] = 1.0
         specific.pairs[(2, "q")].down.value[:] = 2.0
         specific.rho.value[:] = np.log(np.expm1(3.0))  # mu == 3
-        out = adp.specific_delta(specific, ad.constant([[5.0]]), 2, "q")
+        out = adp.specific_delta(specific, ad.Tensor([[5.0]]), 2, "q")
         assert out.value == pytest.approx(30.0)
 
     def test_doubling_mu_doubles_delta(self):
         specific = adp.init_specific(1, (2,), ("q",), 2, 8, nm.make_rng(5))
         specific.pairs[(2, "q")].up.value[:] = nm.make_rng(6).standard_normal((8, 2))
-        x = ad.constant(nm.make_rng(7).standard_normal((3, 8)))
+        x = ad.Tensor(nm.make_rng(7).standard_normal((3, 8)))
         specific.rho.value[:] = np.log(np.expm1(0.7))
         one = adp.specific_delta(specific, x, 2, "q").value
         specific.rho.value[:] = np.log(np.expm1(1.4))
@@ -314,7 +314,7 @@ class TestDeltas:
     def test_mu_positive_under_any_rho(self):
         specific = adp.init_specific(1, (2, 3), ("q",), 2, 8, nm.make_rng(8))
         specific.rho.value[:] = [-40.0, 40.0]
-        assert (specific.mu_values() > 0).all()
+        assert (specific.mu_tensor().value > 0).all()
 
 
 def closed_form(n, l, flip, fix_b, bw, attach, r, d):

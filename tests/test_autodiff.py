@@ -94,7 +94,7 @@ class TestOpGradients:
 
     def _check(self, build, params, tol=1e-6):
         rep = ad.finite_difference_check(lambda: {"f": build()}, params, step=1e-5)["f"]
-        assert rep.max_rel_error <= tol, rep.per_param
+        assert max(rep.values()) <= tol, rep
 
     def test_layer_norm(self):
         rng = nm.make_rng(2)
@@ -128,7 +128,7 @@ class TestOpGradients:
 def _toy_terms(x, w1, w2, mu, frozen):
     """Three scalar terms on one tape: ce reaches w1 and w2, kd reaches w1
     only, and orth reaches mu only."""
-    h1 = ad.softplus(_matmul(ad.constant(x), ad.leaf(w1)))
+    h1 = ad.softplus(_matmul(ad.Tensor(x), ad.leaf(w1)))
     logits = _matmul(h1, ad.leaf(w2))
     weights = np.linspace(-1.0, 1.0, logits.value.size).reshape(logits.shape)
     ce = project(ad.softplus(logits), weights)
@@ -211,7 +211,7 @@ class TestFiniteDifferenceCheck:
         w = _param("w", [0.7, -1.3, 2.0])
         x = np.array([1.5, 0.5, -2.0])
         rep = ad.finite_difference_check(lambda: {"f": project(ad.leaf(w), x)}, [w], step=1e-5)
-        assert rep["f"].max_rel_error <= 1e-10
+        assert max(rep["f"].values()) <= 1e-10
 
     def test_softmax_cross_entropy_head(self):
         rng = nm.make_rng(20)
@@ -219,11 +219,11 @@ class TestFiniteDifferenceCheck:
         x = rng.standard_normal((6, 4))
         labels = rng.integers(0, 3, 6)
         rep = ad.finite_difference_check(
-            lambda: {"ce": tr.local_ce_loss(ad.constant(x), head, labels)},
+            lambda: {"ce": tr.local_ce_loss(ad.Tensor(x), head, labels)},
             head.parameters(),
             step=1e-5,
         )
-        assert rep["ce"].max_rel_error <= 1e-6
+        assert max(rep["ce"].values()) <= 1e-6
 
     def test_frozen_parameter_skipped(self):
         w = _param("w", [1.0, 2.0])
@@ -231,8 +231,7 @@ class TestFiniteDifferenceCheck:
         rep = ad.finite_difference_check(
             lambda: {"f": project(_product(ad.leaf(w), ad.leaf(w)), 1.0)}, [w, frozen], step=1e-5
         )["f"]
-        assert rep.num_checked == 2
-        assert "f" not in rep.per_param
+        assert list(rep) == ["w"]
 
     def test_nondeterministic_closure_detected(self):
         rng = nm.make_rng(21)
@@ -307,8 +306,8 @@ class TestOneSweepCheck:
                 lambda: {term: closure()[term]}, params, step=1e-5
             )[term]
             assert repr(rep) == repr(alone), term
-            assert rep.num_checked == 9 + 6 + 2
-            assert rep.max_rel_error <= 1e-6
+            assert list(rep) == ["w1", "w2", "mu"]
+            assert max(rep.values()) <= 1e-6
 
     def test_closure_runs_twice_per_checked_scalar_plus_two(self):
         params, closure = _three_term_closure()
@@ -318,8 +317,8 @@ class TestOneSweepCheck:
             calls.append(None)
             return closure()
 
-        reports = ad.finite_difference_check(counted, params, step=1e-5)
-        assert len(calls) == 2 + 2 * reports["ce"].num_checked
+        ad.finite_difference_check(counted, params, step=1e-5)
+        assert len(calls) == 2 + 2 * sum(p.size for p in params if p.trainable)
 
     def test_term_present_in_one_up_front_call_only_detected(self):
         params, closure = _three_term_closure()

@@ -401,6 +401,20 @@ class TestEvaluationReuse:
             assert acc == clf.evaluate(model, store, union, labels)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """``(max_workers, start method)`` of each process pool made while the test runs."""
+    made = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context, initializer):
+            made.append((max_workers, mp_context.get_start_method()))
+            super().__init__(max_workers, mp_context=mp_context, initializer=initializer)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return made
+
+
 class TestRunAblation:
     def test_axis_cross_product_row_count(self, tmp_path):
         reports, summary = harness.run_ablation(
@@ -482,19 +496,17 @@ class TestRunAblation:
             ]
             assert on_disk[0] == on_disk[1]
 
-    def test_pool_has_one_forked_worker_per_usable_cpu(self, monkeypatch):
-        made = []
-
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, mp_context, initializer):
-                made.append((max_workers, mp_context.get_start_method()))
-                super().__init__(max_workers, mp_context=mp_context, initializer=initializer)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    def test_pool_has_one_forked_worker_per_usable_cpu(self, pools):
         harness.run_ablation(FAST, {"kd": [True]}, seeds=[0])
         harness.run_ablation(FAST, ["l-sweep"], seeds=[0])
-        cpus = len(os.sched_getaffinity(0))
-        assert made == [(1, "fork"), (min(3, cpus), "fork")]
+        assert pools == [(1, "fork"), (min(3, harness._usable_cpus()), "fork")]
+
+    def test_pool_sized_by_cpu_count_without_affinity(self, pools, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        harness.run_ablation(FAST, ["l-sweep"], seeds=[0])
+        assert pools == [(2, "fork")]
 
     def test_workers_run_one_blas_thread(self, monkeypatch):
         get_threads = harness._openblas("get_num_threads")
@@ -510,6 +522,27 @@ class TestRunAblation:
         finally:
             set_threads(before)
         assert [row["A_T"] for row in csv.DictReader(io.StringIO(summary))] == ["1"] * 4
+
+    def test_openblas_found_under_a_path_with_a_space(self, monkeypatch, tmp_path):
+        get_threads = harness._openblas("get_num_threads")
+        if get_threads is None:
+            pytest.skip("no OpenBLAS thread getter in this build")
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            loaded = next(
+                line.split(maxsplit=5)[5].strip()
+                for line in f
+                if "openblas" in line.lower() and ".so" in line
+            )
+        (tmp_path / "a b").mkdir()
+        link = tmp_path / "a b" / Path(loaded).name
+        link.symlink_to(loaded)  # dlopen hands back the copy already loaded
+        maps = (
+            f"7f00-7f01 r-xp 00000000 08:01 1 {link}\n"
+            # sorts first, so it is tried and skipped
+            f"7f01-7f02 r-xp 00000000 08:01 2 {tmp_path}/0/libopenblas.so (deleted)\n"
+        )
+        monkeypatch.setattr(harness, "open", lambda *a, **k: io.StringIO(maps), raising=False)
+        assert harness._openblas("get_num_threads")() == get_threads()
 
     def test_default_l_sweep_on_one_block_runs_each_position_once(self):
         _, summary = harness.run_ablation({**FAST, "num_blocks": 1}, ["l-sweep"], seeds=[0])

@@ -53,38 +53,38 @@ def identity_head(classes):
 
 class TestLocalCeLoss:
     def test_uniform_two_class_is_ln2(self):
-        loss = tr.local_ce_loss(ad.constant([[0.3, 0.3]]), identity_head(2), [0])
+        loss = tr.local_ce_loss(ad.Tensor([[0.3, 0.3]]), identity_head(2), [0])
         assert float(loss.value) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_huge_margin_goes_to_zero(self):
-        loss = tr.local_ce_loss(ad.constant([[60.0, 0.0]]), identity_head(2), [0])
+        loss = tr.local_ce_loss(ad.Tensor([[60.0, 0.0]]), identity_head(2), [0])
         assert float(loss.value) <= 1e-20
 
     def test_mean_reduction_over_duplicates(self):
         head = identity_head(2)
-        single = tr.local_ce_loss(ad.constant([[1.0, -0.5]]), head, [0])
-        double = tr.local_ce_loss(ad.constant([[1.0, -0.5], [1.0, -0.5]]), head, [0, 0])
+        single = tr.local_ce_loss(ad.Tensor([[1.0, -0.5]]), head, [0])
+        double = tr.local_ce_loss(ad.Tensor([[1.0, -0.5], [1.0, -0.5]]), head, [0, 0])
         assert float(single.value) == pytest.approx(float(double.value), abs=1e-15)
 
     def test_label_out_of_range(self):
         with pytest.raises(InvalidInputError):
-            tr.local_ce_loss(ad.constant([[0.1, 0.2]]), identity_head(2), [2])
+            tr.local_ce_loss(ad.Tensor([[0.1, 0.2]]), identity_head(2), [2])
 
     @pytest.mark.parametrize("labels", [0, [0, 1], [0, 1, 1, 0, 1]])
     def test_label_count_must_match_batch(self, labels):
         with pytest.raises(ShapeError, match=f"{np.size(labels)} labels for a batch of 4"):
-            tr.local_ce_loss(ad.constant(np.zeros((4, 2))), identity_head(2), labels)
+            tr.local_ce_loss(ad.Tensor(np.zeros((4, 2))), identity_head(2), labels)
 
     @pytest.mark.parametrize("labels", [[], [0, 5, 1]])
     def test_label_count_checked_before_label_range(self, labels):
         # a wrong count is a bug (ShapeError), not bad input (InvalidInputError)
         with pytest.raises(ShapeError, match="labels for a batch of 2"):
-            tr.local_ce_loss(ad.constant(np.zeros((2, 2))), identity_head(2), labels)
+            tr.local_ce_loss(ad.Tensor(np.zeros((2, 2))), identity_head(2), labels)
 
     @pytest.mark.parametrize("label", [0, np.int64(1), np.array(0)])
     def test_scalar_label_rejected(self, label):
         with pytest.raises(ShapeError, match=r"shape \(\)"):
-            tr.local_ce_loss(ad.constant(np.zeros((1, 2))), identity_head(2), label)
+            tr.local_ce_loss(ad.Tensor(np.zeros((1, 2))), identity_head(2), label)
 
     def test_plain_array_readout_rejected(self):
         # the readout is a tape tensor; a bare array has no node to hang on
@@ -93,7 +93,7 @@ class TestLocalCeLoss:
 
     def test_readout_width_must_fit_the_head(self):
         with pytest.raises(ShapeError, match="does not fit head"):
-            tr.local_ce_loss(ad.constant(np.zeros((2, 3))), identity_head(2), [0, 1])
+            tr.local_ce_loss(ad.Tensor(np.zeros((2, 3))), identity_head(2), [0, 1])
 
     def test_model_readout_with_fewer_labels_rejected(self):
         stream, _, model, _ = build_micro()
@@ -118,7 +118,7 @@ class TestKdLoss:
         head.b.value[:] = 0.0
         teacher = np.array([[1.0, 0.0]])  # head logits -> one-hot target
         student = np.array([[0.0, 0.0]])  # head logits equal -> uniform
-        loss = tr.kd_loss(ad.constant(student), tr.kd_target(head, teacher, 1.0), head, tau=1.0)
+        loss = tr.kd_loss(ad.Tensor(student), tr.kd_target(head, teacher, 1.0), head, tau=1.0)
         assert float(loss.value) == pytest.approx(math.log(2), abs=1e-9)
 
     def test_gibbs_inequality(self):
@@ -128,7 +128,7 @@ class TestKdLoss:
             student = rng.standard_normal((2, 6))
             teacher = rng.standard_normal((2, 6))
             target = tr.kd_target(head, teacher, 2.0)
-            loss = float(tr.kd_loss(ad.constant(student), target, head, tau=2.0).value)
+            loss = float(tr.kd_loss(ad.Tensor(student), target, head, tau=2.0).value)
             entropy = float(np.mean(-(target * np.log(target)).sum(axis=-1)))
             assert loss >= entropy - 1e-12
 
@@ -136,7 +136,7 @@ class TestKdLoss:
         head = make_head()
         target = tr.kd_target(head, np.zeros((2, 4)), 2.0)
         with pytest.raises(ShapeError):
-            tr.kd_loss(ad.constant(np.zeros((1, 4))), target, head, tau=2.0)
+            tr.kd_loss(ad.Tensor(np.zeros((1, 4))), target, head, tau=2.0)
 
     def test_plain_array_student_rejected(self):
         head = make_head()
@@ -148,7 +148,7 @@ class TestKdLoss:
     def test_pinned_target_must_match_logits(self, shape):
         head = make_head(width=3, classes=2)
         with pytest.raises(ShapeError, match="distillation target"):
-            tr.kd_loss(ad.constant(np.ones((4, 3))), np.full(shape, 0.5), head, 2.0)
+            tr.kd_loss(ad.Tensor(np.ones((4, 3))), np.full(shape, 0.5), head, 2.0)
 
 
 class TestOrthLoss:
@@ -328,6 +328,16 @@ class TestTrainTask:
         second = trained_micro["logs"][1]
         assert any(entry["loss_kd"] != 0.0 for entry in second)
         assert any(entry["loss_orth"] != 0.0 for entry in second)
+
+    def test_task_without_block_weights_after_one_with_builds_no_orth(self, micro):
+        stream, _, model, tcfg = micro  # bw is on for task 1
+        tr.train_task(model, clf.PrototypeStore(), stream.tasks[0], tcfg, nm.make_rng(0))
+        assert model.tasks[0].rho is not None
+        # bw is not part of the model's layout, so task 2 may turn it off
+        session = tr.TaskSession(model, stream.tasks[1], replace(tcfg, bw=False), nm.make_rng(1))
+        rows = np.arange(tcfg.batch_size)
+        assert session.losses(rows)["orth"] is None
+        assert session.step(rows, tr.make_optimizer(tcfg))["loss_orth"] == 0.0
 
     def test_epoch_log_schema(self, trained_micro):
         for log in trained_micro["logs"]:
