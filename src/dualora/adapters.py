@@ -119,14 +119,6 @@ class Adapter:
     pairs: dict[tuple[int, str], LowRankPair] = field(default_factory=dict)
     rho: ad.Parameter | None = None
 
-    def pair(self, block: int, proj: str) -> LowRankPair:
-        if (block, proj) not in self.pairs:
-            raise InvalidInputError(
-                f"no adapter on block {block} projection {proj!r}; "
-                f"the adapter covers blocks {self.blocks}"
-            )
-        return self.pairs[(block, proj)]
-
     def parameters(self) -> list[ad.Parameter]:
         out = []
         for key in sorted(self.pairs):
@@ -260,4 +252,4 @@ def specific_delta(
     if mu is None:
         mu = adapter.mu_tensor()
     index = adapter.blocks.index(block) if mu is not None else 0
-    return adapter.pair(block, proj).attach(mu, index).delta(x)
+    return adapter.pairs[(block, proj)].attach(mu, index).delta(x)

@@ -78,15 +78,10 @@ def compute_prototypes(model: mdl.ContinualModel, store: PrototypeStore, task) -
     t = task.task_id
     if t != len(store.tasks) + 1 or t > len(model.tasks):
         raise ProtocolError(f"prototypes of task {t} need tasks 1..{t - 1} stored, {t} trained")
+    local = task.train_labels_local  # DataError unless the labels are exactly its classes
     (feats,) = task_features(model, task.train_images, [model.tasks[t - 1]])
-    class_ids = np.array(task.classes, dtype=np.int64)  # ascending, as a task holds them
-    rows = []
-    for class_id in class_ids:
-        mask = task.train_labels == class_id
-        if not mask.any():
-            raise DataError(f"class {class_id} of task {t} has no samples")
-        rows.append(feats[mask].mean(axis=0))
-    store.tasks.append(TaskPrototypes(class_ids, np.stack(rows)))
+    rows = [feats[local == j].mean(axis=0) for j in range(len(task.classes))]
+    store.tasks.append(TaskPrototypes(np.array(task.classes, dtype=np.int64), np.stack(rows)))
 
 
 def score_features(store: PrototypeStore, features) -> tuple[np.ndarray, np.ndarray]:

@@ -72,11 +72,22 @@ def resolve_config(overrides: Mapping | None = None) -> dict:
 
 def read_json_object(path, error: type[InputError], kind: str) -> dict:
     """The JSON object in the ``kind`` file at ``path``; ``error`` when the file
-    cannot be read, is not JSON or holds something other than an object."""
+    cannot be read, is not JSON, repeats a key in one object at any depth
+    (``json`` would keep the last) or holds something other than an object."""
+    def unique_keys(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise error(f"{kind} file {path} gives key {key!r} twice in one object")
+            obj[key] = value
+        return obj
+
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except OSError as e:
         raise error(f"cannot read {kind} file {path}: {e.strerror or e}") from e
+    except InputError:  # a repeated key, raised by unique_keys
+        raise
     except ValueError as e:  # not UTF-8, or not JSON
         raise error(f"{kind} file {path} is not valid JSON: {e}") from e
     if not isinstance(data, dict):
@@ -495,9 +506,8 @@ def gradcheck(config: Mapping | None, seed: int, *, step: float = 3e-4) -> dict:
     task = stream.tasks[check_task_idx]
     session = tr.TaskSession(model, task, tcfg, task_rngs[check_task_idx])
     rows = np.arange(min(tcfg.batch_size, task.num_train))
-    optimizer = tr.make_optimizer(tcfg)
     for _ in range(GRADCHECK_SETTLE_STEPS):
-        session.step(rows, optimizer)
+        session.step(rows)
 
     pinned = None
     if session.kd_active:
@@ -514,10 +524,11 @@ def gradcheck(config: Mapping | None, seed: int, *, step: float = 3e-4) -> dict:
         per_group: dict[str, float] = {}
         for name, err in per_param.items():
             tag = tag_of[name]
-            per_group[tag] = max(per_group.get(tag, 0.0), err)
-        worst = max(per_group.values(), default=0.0)
+            # np.maximum keeps a NaN error, which max(0.0, nan) would drop
+            per_group[tag] = float(np.maximum(per_group.get(tag, 0.0), err))
+        worst = float(np.max([0.0, *per_group.values()]))
         terms[term] = {"max_rel_error": worst, "num_checked": num_checked, "per_group": per_group}
-        overall = max(overall, worst)
+        overall = float(np.maximum(overall, worst))
     return {
         "seed": seed,
         "step": step,

@@ -117,7 +117,7 @@ def _deltas(model, block, adapter: adp.Adapter, mu: ad.Tensor | None = None):
     """``adapter``'s attachments on ``block``, scaled by that block's entry of
     the block-weight vector ``mu`` when given."""
     index = adapter.blocks.index(block) if mu is not None else 0
-    return {p: adapter.pair(block, p).attach(mu, index) for p in model.backbone.cfg.attach_set}
+    return {p: adapter.pairs[(block, p)].attach(mu, index) for p in model.backbone.cfg.attach_set}
 
 
 def run_blocks(

@@ -281,12 +281,6 @@ class AdaptiveMoments:
             params[name].value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def make_optimizer(cfg: TrainConfig):
-    if cfg.optimizer == "plain-gradient-descent":
-        return PlainGradientDescent(cfg.learning_rate)
-    return AdaptiveMoments(cfg.learning_rate)
-
-
 # ---------------------------------------------------------------------------
 # per-task session and training loop
 # ---------------------------------------------------------------------------
@@ -294,8 +288,8 @@ def make_optimizer(cfg: TrainConfig):
 
 class TaskSession:
     """One task's training state: its copy of the shared adapter, fresh
-    adapter, head and params. Its steps move only these; the model, whose
-    shared adapter is the teacher, changes only in :meth:`finish`."""
+    adapter, head, params and optimizer. Its steps move only these; the model,
+    whose shared adapter is the teacher, changes only in :meth:`finish`."""
 
     def __init__(self, model: mdl.ContinualModel, task, cfg: TrainConfig, rng):
         layout = (cfg.position_l, cfg.flip_positions, cfg.fix_b)
@@ -342,6 +336,8 @@ class TaskSession:
 
         parts = (self.shared, self.adapter, self.head)
         self.params = [p for part in parts for p in part.parameters()]
+        plain = cfg.optimizer == "plain-gradient-descent"
+        self.optimizer = (PlainGradientDescent if plain else AdaptiveMoments)(cfg.learning_rate)
         # the teacher is frozen for the whole task, so its readout of the
         # task's training images is taken once; steps index into it
         self.teacher_cls = self.teacher_readout(task.train_images) if self.kd_active else None
@@ -379,12 +375,12 @@ class TaskSession:
             orth = orth_loss(self.adapter.mu_tensor(), self.previous_mu)
         return {"ce": ce, "kd": kd, "orth": orth}
 
-    def step(self, rows, optimizer) -> dict:
+    def step(self, rows) -> dict:
         losses = self.losses(rows)
         grads = total_step_gradient(
             ad.backward_per_term(losses, self.params), self.params, self.cfg, self.row_norms
         )
-        optimizer.step({p.name: p for p in self.params}, grads)
+        self.optimizer.step({p.name: p for p in self.params}, grads)
         ce = float(losses["ce"].value)
         kd = float(losses["kd"].value) if losses["kd"] is not None else 0.0
         orth = float(losses["orth"].value) if losses["orth"] is not None else 0.0
@@ -418,7 +414,6 @@ def train_task(
     """Run one task end to end: epochs of batched steps, then
     :meth:`TaskSession.finish`. Returns the per-epoch loss log."""
     session = TaskSession(model, task, cfg, rng)
-    optimizer = make_optimizer(cfg)
     n = task.num_train
     epoch_log: list[dict] = []
     for epoch in range(cfg.epochs):
@@ -427,7 +422,7 @@ def train_task(
         steps = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            rec = session.step(idx, optimizer)
+            rec = session.step(idx)
             for k in sums:
                 sums[k] += rec[k]
             steps += 1

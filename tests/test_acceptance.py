@@ -141,9 +141,8 @@ def test_06_zero_init_transparency():
             )
             assert np.array_equal(with_task, without), f"task {task.task_id}"
             # now actually train so the next task sees realistic state
-            optimizer = tr.make_optimizer(tcfg)
             for _ in range(3):
-                session.step(rows, optimizer)
+                session.step(rows)
             session.finish(store)
 
 

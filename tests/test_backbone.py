@@ -151,7 +151,7 @@ class TestBlockForward:
         img = nm.make_rng(1).uniform(0, 1, (1, 1, 8, 8))
         plain = bb.block_forward(backbone, bb.patch_embed(img, backbone), 1)
         shared = adp.init_shared((1,), ("q", "v"), 2, 16, nm.make_rng(3))  # up starts at zero
-        zeros = {p: shared.pair(1, p).attach() for p in ("q", "v")}
+        zeros = {p: shared.pairs[(1, p)].attach() for p in ("q", "v")}
         with_delta = bb.block_forward(backbone, bb.patch_embed(img, backbone), 1, zeros)
         assert np.array_equal(plain.tokens.value, with_delta.tokens.value)
 
@@ -525,7 +525,7 @@ class TestReadoutOnlyBlock:
         state = bb.patch_embed(nm.make_rng(9).uniform(0, 1, (2, 1, 8, 8)), backbone)
         adapter = adp.init_shared((1,), ("k",), 2, 16, nm.make_rng(10))
         with pytest.raises(ShapeError, match=r"unattached projections: \['k'\]"):
-            bb.block_forward(backbone, state, 1, {"k": adapter.pair(1, "k").attach()})
+            bb.block_forward(backbone, state, 1, {"k": adapter.pairs[(1, "k")].attach()})
 
 
 class TestMlpGradientProperty:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,6 +127,17 @@ class TestComputePrototypes:
         )
         store = clf.PrototypeStore()
         with pytest.raises(DataError):
+            clf.compute_prototypes(model, store, broken)
+        assert store.tasks == []
+
+    def test_foreign_training_label_rejected(self, trained_micro):
+        model, stream = trained_micro["model"], trained_micro["stream"]
+        task = stream.tasks[0]
+        labels = task.train_labels.copy()
+        labels[0] = stream.tasks[1].classes[0]  # every class of the task keeps samples
+        broken = replace(task, train_labels=labels)
+        store = clf.PrototypeStore()
+        with pytest.raises(DataError, match="not one of its classes"):
             clf.compute_prototypes(model, store, broken)
         assert store.tasks == []
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
+from dualora import autodiff as ad
 from dualora import cli, errors
 from dualora import backbone as bb
 from dualora import classifier as clf
@@ -887,6 +888,34 @@ class TestCli:
         assert len(err.splitlines()) == 1 and "noise_std" in err
         assert not out.exists()
 
+    def test_config_key_given_twice_exits_2(self, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text('{"kd": true, "kd": false}')
+        with pytest.raises(ConfigError, match="'kd' twice"):
+            harness.read_json_object(cfg, ConfigError, "config")
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "'kd'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"seed": 0, "seed": 1, "accuracy": {ACC}}', "seed"),
+            ('{"seed": 0, "accuracy": {"final": 0.5, ACC}}', "final"),
+        ],
+        ids=["top-level", "nested"],
+    )
+    def test_report_key_given_twice_exits_2(self, tmp_path, capsys, text, key):
+        path = tmp_path / "r.json"
+        path.write_text(text.replace("ACC", '"per_task": [1.0], "average": 1.0, "final": 1.0'))
+        with pytest.raises(FormatError, match=f"'{key}' twice"):
+            cli._load_report(path)
+        assert cli_main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert f"'{key}'" in captured.err
+
     def test_report_not_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "r.json"
         path.write_text("not json")
@@ -1065,4 +1094,29 @@ class TestCli:
         assert cli_main(["gradcheck", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 1
         data = json.loads(out.read_text())
         assert data["max_rel_error"] > cli.GRADCHECK_TOLERANCE
+        assert "exceeds" in capsys.readouterr().err
+
+    def test_gradcheck_cli_fails_on_a_nan_error(self, tmp_path, monkeypatch, capsys):
+        # the overlap term's gradient turns NaN during the check only, after
+        # the settle steps; a NaN error must fail, not fold away as 0.0
+        check, orth, checking = ad.finite_difference_check, tr.orth_loss, []
+
+        def checked(*args, **kwargs):
+            checking.append(True)
+            return check(*args, **kwargs)
+
+        def nan_orth(mu, previous):
+            out = orth(mu, previous)
+            if not checking:
+                return out
+            return ad.node(out.value, (mu,), lambda g, needs: (np.full(mu.value.shape, np.nan),))
+
+        monkeypatch.setattr(ad, "finite_difference_check", checked)
+        monkeypatch.setattr(tr, "orth_loss", nan_orth)
+        out = tmp_path / "grad.json"
+        assert cli_main(["gradcheck", "--seed", "3", "--out", str(out)]) == 1
+        data = json.loads(out.read_text())
+        assert np.isnan(data["terms"]["orth"]["max_rel_error"])
+        assert np.isnan(data["terms"]["orth"]["per_group"]["block-weight"])
+        assert np.isnan(data["max_rel_error"])
         assert "exceeds" in capsys.readouterr().err

@@ -159,9 +159,8 @@ class TestTeacherPrefix:
     def test_snapshot_unaffected_by_live_updates(self, micro):
         model, session, img = self._session(micro)
         before = mdl.transition_cls_with(model, img)
-        optimizer = tr.make_optimizer(session.cfg)
         for _ in range(3):
-            session.step(np.arange(4), optimizer)
+            session.step(np.arange(4))
         assert np.array_equal(session.teacher_readout(img), before)
         assert np.array_equal(mdl.transition_cls_with(model, img), before)
         assert not np.array_equal(self._student(model, session, img), before)

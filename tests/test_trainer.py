@@ -313,9 +313,8 @@ class TestTrainTask:
         store = clf.PrototypeStore()
         for task in stream.tasks:
             session = tr.TaskSession(model, task, cfg, nm.make_rng(task.task_id))
-            optimizer = tr.make_optimizer(cfg)
             for start in range(0, task.num_train, cfg.batch_size):
-                rec = session.step(np.arange(start, task.num_train)[: cfg.batch_size], optimizer)
+                rec = session.step(np.arange(start, task.num_train)[: cfg.batch_size])
                 recombined = (
                     rec["loss_ce"]
                     + cfg.lambda_kd * rec["loss_kd"]
@@ -337,7 +336,7 @@ class TestTrainTask:
         session = tr.TaskSession(model, stream.tasks[1], replace(tcfg, bw=False), nm.make_rng(1))
         rows = np.arange(tcfg.batch_size)
         assert session.losses(rows)["orth"] is None
-        assert session.step(rows, tr.make_optimizer(tcfg))["loss_orth"] == 0.0
+        assert session.step(rows)["loss_orth"] == 0.0
 
     def test_epoch_log_schema(self, trained_micro):
         for log in trained_micro["logs"]:
@@ -375,9 +374,8 @@ class TestTrainTask:
         rows = np.arange(2)
         probe = stream.tasks[1].train_images[rows]
         before = session.teacher_readout(probe)
-        optimizer = tr.make_optimizer(tcfg)
         for _ in range(4):
-            session.step(rows, optimizer)
+            session.step(rows)
         after = session.teacher_readout(probe)
         assert np.array_equal(before, after)
 
@@ -391,12 +389,11 @@ class TestTrainTask:
         rows = np.arange(2)
         probe = stream.tasks[1].train_images[rows]
         before = session.teacher_readout(probe)
-        optimizer = tr.make_optimizer(tcfg)
         for _ in range(4):
-            session.step(rows, optimizer)
+            session.step(rows)
         assert np.array_equal(before, session.teacher_readout(probe))
         assert not np.array_equal(
-            session.shared.pair(1, "q").down.value, model.shared.pair(1, "q").down.value
+            session.shared.pairs[(1, "q")].down.value, model.shared.pairs[(1, "q")].down.value
         )
 
     def test_teacher_readout_runs_once_per_task(self, monkeypatch):
@@ -543,11 +540,11 @@ class TestTaskBoundary:
         boundary = model.shared.content_hash()
         step, calls = tr.TaskSession.step, []
 
-        def interrupted(session, rows, optimizer):
+        def interrupted(session, rows):
             calls.append(rows)
             if len(calls) == 2:
                 raise Interrupted
-            return step(session, rows, optimizer)
+            return step(session, rows)
 
         store = clf.PrototypeStore()
         with monkeypatch.context() as mp:
@@ -573,7 +570,7 @@ class TestTaskBoundary:
         store = clf.PrototypeStore()
         tr.train_task(model, store, stream.tasks[0], tcfg, task_rngs[0])
         session = tr.TaskSession(model, stream.tasks[1], tcfg, task_rngs[1])
-        session.step(np.arange(tcfg.batch_size), tr.make_optimizer(tcfg))
+        session.step(np.arange(tcfg.batch_size))
         block_forward, applied = bb.block_forward, []
 
         def recording(backbone, state, i, deltas=None):
@@ -595,7 +592,7 @@ class TestTaskBoundary:
         images = stream.tasks[0].test_images
         columns, before = clf.score_batch(model, store, images)
         session = tr.TaskSession(model, stream.tasks[1], tcfg, task_rngs[1])
-        session.step(np.arange(tcfg.batch_size), tr.make_optimizer(tcfg))
+        session.step(np.arange(tcfg.batch_size))
         during = clf.score_batch(model, store, images)
         assert np.array_equal(during[0], columns)
         assert during[1].tobytes() == before.tobytes()
@@ -727,6 +724,25 @@ class TestOptimizers:
         # bias-corrected first step moves by ~lr in the gradient sign direction
         assert np.allclose(np.abs(p.value), 0.1, atol=1e-6)
         assert np.sign(p.value[0]) == -1 and np.sign(p.value[1]) == 1
+
+    @pytest.mark.parametrize(
+        "overrides, kind",
+        [
+            ({}, tr.AdaptiveMoments),
+            ({"optimizer": "plain-gradient-descent", "learning_rate": 0.01},
+             tr.PlainGradientDescent),
+        ],
+    )
+    def test_session_makes_a_fresh_optimizer_as_configured(self, overrides, kind):
+        stream, _, model, tcfg = build_micro(train_overrides=overrides)
+        first = tr.TaskSession(model, stream.tasks[0], tcfg, nm.make_rng(0))
+        assert type(first.optimizer) is kind and first.optimizer.lr == tcfg.learning_rate
+        first.step(np.arange(2))
+        second = tr.TaskSession(model, stream.tasks[0], tcfg, nm.make_rng(0))
+        assert second.optimizer is not first.optimizer
+        if kind is tr.AdaptiveMoments:
+            assert (first.optimizer.t, second.optimizer.t) == (1, 0)
+            assert second.optimizer.m == {} and second.optimizer.v == {}
 
 
 class TestTapeSize:
