@@ -15,14 +15,8 @@ from .backbone import Backbone, BackboneConfig, TokenState, init_backbone
 from .classifier import PrototypeStore, adapter_pass_count, compute_prototypes, predict
 from .harness import gradcheck, run_ablation, run_experiment
 from .model import ContinualModel, build_model, param_counts
-from .numerics import (
-    dimension_preserving_normalize,
-    make_rng,
-    row_l2_norms,
-    sample_orthogonal_rows,
-    softmax_temperature,
-)
+from .numerics import make_rng, sample_orthogonal_rows, softmax_temperature
 from .streams import TaskStream, gen_synthetic, load_dataset, save_dataset, split_tasks
-from .trainer import TrainConfig, kd_loss, local_ce_loss, orth_loss, reassign_gradient, train_task
+from .trainer import TrainConfig, gr_scale, kd_loss, local_ce_loss, orth_loss, train_task
 
 __version__ = "0.1.0"

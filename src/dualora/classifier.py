@@ -74,14 +74,17 @@ def task_features(
 def compute_prototypes(model: mdl.ContinualModel, store: PrototypeStore, task) -> None:
     """Append the task's entry to ``store``: the mean CLS feature of each of
     its classes over its training data, using the model's shared adapter
-    plus the task's frozen adapter. Tasks enter in order, each once."""
+    plus the task's frozen adapter. Tasks enter in order, each once; a
+    prototype that is not finite means training diverged, and enters nothing."""
     t = task.task_id
     if t != len(store.tasks) + 1 or t > len(model.tasks):
         raise ProtocolError(f"prototypes of task {t} need tasks 1..{t - 1} stored, {t} trained")
     local = task.train_labels_local  # DataError unless the labels are exactly its classes
     (feats,) = task_features(model, task.train_images, [model.tasks[t - 1]])
-    rows = [feats[local == j].mean(axis=0) for j in range(len(task.classes))]
-    store.tasks.append(TaskPrototypes(np.array(task.classes, dtype=np.int64), np.stack(rows)))
+    protos = np.stack([feats[local == j].mean(axis=0) for j in range(len(task.classes))])
+    if not np.isfinite(protos).all():
+        raise InvalidInputError(f"task {t}'s prototypes are not finite: training diverged")
+    store.tasks.append(TaskPrototypes(np.array(task.classes, dtype=np.int64), protos))
 
 
 def score_features(store: PrototypeStore, features) -> tuple[np.ndarray, np.ndarray]:

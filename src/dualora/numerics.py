@@ -1,4 +1,4 @@
-"""Float64 matrix validation, orthogonal sampling, softmax and norm utilities.
+"""Float64 matrix validation, orthogonal sampling and softmax.
 
 Matrices throughout the package are 2-D ``numpy.float64`` arrays in row-major
 order. Every function here is a pure function of its inputs and returns fully
@@ -14,10 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError, InvalidRankError, ShapeError
-
-# Below this total mass the normalizer input is treated as degenerate and the
-# neutral all-ones vector is returned instead of dividing by ~0.
-DEGENERATE_SUM = 1e-12
 
 
 def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
@@ -66,29 +62,3 @@ def softmax_temperature(logits, tau: float) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def row_l2_norms(m) -> np.ndarray:
-    """Per-row Euclidean norms of a matrix, as a 1-D vector."""
-    a = as_matrix(m)
-    return np.sqrt((a * a).sum(axis=1))
-
-
-def dimension_preserving_normalize(w) -> np.ndarray:
-    """Rescale a nonnegative vector so its entries sum to its length.
-
-    For a length-d input the output is d * w / sum(w), so the mean entry is
-    exactly 1. An all-zero (or sub-1e-12 total) input is degenerate and maps
-    to the all-ones vector, which makes downstream rescaling a no-op.
-    """
-    v = np.asarray(w, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise InvalidInputError("vector contains non-finite entries")
-    if (v < 0).any():
-        raise InvalidInputError("vector entries must be nonnegative")
-    total = v.sum()
-    if total < DEGENERATE_SUM:
-        return np.ones_like(v)
-    return v.size * v / total

@@ -4,8 +4,8 @@ Each task minimizes a local cross-entropy on its own classes plus, from the
 second task on, a soft-target distillation loss at the transition block and
 an overlap penalty between block-weight vectors of different tasks. The three
 terms are backpropagated separately so the distillation gradient on each
-shared up-projection can be rescaled row-wise by the previous task's row
-norms before the terms are combined.
+shared up-projection can be rescaled row-wise by the teacher's row norms,
+fixed for the task, before the terms are combined.
 
 A task trains a copy of the model's shared adapter, which stays its teacher.
 It joins the model only when it finishes: its class prototypes are computed
@@ -196,24 +196,28 @@ def orth_loss(mu: ad.Tensor, previous: list[np.ndarray]) -> ad.Tensor:
     return ad.node(value, (mu,), bwd)
 
 
-def reassign_gradient(kd_grad: np.ndarray, prev_row_norms: np.ndarray) -> np.ndarray:
-    """Rescale each row of a distillation gradient by the normalized previous
-    row norms; rows that mattered before get proportionally stronger pull."""
-    kd_grad = np.asarray(kd_grad, dtype=np.float64)
-    norms = np.asarray(prev_row_norms, dtype=np.float64)
-    if kd_grad.ndim != 2 or norms.ndim != 1 or kd_grad.shape[0] != norms.shape[0]:
-        raise ShapeError(
-            f"gradient {kd_grad.shape} incompatible with norm vector {norms.shape}"
-        )
-    sigma = numerics.dimension_preserving_normalize(norms)
-    return kd_grad * sigma[:, None]
+# Below this total row norm an up-projection (all zeros before training) is
+# degenerate, and reassignment leaves the gradient as it is.
+DEGENERATE_SUM = 1e-12
+
+
+def gr_scale(up: np.ndarray) -> np.ndarray:
+    """Gradient reassignment's row scale of a ``(width, rank)`` shared
+    up-projection of the teacher: its row norms rescaled to mean 1, so rows
+    that mattered before get proportionally stronger pull; all ones when the
+    norms sum to below ``DEGENERATE_SUM``."""
+    n = np.sqrt((up * up).sum(axis=1))
+    total = n.sum()
+    if total < DEGENERATE_SUM:
+        return np.ones_like(n)
+    return n.size * n / total
 
 
 def total_step_gradient(
     grads: dict[str, dict[str, np.ndarray]],
     params: list[ad.Parameter],
     cfg: TrainConfig,
-    row_norms: dict[str, np.ndarray] | None,
+    gr_scale: dict[str, np.ndarray] | None,
 ) -> dict[str, np.ndarray]:
     """Combine per-term gradients (see :func:`autodiff.backward_per_term`)
     into one update gradient per trainable parameter.
@@ -222,8 +226,8 @@ def total_step_gradient(
     trainable shared down-projections take ce + lambda_kd * kd unmodified;
     specific adapters and block weights take ce + lambda_orth * orth.
     Reassignment touches only the kd term and only shared up-projections,
-    scaling rows by ``row_norms``, the previous task's row norms by
-    parameter name. A term is added only where it reached the parameter.
+    scaling rows by ``gr_scale``, the teacher's :func:`gr_scale` by parameter
+    name. A term is added only where it reached the parameter.
     """
     ce, kd, orth = (grads.get(term, {}) for term in ("ce", "kd", "orth"))
     out: dict[str, np.ndarray] = {}
@@ -237,9 +241,9 @@ def total_step_gradient(
         elif p.name in kd:
             g_kd = kd[p.name]
             if p.tag == "shared-up" and cfg.gr:
-                if row_norms is None:
-                    raise ProtocolError("gradient reassignment needs the previous row norms")
-                g_kd = reassign_gradient(g_kd, row_norms[p.name])
+                if gr_scale is None:
+                    raise ProtocolError("gradient reassignment needs the teacher's row scales")
+                g_kd = g_kd * gr_scale[p.name][:, None]
             g = g + cfg.lambda_kd * g_kd
         out[p.name] = g
     return out
@@ -270,8 +274,9 @@ class AdaptiveMoments:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for name, g in grads.items():
-            m = self.m.setdefault(name, np.zeros_like(g))
-            v = self.v.setdefault(name, np.zeros_like(g))
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros_like(g), np.zeros_like(g)
+            m, v = self.m[name], self.v[name]
             m *= b1
             m += (1 - b1) * g
             v *= b2
@@ -310,12 +315,9 @@ class TaskSession:
         shared = model.shared  # the teacher
         # A flipped layout runs the shared blocks after the transition point, so
         # the teacher prefix never reads them and kd never reaches them.
-        self.row_norms = None  # row norms of the teacher's up-projections, by name
-        if self.kd_active and not model.flip_positions:
-            self.row_norms = {
-                pair.up.name: numerics.row_l2_norms(pair.up.value)
-                for pair in shared.pairs.values()
-            }
+        self.gr_scale = None  # gr_scale of each of the teacher's up-projections, by name
+        if self.kd_active and cfg.gr and not model.flip_positions:
+            self.gr_scale = {p.up.name: gr_scale(p.up.value) for p in shared.pairs.values()}
         # the copy of the shared adapter this task trains
         self.shared = shared.copy(train=model.shared_trains)
 
@@ -378,7 +380,7 @@ class TaskSession:
     def step(self, rows) -> dict:
         losses = self.losses(rows)
         grads = total_step_gradient(
-            ad.backward_per_term(losses, self.params), self.params, self.cfg, self.row_norms
+            ad.backward_per_term(losses, self.params), self.params, self.cfg, self.gr_scale
         )
         self.optimizer.step({p.name: p for p in self.params}, grads)
         ce = float(losses["ce"].value)

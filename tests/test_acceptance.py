@@ -69,18 +69,24 @@ def test_02_gradient_oracle():
 
 def test_03_reassignment_properties():
     with _report(3, "gradient reassignment: uniform no-op, exact sigma scaling, zero-norm no-op"):
-        rng = nm.make_rng(0)
-        grad = rng.standard_normal((6, 3))
-        # (a) uniform previous norms leave the gradient bit-identical
-        assert np.array_equal(tr.reassign_gradient(grad, np.full(6, 2.5)), grad)
-        # (b) the applied row scalings are exactly sigma(w), which sums to d
-        norms = rng.uniform(0.2, 3.0, 6)
-        sigma = nm.dimension_preserving_normalize(norms)
-        out = tr.reassign_gradient(grad, norms)
-        assert np.array_equal(out, grad * sigma[:, None])
-        assert abs(sigma.sum() - 6.0) <= 1e-9
-        # (c) all-zero norms are a no-op
-        assert np.array_equal(tr.reassign_gradient(grad, np.zeros(6)), grad)
+        grad = nm.make_rng(0).standard_normal((6, 3))
+        p = ad.Parameter("up", np.zeros((6, 3)), True, "shared-up")
+
+        def reassigned(teacher_up):
+            scale = {"up": tr.gr_scale(teacher_up)}
+            cfg = tr.TrainConfig(lambda_kd=1.0)
+            return tr.total_step_gradient({"kd": {"up": grad}}, [p], cfg, scale)["up"]
+
+        # (a) uniform teacher row norms leave the gradient bit-identical
+        assert np.array_equal(reassigned(np.tile([2.5, 0.0, 0.0], (6, 1))), grad)
+        # (b) the applied row scalings are exactly sigma, which sums to d: row
+        # norms 1, 2, 3, 5, 7, 6 sum to 24, so sigma is each norm over 4
+        up = np.array([[1, 0, 0], [0, 2, 0], [0, 0, 3], [3, 4, 0], [2, 3, 6], [0, 6, 0]], float)
+        sigma = np.array([0.25, 0.5, 0.75, 1.25, 1.75, 1.5])
+        assert np.array_equal(tr.gr_scale(up), sigma) and sigma.sum() == 6.0
+        assert np.array_equal(reassigned(up), grad * sigma[:, None])
+        # (c) an all-zero teacher up-projection is a no-op
+        assert np.array_equal(reassigned(np.zeros((6, 3))), grad)
 
 
 def test_04_structural_isolation():

@@ -726,6 +726,21 @@ class TestCli:
         text = capsys.readouterr().out
         assert "final" in text and "A_T" in text
 
+    @pytest.mark.parametrize(
+        "position_l, message",
+        [(0, "task 2's prototypes are not finite: training diverged"),
+         (1, "logits contains non-finite entries")],
+    )
+    def test_diverged_run_exits_2_and_writes_nothing(self, tmp_path, capsys, position_l, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**FAST, "position_l": position_l, "learning_rate": 1e300}))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = cli_main(["run", "--config", str(cfg), "--seed", "0", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"dualora run: {message}"]
+        assert not out.exists()
+
     def test_gen_data(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(FAST))

@@ -92,50 +92,6 @@ class TestSoftmaxTemperature:
             nm.softmax_temperature([[1.0, np.inf]], 1.0)
 
 
-class TestRowL2Norms:
-    def test_zero_matrix(self):
-        assert np.array_equal(nm.row_l2_norms(np.zeros((3, 4))), np.zeros(3))
-
-    def test_345_triangle(self):
-        out = nm.row_l2_norms([[3.0, 4.0], [0.0, 0.0]])
-        assert np.array_equal(out, [5.0, 0.0])
-
-    def test_identity(self):
-        assert np.array_equal(nm.row_l2_norms(np.eye(6)), np.ones(6))
-
-
-class TestDimensionPreservingNormalize:
-    def test_uniform_fixed_point(self):
-        out = nm.dimension_preserving_normalize([1.0, 1.0, 1.0, 1.0])
-        assert np.array_equal(out, np.ones(4))
-
-    def test_two_entry_case(self):
-        out = nm.dimension_preserving_normalize([3.0, 1.0])
-        assert np.allclose(out, [1.5, 0.5], atol=1e-12)
-
-    def test_degenerate_all_zero(self):
-        out = nm.dimension_preserving_normalize([0.0, 0.0, 0.0])
-        assert np.array_equal(out, np.ones(3))
-
-    def test_mean_is_one(self):
-        rng = nm.make_rng(9)
-        for _ in range(50):
-            w = rng.uniform(0.1, 5.0, size=rng.integers(2, 12))
-            out = nm.dimension_preserving_normalize(w)
-            assert abs(out.mean() - 1.0) <= 1e-9
-
-    def test_scale_invariance(self):
-        rng = nm.make_rng(13)
-        w = rng.uniform(0.0, 3.0, size=8)
-        a = nm.dimension_preserving_normalize(w)
-        b = nm.dimension_preserving_normalize(17.5 * w)
-        assert np.allclose(a, b, atol=1e-12)
-
-    def test_negative_entry_rejected(self):
-        with pytest.raises(InvalidInputError):
-            nm.dimension_preserving_normalize([1.0, -0.1])
-
-
 def test_rng_determinism():
     a = nm.make_rng(123).standard_normal(16)
     b = nm.make_rng(123).standard_normal(16)

@@ -179,32 +179,42 @@ class TestOrthLoss:
             tr.orth_loss(self._mu([1.0, 1.0]), [np.array([1.0, 1.0, 1.0])])
 
 
-class TestReassignGradient:
-    def test_uniform_norms_identity(self):
-        g = nm.make_rng(0).standard_normal((4, 3))
-        out = tr.reassign_gradient(g, np.array([2.0, 2.0, 2.0, 2.0]))
-        assert np.array_equal(out, g)
+class TestGrScale:
+    def test_345_triangle(self):
+        # row norms 5 and 0, rescaled to sum to the two rows
+        assert np.array_equal(tr.gr_scale(np.array([[3.0, 4.0], [0.0, 0.0]])), [2.0, 0.0])
 
-    def test_row_scaling(self):
-        g = np.array([[1.0, 1.0], [2.0, 2.0]])
-        out = tr.reassign_gradient(g, np.array([3.0, 1.0]))
-        assert np.array_equal(out, np.array([[1.5, 1.5], [1.0, 1.0]]))
+    def test_identity(self):
+        # uniform row norms are the fixed point
+        assert np.array_equal(tr.gr_scale(np.eye(6)), np.ones(6))
 
-    def test_zero_norms_noop(self):
-        g = nm.make_rng(1).standard_normal((3, 2))
-        assert np.array_equal(tr.reassign_gradient(g, np.zeros(3)), g)
+    def test_zero_matrix(self):
+        # degenerate: the neutral scale, under which reassignment is a no-op
+        assert np.array_equal(tr.gr_scale(np.zeros((3, 4))), np.ones(3))
 
-    def test_mean_row_scaling_is_one(self):
-        rng = nm.make_rng(2)
-        g = rng.standard_normal((6, 4))
-        norms = rng.uniform(0.1, 3.0, 6)
-        out = tr.reassign_gradient(g, norms)
-        ratios = np.linalg.norm(out, axis=1) / np.linalg.norm(g, axis=1)
-        assert abs(ratios.mean() - 1.0) <= 1e-9
+    def test_uniform_fixed_point(self):
+        # rows of equal norm in different directions are still the fixed point
+        up = np.array([[3.0, 4.0], [4.0, 3.0], [0.0, 5.0], [-5.0, 0.0]])
+        assert np.array_equal(tr.gr_scale(up), np.ones(4))
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            tr.reassign_gradient(np.zeros((3, 2)), np.zeros(4))
+    def test_degenerate_tiny_norms(self):
+        # a nonzero teacher whose norms sum below DEGENERATE_SUM is degenerate too
+        out = tr.gr_scale(np.full((3, 2), tr.DEGENERATE_SUM / 100))
+        assert np.array_equal(out, np.ones(3))
+
+    def test_two_row_case(self):
+        out = tr.gr_scale(np.array([[3.0, 0.0], [0.0, 1.0]]))
+        assert np.allclose(out, [1.5, 0.5], atol=1e-12)
+
+    def test_mean_is_one(self):
+        rng = nm.make_rng(9)
+        for _ in range(50):
+            up = rng.uniform(-5.0, 5.0, size=(rng.integers(2, 12), rng.integers(1, 5)))
+            assert abs(tr.gr_scale(up).mean() - 1.0) <= 1e-9
+
+    def test_scale_invariance(self):
+        up = nm.make_rng(13).uniform(-3.0, 3.0, size=(8, 3))
+        assert np.allclose(tr.gr_scale(up), tr.gr_scale(17.5 * up), atol=1e-12)
 
 
 class TestTotalStepGradient:
@@ -232,17 +242,50 @@ class TestTotalStepGradient:
 
     def test_gr_with_uniform_norms_matches_gr_off(self):
         grads, params = self._grads_and_params()
-        row_norms = {"a_s": np.full(4, 1.7)}
-        on = tr.total_step_gradient(grads, params, tr.TrainConfig(gr=True), row_norms)
-        off = tr.total_step_gradient(grads, params, tr.TrainConfig(gr=False), row_norms)
+        scale = {"a_s": tr.gr_scale(np.full((4, 2), 1.7))}
+        on = tr.total_step_gradient(grads, params, tr.TrainConfig(gr=True), scale)
+        off = tr.total_step_gradient(grads, params, tr.TrainConfig(gr=False), scale)
         for p in params:
             assert np.array_equal(on[p.name], off[p.name])
 
+    def test_kd_rows_scale_by_gr_scale(self):
+        p = ad.Parameter("a_s", np.zeros((2, 2)), True, "shared-up")
+        g = np.array([[1.0, 1.0], [2.0, 2.0]])
+        scale = {"a_s": tr.gr_scale(np.array([[3.0, 0.0], [0.0, 1.0]]))}
+        cfg = tr.TrainConfig(lambda_kd=1.0)
+        out = tr.total_step_gradient({"kd": {"a_s": g}}, [p], cfg, scale)
+        assert np.array_equal(out["a_s"], [[1.5, 1.5], [1.0, 1.0]])
+
+    @staticmethod
+    def _kd_only(g, scale):
+        p = ad.Parameter("a_s", np.zeros(g.shape), True, "shared-up")
+        cfg = tr.TrainConfig(gr=True, lambda_kd=1.0)
+        return tr.total_step_gradient({"kd": {"a_s": g}}, [p], cfg, {"a_s": scale})["a_s"]
+
+    def test_uniform_teacher_norms_leave_kd_unscaled(self):
+        g = nm.make_rng(0).standard_normal((4, 3))
+        out = self._kd_only(g, tr.gr_scale(np.full((4, 3), 2.0)))
+        assert np.array_equal(out, g)
+
+    def test_zero_teacher_leaves_kd_unscaled(self):
+        g = nm.make_rng(1).standard_normal((3, 2))
+        assert np.array_equal(self._kd_only(g, tr.gr_scale(np.zeros((3, 2)))), g)
+
+    def test_mean_row_scaling_is_one(self):
+        rng = nm.make_rng(2)
+        p = ad.Parameter("a_s", np.zeros((6, 4)), True, "shared-up")
+        g = rng.standard_normal((6, 4))
+        scale = {"a_s": tr.gr_scale(rng.uniform(0.1, 3.0, (6, 4)))}
+        cfg = tr.TrainConfig(lambda_kd=1.0)
+        out = tr.total_step_gradient({"kd": {"a_s": g}}, [p], cfg, scale)["a_s"]
+        ratios = np.linalg.norm(out, axis=1) / np.linalg.norm(g, axis=1)
+        assert abs(ratios.mean() - 1.0) <= 1e-9
+
     def test_specific_update_independent_of_lambda_kd(self):
         grads, params = self._grads_and_params()
-        row_norms = {"a_s": np.ones(4)}
-        a = tr.total_step_gradient(grads, params, tr.TrainConfig(lambda_kd=1.0), row_norms)
-        b = tr.total_step_gradient(grads, params, tr.TrainConfig(lambda_kd=9.0), row_norms)
+        scale = {"a_s": np.ones(4)}
+        a = tr.total_step_gradient(grads, params, tr.TrainConfig(lambda_kd=1.0), scale)
+        b = tr.total_step_gradient(grads, params, tr.TrainConfig(lambda_kd=9.0), scale)
         assert np.array_equal(a["a_t"], b["a_t"])
         assert np.array_equal(a["mu"], b["mu"])
         assert not np.array_equal(a["a_s"], b["a_s"])
@@ -254,9 +297,9 @@ class TestTotalStepGradient:
 
     def test_head_takes_unreassigned_kd(self):
         grads, params = self._grads_and_params()
-        row_norms = {"a_s": np.array([9.0, 1.0, 1.0, 1.0])}
+        scale = {"a_s": np.array([9.0, 1.0, 1.0, 1.0])}
         cfg = tr.TrainConfig(gr=True, lambda_kd=5.0)
-        out = tr.total_step_gradient(grads, params, cfg, row_norms)
+        out = tr.total_step_gradient(grads, params, cfg, scale)
         expected_head = grads["ce"]["hw"] + 5.0 * grads["kd"]["hw"]
         assert np.array_equal(out["hw"], expected_head)
 
@@ -437,18 +480,19 @@ class TestTrainTask:
         assert session.losses(rows)["kd"].value.tobytes() == fresh.value.tobytes()
 
     def test_shared_updates_respect_mean_preserving_rescale(self):
-        # the applied row scalings must be exactly sigma(prev norms)
+        # the applied row scalings must be exactly sigma of the teacher
         stream, _, model, tcfg = build_micro()
         store = clf.PrototypeStore()
         tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
         session = tr.TaskSession(model, stream.tasks[1], tcfg, nm.make_rng(1))
         losses = session.losses(np.arange(4))
         per_term = ad.backward_per_term(losses, session.params)
-        grads = tr.total_step_gradient(per_term, session.params, tcfg, session.row_norms)
+        grads = tr.total_step_gradient(per_term, session.params, tcfg, session.gr_scale)
         for pair in model.shared.pairs.values():
             name = pair.up.name
             kd = per_term["kd"][name]
-            sigma = nm.dimension_preserving_normalize(session.row_norms[name])
+            sigma = session.gr_scale[name]
+            assert np.array_equal(sigma, tr.gr_scale(pair.up.value))
             expected = per_term["ce"][name] + tcfg.lambda_kd * (kd * sigma[:, None])
             assert np.allclose(grads[name], expected, atol=0)
             assert abs(sigma.mean() - 1.0) <= 1e-9
@@ -477,7 +521,7 @@ class TestTrainTask:
         ups = [p.name for p in session.params if p.tag == "specific-up"]
         assert ups and all(np.abs(grads["kd"][name]).max() > 1e-6 for name in ups)
         assert not any(name.startswith("shared.") for name in grads["kd"])
-        total = tr.total_step_gradient(grads, session.params, tcfg, session.row_norms)
+        total = tr.total_step_gradient(grads, session.params, tcfg, session.gr_scale)
         for p in session.params:
             if p.tag in ("specific-up", "specific-down", "block-weight"):
                 expected = grads["ce"][p.name]
@@ -490,13 +534,34 @@ class TestTrainTask:
 
     def test_flipped_session_makes_no_teacher_copy(self):
         # Flipped, the teacher prefix runs the previous task's adapter and kd
-        # never reaches a shared parameter, so no row norms are made.
+        # never reaches a shared parameter, so no row scales are made.
         stream, _, model, tcfg = build_micro(train_overrides={"flip_positions": True})
         store = clf.PrototypeStore()
         tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(0))
         session = tr.TaskSession(model, stream.tasks[1], tcfg, nm.make_rng(1))
         assert session.kd_active and model.shared is not None
-        assert session.row_norms is None
+        assert session.gr_scale is None
+
+    def test_gr_scale_is_made_once_per_task_from_the_teacher(self, monkeypatch):
+        tcfg, stream, model, task_rngs = _desk_run()
+        tr.train_task(model, clf.PrototypeStore(), stream.tasks[0], tcfg, task_rngs[0])
+        gr_scale, calls = tr.gr_scale, []
+        monkeypatch.setattr(tr, "gr_scale", lambda up: calls.append(up) or gr_scale(up))
+        session = tr.TaskSession(model, stream.tasks[1], tcfg, task_rngs[1])
+        teacher_ups = [pair.up.value for pair in model.shared.pairs.values()]
+        assert len(calls) == len(teacher_ups) == 4
+        assert all(up is teacher for up, teacher in zip(calls, teacher_ups))
+        session.step(np.arange(tcfg.batch_size))
+        assert len(calls) == 4
+        for override in ({"gr": False}, {"kd": False}):
+            off = tr.TaskSession(model, stream.tasks[1], replace(tcfg, **override), task_rngs[1])
+            assert off.gr_scale is None
+        tcfg, stream, model, task_rngs = harness.build_run(
+            harness.resolve_config({"epochs": 1, "flip_positions": True}), seed=0
+        )
+        tr.train_task(model, clf.PrototypeStore(), stream.tasks[0], tcfg, task_rngs[0])
+        assert tr.TaskSession(model, stream.tasks[1], tcfg, task_rngs[1]).gr_scale is None
+        assert len(calls) == 4
 
     def test_optimizer_never_touches_frozen_parameters(self):
         stream, backbone, model, tcfg = build_micro()
@@ -645,6 +710,23 @@ class TestTaskBoundary:
             tr.train_task(model, store, stream.tasks[1], tcfg, nm.make_rng(2))
         assert _boundary(model, store) == boundary
 
+    @pytest.mark.parametrize("position_l", [0, 1])
+    def test_diverged_task_leaves_the_boundary_bitwise(self, position_l):
+        # At a learning rate of 1e300 the first task still ends with finite
+        # prototypes, and the second overflows. Without a shared block its
+        # prototypes are the first values checked; with one, the distillation
+        # target is.
+        overrides = {"position_l": position_l, "learning_rate": 1e300}
+        stream, _, model, tcfg = build_micro(train_overrides=overrides)
+        store = clf.PrototypeStore()
+        message = "task 2's prototypes are not finite" if position_l == 0 else "non-finite"
+        with np.errstate(all="ignore"):
+            tr.train_task(model, store, stream.tasks[0], tcfg, nm.make_rng(1))
+            boundary = _boundary(model, store)
+            with pytest.raises(InvalidInputError, match=message):
+                tr.train_task(model, store, stream.tasks[1], tcfg, nm.make_rng(2))
+        assert _boundary(model, store) == boundary
+
     @pytest.mark.parametrize(
         "override", [{"position_l": 2}, {"flip_positions": True}, {"fix_b": False}]
     )
@@ -724,6 +806,18 @@ class TestOptimizers:
         # bias-corrected first step moves by ~lr in the gradient sign direction
         assert np.allclose(np.abs(p.value), 0.1, atol=1e-6)
         assert np.sign(p.value[0]) == -1 and np.sign(p.value[1]) == 1
+
+    def test_adaptive_moments_are_allocated_on_the_first_step_only(self, monkeypatch):
+        params = {name: ad.Parameter(name, np.zeros(3), True, "head") for name in "ab"}
+        grads = {name: np.array([1.0, -2.0, 0.5]) for name in params}
+        opt = tr.AdaptiveMoments(0.1)
+        opt.step(params, grads)
+        assert list(opt.m) == list(opt.v) == ["a", "b"]
+        zeros_like, calls = np.zeros_like, []
+        monkeypatch.setattr(np, "zeros_like", lambda *a, **k: calls.append(a) or zeros_like(*a, **k))
+        opt.step(params, grads)
+        opt.step(params, grads)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "overrides, kind",
