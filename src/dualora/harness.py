@@ -9,6 +9,7 @@ the ``timings`` block.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -358,11 +359,24 @@ def _usable_cpus() -> int:
 
 
 def _one_blas_thread() -> None:
-    """Pool initializer: the pool already runs one worker per CPU, so each
-    worker's BLAS takes one thread, not one per core."""
+    """Pool initializer: the pool's workers already fill the usable CPUs, so
+    each worker's BLAS takes one thread, not one per core."""
     set_threads = _openblas("set_num_threads")
     if set_threads is not None:
         set_threads(1)
+
+
+def _fork_pool(workers: int):
+    """A pool of ``workers`` forked workers with one BLAS thread each. A forked
+    worker inherits the parent's modules and state, so it starts in
+    milliseconds where a spawned one would import numpy and dualora again.
+    Imported here, so that commands without a pool do not load multiprocessing."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=_one_blas_thread
+    )
 
 
 def run_ablation(
@@ -428,16 +442,7 @@ def run_ablation(
     if repeated:
         raise ConfigError(f"the ablation repeats runs {repeated}; give each value and seed once")
 
-    # Imported here, so that commands without a sweep do not load multiprocessing.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Forked workers inherit the parent's imported modules, so one starts in
-    # milliseconds where a spawned worker would import numpy and dualora again.
-    workers = min(len(jobs), _usable_cpus())
-    with ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"), initializer=_one_blas_thread
-    ) as pool:
+    with _fork_pool(min(len(jobs), _usable_cpus())) as pool:
         reports = list(pool.map(run_experiment, *zip(*jobs)))
     for row, report in zip(rows, reports):
         row.update(
@@ -487,6 +492,26 @@ GRADCHECK_PRESET: dict = {
 GRADCHECK_SETTLE_STEPS = 5
 
 
+# the running gradcheck's closure, shares and step, inherited by its forked workers
+_checking: tuple | None = None
+
+
+def _check_share(i: int) -> dict:
+    """Pool job: the finite-difference check of the running gradcheck's share ``i``."""
+    forward, shares, step = _checking
+    return ad.finite_difference_check(forward, shares[i], step)
+
+
+def _shares(params: list, k: int) -> list[list]:
+    """``params`` in ``k`` shares balanced by scalar count, largest first onto the lightest."""
+    shares, loads = [[] for _ in range(k)], [0] * k
+    for p in sorted(params, key=lambda p: p.size, reverse=True):
+        i = loads.index(min(loads))
+        shares[i].append(p)
+        loads[i] += p.size
+    return shares
+
+
 def gradcheck(config: Mapping | None, seed: int, *, step: float = 3e-4) -> dict:
     """Verify analytic gradients of every active loss term on a micro run.
 
@@ -495,6 +520,10 @@ def gradcheck(config: Mapping | None, seed: int, *, step: float = 3e-4) -> dict:
     compares every trainable scalar against central finite differences. The
     distillation target is pinned at the linearization point, matching its
     constant-target semantics.
+
+    This process checks share 0 of the trainable parameters (:func:`_shares`,
+    one per usable CPU) and a worker forked from the settled session each
+    other share, so the report does not depend on the CPU count.
     """
     cfg = resolve_config({**GRADCHECK_PRESET, **(config or {})})
     tcfg, stream, model, task_rngs = build_run(cfg, seed)
@@ -513,19 +542,26 @@ def gradcheck(config: Mapping | None, seed: int, *, step: float = 3e-4) -> dict:
     if session.kd_active:
         pinned = tr.kd_target(session.head, session.teacher_cls[rows], tcfg.temperature)
 
-    tag_of = {p.name: p.tag for p in session.params}
-    errors = ad.finite_difference_check(
-        lambda: session.losses(rows, pinned_kd_target=pinned), session.params, step
-    )
-    num_checked = sum(p.size for p in session.params if p.trainable)
+    trainable = [p for p in session.params if p.trainable]
+    shares = _shares(trainable, min(_usable_cpus(), len(trainable)))
+    global _checking
+    _checking = (lambda: session.losses(rows, pinned_kd_target=pinned), shares, step)
+    try:
+        # the workers fork at the first submit, before share 0 is perturbed
+        with _fork_pool(len(shares) - 1) if len(shares) > 1 else contextlib.nullcontext() as pool:
+            futures = [pool.submit(_check_share, i) for i in range(1, len(shares))]
+            results = [_check_share(0), *(f.result() for f in futures)]
+    finally:
+        _checking = None
+    found = {(t, name): e for r in results for t, errs in r.items() for name, e in errs.items()}
+    num_checked = sum(p.size for p in trainable)
     terms: dict[str, dict] = {}
     overall = 0.0
-    for term, per_param in errors.items():
+    for term in results[0]:
         per_group: dict[str, float] = {}
-        for name, err in per_param.items():
-            tag = tag_of[name]
+        for p in trainable:  # in session.params order, whatever share checked it
             # np.maximum keeps a NaN error, which max(0.0, nan) would drop
-            per_group[tag] = float(np.maximum(per_group.get(tag, 0.0), err))
+            per_group[p.tag] = float(np.maximum(per_group.get(p.tag, 0.0), found[term, p.name]))
         worst = float(np.max([0.0, *per_group.values()]))
         terms[term] = {"max_rel_error": worst, "num_checked": num_checked, "per_group": per_group}
         overall = float(np.maximum(overall, worst))

@@ -4,7 +4,9 @@ import ctypes
 import dataclasses
 import functools
 import io
+import itertools
 import json
+import multiprocessing
 import os
 import platform
 import re
@@ -27,7 +29,14 @@ from dualora import trainer as tr
 from dualora import numerics as nm
 from dualora import streams as st
 from dualora.cli import main as cli_main
-from dualora.errors import ConfigError, DataError, FormatError, GraphError, InvalidRankError
+from dualora.errors import (
+    ConfigError,
+    DataError,
+    DeterminismError,
+    FormatError,
+    GraphError,
+    InvalidRankError,
+)
 
 from conftest import recording_adapter_blocks
 
@@ -621,6 +630,91 @@ class TestGradcheck:
         assert groups["specific-up"] == 0.0
         assert groups["block-weight"] == 0.0
 
+    def test_shares_balance_scalars_largest_first_onto_the_lightest(self):
+        sizes = [1, 32, 2, 32, 32]
+        params = [
+            ad.Parameter(f"p{i}", np.zeros(n), trainable=True, tag="head")
+            for i, n in enumerate(sizes)
+        ]
+        names = lambda shares: [[p.name for p in share] for share in shares]
+        assert names(harness._shares(params, 1)) == [["p1", "p3", "p4", "p2", "p0"]]
+        assert names(harness._shares(params, 2)) == [["p1", "p4"], ["p3", "p2", "p0"]]
+        assert names(harness._shares(params, 3)) == [["p1", "p2"], ["p3", "p0"], ["p4"]]
+
+    @pytest.mark.parametrize("config", [None, {"flip_positions": True}])
+    def test_report_does_not_depend_on_the_cpu_count(self, monkeypatch, config):
+        reports = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            report = harness.gradcheck(config, seed=3)
+            # the unsorted text also keeps each term's per_group order
+            reports.append((report, json.dumps(report, sort_keys=True), json.dumps(report)))
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
+
+    def test_one_forked_worker_per_usable_cpu_but_the_first(self, pools, monkeypatch):
+        # the micro preset trains 9 parameters, so 20 CPUs take 9 shares
+        for cpus in (1, 2, 3, 20):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            harness.gradcheck(None, seed=0)
+        assert pools == [(1, "fork"), (2, "fork"), (8, "fork")]
+
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        get_threads = harness._openblas("get_num_threads")
+        if get_threads is None:
+            pytest.skip("no OpenBLAS thread getter in this build")
+        set_threads = harness._openblas("set_num_threads")
+        parent = os.getpid()
+
+        def report_blas_threads(forward, params, step):
+            # a worker's BLAS thread count as every error of its share; 0 here
+            threads = 0 if os.getpid() == parent else get_threads()
+            return {"ce": {p.name: float(threads) for p in params}}
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(ad, "finite_difference_check", report_blas_threads)
+        before = get_threads()
+        set_threads(2)  # so the workers inherit more than one thread
+        try:
+            report = harness.gradcheck(None, seed=0)
+            assert get_threads() == 2  # the parent keeps its own setting
+        finally:
+            set_threads(before)
+        assert report["max_rel_error"] == 1.0
+
+    def test_worker_error_reaches_caller_with_its_type(self, monkeypatch):
+        # the closure drops a term on its second call in share 1's worker only
+        parent, seen = os.getpid(), {}
+        check, make_shares = ad.finite_difference_check, harness._shares
+
+        def recorded_shares(params, k):
+            seen["params"] = params
+            return make_shares(params, k)
+
+        def flaky_in_workers(forward, params, step):
+            if os.getpid() == parent:
+                seen["before"] = [p.value.copy() for p in seen["params"]]
+                return check(forward, params, step)
+            calls = itertools.count()
+
+            def flaky():
+                out = dict(forward())
+                if next(calls) == 1:
+                    del out["orth"]
+                return out
+
+            return check(flaky, params, step)
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_shares", recorded_shares)
+        monkeypatch.setattr(ad, "finite_difference_check", flaky_in_workers)
+        with pytest.raises(DeterminismError, match="terms"):
+            harness.gradcheck(None, seed=3)
+        assert len(seen["before"]) == 9
+        for p, before in zip(seen["params"], seen["before"]):
+            assert p.value.tobytes() == before.tobytes(), p.name
+        assert multiprocessing.active_children() == []
+
 
 def _fresh_python(code):
     """Standard output of ``code`` run by a fresh interpreter that imports
@@ -686,10 +780,11 @@ class TestFreedHeap:
 
 class TestCli:
     def test_import_leaves_multiprocessing_unloaded(self):
-        # only a sweep needs the process pool; every other command starts without it
+        # only ablate and gradcheck make a process pool, and they import it
+        # when they make it; every command starts without it
         probe = (
-            "import sys, dualora.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+            "import sys, dualora.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('multiprocessing', 'concurrent'))))"
         )
         assert _fresh_python(probe) == "[]"
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from dualora import cli
+from dualora import cli, harness
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARKS = ROOT / "benchmarks"
@@ -67,10 +67,15 @@ def test_benchmark_ops_pass_their_checks_at_the_exact_counts(monkeypatch, tmp_pa
     assert counts["autodiff.tape_nodes_per_step"] == 32.6
     assert counts["trainer.teacher_rows_per_unique"] == 1.0
     assert counts["eval_formula_mismatches"] == 0
-    problems, counts, layers = _one_traced_op("gradcheck", tmp_path)
-    assert problems == []
-    assert counts["eval_formula_mismatches"] == 0
-    assert layers["autodiff.fd_closure_calls"] == (456, "count")
+    # the tracer counts the closure calls of this process only: all 2 + 2 * 227
+    # at 1 CPU; at 2 CPUs, those of the parent's share of 4 parameters of 32
+    # scalars (the forked worker checks the other 99)
+    for cpus, closure_calls in ((1, 456), (2, 2 + 2 * 128)):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        problems, counts, layers = _one_traced_op("gradcheck", tmp_path)
+        assert problems == []
+        assert counts["eval_formula_mismatches"] == 0
+        assert layers["autodiff.fd_closure_calls"] == (closure_calls, "count")
     # set-up trains the query model, so this covers finish and prototypes too
     problems, counts, _ = _one_traced_op("query_stream", tmp_path)
     assert problems == []
